@@ -9,8 +9,7 @@ tolerance.
 """
 
 from .assembly import (FractionalOrder, OperatorMatrices, QuadratureSpec,
-                       assemble_dispersion_spectral, assemble_offset_blocks,
-                       assemble_operators, frac_constant,
+                       assemble_offset_blocks, assemble_operators, frac_constant,
                        frac_laplacian_pointwise, operator_identity_report,
                        pv_frac_laplacian_basis)
 from .diagnostics import (DiagnosticsRow, convergence_rate, hamiltonian_ratio,
@@ -19,7 +18,7 @@ from .diagnostics import (DiagnosticsRow, convergence_rate, hamiltonian_ratio,
 from .fem import FemFunction, Grid, hermite_interpolate, l2_project
 from .solutions import (ExperimentSpec, bo_soliton, builtin_experiments,
                         get_experiment, kdv_one_soliton, kdv_two_soliton,
-                        smooth_sin_data, triangle_data)
+                        rebind_closed_forms, smooth_sin_data, triangle_data)
 from .spectral import (SpectralBlowup, SpectralGrid, spectral_frac_apply,
                        spectral_reference_solve)
 from .stepper import (FixedPointDivergence, SchemeConfig, StepReport,
@@ -42,7 +41,6 @@ __all__ = [
     "SpectralGrid",
     "StepReport",
     "Trajectory",
-    "assemble_dispersion_spectral",
     "assemble_offset_blocks",
     "assemble_operators",
     "bo_soliton",

@@ -34,10 +34,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy.special import zeta as hurwitz_zeta
 
 from .circulant import apply_symbol, block_circulant_dense, block_symbol
-from .fem import FemFunction, Grid, mass_offset_blocks
+from .fem import FemFunction, Grid, mass_offset_blocks, node_shape_tables
 from .quad import gauss_rule, geometric_edges
 
 __all__ = [
@@ -46,7 +47,6 @@ __all__ = [
     "OperatorMatrices",
     "frac_constant",
     "assemble_offset_blocks",
-    "assemble_dispersion_spectral",
     "spectral_offset_blocks",
     "assemble_operators",
     "pv_frac_laplacian_basis",
@@ -77,31 +77,25 @@ class FractionalOrder:
 
 
 def _alpha_value(alpha) -> float:
-    a = float(alpha)
-    if not 1.0 <= a < 2.0:
-        raise ValueError(f"alpha must lie in [1, 2), got {a}")
-    return a
+    return FractionalOrder(float(alpha)).alpha
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Quadrature parameters for the singular assembly.
 
-    inner_pts      Gauss points for the smooth inner products (loads,
-                   correlations); 8 integrates products of cubics exactly.
+    inner_pts      Gauss points per segment of the basis-pair correlations;
+                   8 integrates products of cubics exactly.
     pv_pts         Gauss points per panel of the one-dimensional principal
                    value integrals.
     near_split     end of the singular panel in units of dx (capped at 1 so
                    panels stay aligned with the polynomial pieces).
-    image_tail_tol target size for neglected periodic-image contributions in
-                   pointwise evaluation.
     max_images     periodic images summed explicitly in pointwise evaluation.
     """
 
     inner_pts: int = 8
     pv_pts: int = 7
     near_split: float = 1.0
-    image_tail_tol: float = 1e-12
     max_images: int = 64
 
     def __post_init__(self) -> None:
@@ -111,8 +105,6 @@ class QuadratureSpec:
             raise ValueError("pv_pts must be >= 2")
         if not self.near_split > 0:
             raise ValueError("near_split must be positive")
-        if not 0 < self.image_tail_tol < 1:
-            raise ValueError("image_tail_tol must lie in (0, 1)")
         if self.max_images < 1:
             raise ValueError("max_images must be >= 1")
 
@@ -134,20 +126,11 @@ def frac_constant(alpha: float) -> float:
 # ---------------------------------------------------------------------------
 # shape tables
 #
-# Each shape is two cubic pieces on [-h, 0] and [0, h] around its node,
-# stored as ascending coefficients in the local coordinate xi in [0, 1].
-# Rows: piece e = -1, piece e = 0.
-
-_VALUE_SHAPES = np.array([
-    [[0.0, 0.0, 3.0, -2.0], [1.0, 0.0, -3.0, 2.0]],      # f (value)
-    [[0.0, 0.0, -1.0, 1.0], [0.0, 1.0, -2.0, 1.0]],      # g (slope)
-])
-
-# Physical derivatives of the two shapes; carry an extra 1/h at assembly time.
-_DERIV_SHAPES = np.array([
-    [[0.0, 6.0, -6.0, 0.0], [0.0, -6.0, 6.0, 0.0]],
-    [[0.0, -2.0, 3.0, 0.0], [1.0, -4.0, 3.0, 0.0]],
-])
+# The node-centred shapes (f, g) as two cubic pieces on [-h, 0] and [0, h]
+# around their node (see fem.node_shape_tables), and their physical
+# derivatives up to the factor 1/h.
+_VALUE_TABLES = node_shape_tables(0)
+_DERIV_TABLES = node_shape_tables(1)
 
 
 def _eval_shape_tables(tables: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
@@ -157,16 +140,10 @@ def _eval_shape_tables(tables: np.ndarray, x: np.ndarray, h: float) -> np.ndarra
     """
     t = np.asarray(x, dtype=float) / h
     out = np.zeros(tables.shape[:1] + t.shape)
-    grow = (slice(None),) + (None,) * t.ndim
     for piece, e in enumerate((-1, 0)):
         xi = t - e
         mask = (xi >= 0.0) & (xi <= 1.0) if e == 0 else (xi >= 0.0) & (xi < 1.0)
-        c = tables[:, piece, :]
-        val = c[:, 3][grow] * xi[None]
-        val = (val + c[:, 2][grow]) * xi[None]
-        val = (val + c[:, 1][grow]) * xi[None]
-        val = val + c[:, 0][grow]
-        out += np.where(mask[None], val, 0.0)
+        out += np.where(mask[None], polyval(xi, tables[:, piece, :].T), 0.0)
     return out
 
 
@@ -349,11 +326,11 @@ def assemble_offset_blocks(grid: Grid, alpha,
     quad = quad or QuadratureSpec()
     n, h = grid.n_elems, grid.dx
 
-    test_tables = _VALUE_SHAPES
+    test_tables = _VALUE_TABLES
     if kind == "disp":
-        trial_tables = _DERIV_SHAPES / h
+        trial_tables = _DERIV_TABLES / h
     else:
-        trial_tables = _VALUE_SHAPES
+        trial_tables = _VALUE_TABLES
 
     blocks = np.zeros((n, 2, 2))
     for j in range(-_NEAR_OFFSET, _NEAR_OFFSET + 1):
@@ -443,12 +420,6 @@ def spectral_offset_blocks(grid: Grid, kind: str, alpha=None,
     return blocks.real
 
 
-def assemble_dispersion_spectral(grid: Grid, alpha, m_modes: int) -> np.ndarray:
-    """Dense dispersion matrix from the Fourier backend (oracle route)."""
-    return block_circulant_dense(
-        spectral_offset_blocks(grid, "disp", alpha, m_modes))
-
-
 # ---------------------------------------------------------------------------
 # operator bundle
 
@@ -503,9 +474,6 @@ class OperatorMatrices:
 
     def apply_mass(self, coeffs: np.ndarray) -> np.ndarray:
         return apply_symbol(self.mass_symbol, coeffs)
-
-    def apply_disp(self, coeffs: np.ndarray) -> np.ndarray:
-        return apply_symbol(self.disp_symbol, coeffs)
 
     def apply_gram(self, coeffs: np.ndarray) -> np.ndarray:
         return apply_symbol(self.gram_symbol, coeffs)

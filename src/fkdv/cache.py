@@ -1,4 +1,4 @@
-"""On-disk caches for offset blocks and reference samples.
+"""On-disk cache for assembled operator offset blocks.
 
 Pure optimization: a cache hit must be bit-identical to recomputation, so
 files carry a versioned header with every parameter that influences the
@@ -19,18 +19,15 @@ __all__ = [
     "cached_offset_blocks",
     "write_blocks",
     "read_blocks",
-    "write_samples",
-    "read_samples",
 ]
 
-_BLOCKS_MAGIC = b"FKDVOF01"
-_SAMPLES_MAGIC = b"FKDVRF01"
+_BLOCKS_MAGIC = b"FKDVOF02"
 _KIND_CODES = {"mass": 0, "disp": 1, "gram_half": 2}
 
 
 def _blocks_header(grid, alpha: float, quad, kind: str) -> bytes:
     return _BLOCKS_MAGIC + struct.pack(
-        "<BIdddHHddI",
+        "<BIdddHHdI",
         _KIND_CODES[kind],
         grid.n_elems,
         float(alpha),
@@ -39,7 +36,6 @@ def _blocks_header(grid, alpha: float, quad, kind: str) -> bytes:
         quad.inner_pts,
         quad.pv_pts,
         quad.near_split,
-        quad.image_tail_tol,
         quad.max_images,
     )
 
@@ -98,33 +94,3 @@ def cached_offset_blocks(cache_dir, grid, alpha, quad, kind: str) -> np.ndarray:
     write_blocks(path, grid, alpha, quad, kind, blocks)
     return blocks
 
-
-def _samples_header(tag: str, alpha: float, m: int, dt: float,
-                    t0: float, t_final: float) -> bytes:
-    tag_digest = hashlib.sha256(tag.encode()).digest()[:16]
-    return _SAMPLES_MAGIC + tag_digest + struct.pack(
-        "<dQddd", float(alpha), m, dt, t0, t_final)
-
-
-def write_samples(path, tag: str, alpha: float, m: int, dt: float,
-                  t0: float, t_final: float, samples: np.ndarray) -> None:
-    data = np.ascontiguousarray(samples, dtype="<f8")
-    if data.shape != (m,):
-        raise ValueError(f"expected {m} samples, got shape {data.shape}")
-    _atomic_write(Path(path),
-                  _samples_header(tag, alpha, m, dt, t0, t_final) + data.tobytes())
-
-
-def read_samples(path, tag: str, alpha: float, m: int, dt: float,
-                 t0: float, t_final: float) -> np.ndarray | None:
-    path = Path(path)
-    if not path.is_file():
-        return None
-    expected = _samples_header(tag, alpha, m, dt, t0, t_final)
-    raw = path.read_bytes()
-    if not raw.startswith(expected):
-        return None
-    body = raw[len(expected):]
-    if len(body) != m * 8:
-        return None
-    return np.frombuffer(body, dtype="<f8").astype(float)

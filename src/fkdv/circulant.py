@@ -4,7 +4,8 @@ Every Galerkin matrix in this package couples the two degrees of freedom
 (value, scaled slope) of node i to those of node j through a 2x2 block that
 depends only on the offset (j - i) mod N.  Such matrices are stored as an
 ``(N, 2, 2)`` array of offset blocks; the FFT over the node index
-block-diagonalises them into N independent 2x2 complex systems.
+block-diagonalises them into N independent 2x2 complex systems, applied
+by apply_symbol and inverted by invert_symbol.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ import numpy as np
 
 __all__ = [
     "block_symbol",
-    "apply_blocks",
     "apply_symbol",
-    "solve_symbol",
+    "invert_symbol",
     "block_circulant_dense",
 ]
 
@@ -36,13 +36,23 @@ def apply_symbol(symbol: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     yhat = np.einsum("rab,rb->ra", symbol, chat)
     return np.fft.ifft(yhat, axis=0).real.reshape(-1)
 
-def apply_blocks(blocks: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    return apply_symbol(block_symbol(blocks), coeffs)
 
+def invert_symbol(symbol: np.ndarray) -> np.ndarray:
+    """Per-frequency inverse of a (N, 2, 2) symbol, by the 2x2 adjugate.
 
-def solve_symbol(inverse_symbol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = rhs given the precomputed per-frequency inverse blocks."""
-    return apply_symbol(inverse_symbol, rhs)
+    Applying the result with apply_symbol solves the block-circulant system.
+    """
+    a = symbol[:, 0, 0]
+    b = symbol[:, 0, 1]
+    c = symbol[:, 1, 0]
+    d = symbol[:, 1, 1]
+    det = a * d - b * c
+    inv = np.empty_like(symbol)
+    inv[:, 0, 0] = d / det
+    inv[:, 0, 1] = -b / det
+    inv[:, 1, 0] = -c / det
+    inv[:, 1, 1] = a / det
+    return inv
 
 
 def block_circulant_dense(blocks: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ from .spectral import SpectralGrid, default_spectral_dt, spectral_reference_solv
 from .stepper import (FixedPointDivergence, SchemeConfig, Trajectory,
                       interpolate_in_time, run)
 
-__all__ = ["main", "run_table", "emit_snapshot", "verify_operators", "RunConfig"]
+__all__ = ["main", "run_table", "emit_snapshot", "RunConfig"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -277,11 +277,6 @@ def emit_snapshot(traj: Trajectory, t: float, path, reference=None) -> None:
             fh.write(" ".join(f"{v:.12g}" for v in parts) + "\n")
 
 
-def verify_operators(alpha: float, n_elems: int) -> dict:
-    """Operator identity suite wrapper used by the verify subcommand."""
-    return operator_identity_report(alpha, n_elems)
-
-
 # ---------------------------------------------------------------------------
 # argument handling
 
@@ -415,6 +410,10 @@ def _cmd_snapshot(args) -> int:
         raise ConfigError(f"bad --times {args.times!r}") from exc
     if not times:
         raise ConfigError("no output times given")
+    span = spec.t_final - spec.t0
+    for t in times:
+        if not spec.t0 - 1e-9 * span <= t <= spec.t_final + 1e-9 * span:
+            raise ConfigError(f"time {t} outside [{spec.t0}, {spec.t_final}]")
 
     grid = Grid(spec.domain[0], spec.domain[1], args.elements)
     u0 = l2_project(grid, spec.initial)
@@ -422,10 +421,7 @@ def _cmd_snapshot(args) -> int:
     cfg = SchemeConfig(alpha=spec.alpha, dt_rule=spec.dt_rule)
     traj = run(u0, spec.t0, spec.t_final, ops, cfg, snapshot_stride=1)
     out = Path(args.out)
-    span = spec.t_final - spec.t0
     for t in times:
-        if not spec.t0 - 1e-9 * span <= t <= spec.t_final + 1e-9 * span:
-            raise ConfigError(f"time {t} outside [{spec.t0}, {spec.t_final}]")
         ref = None
         if spec.reference is not None and abs(t - spec.t_final) <= 1e-9 * span:
             ref = spec.reference
@@ -437,7 +433,7 @@ def _cmd_snapshot(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
-        report = verify_operators(args.alpha, args.elements)
+        report = operator_identity_report(args.alpha, args.elements)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

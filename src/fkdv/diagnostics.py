@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import FemFunction
-from .quad import gauss_rule
+from .fem import GAUSS_WEIGHTS, FemFunction, gauss_values
 
 __all__ = [
     "DiagnosticsRow",
@@ -77,36 +76,26 @@ def momentum_ratio(u: FemFunction, u0: FemFunction) -> float:
     return _node_l2(u.node_values, u.grid.dx) / denom
 
 
-def _cubic_integral(u: FemFunction, npts: int = 8) -> float:
-    """int u^3 dx by per-element Gauss points; exact for piecewise cubics."""
-    grid = u.grid
-    base_x, base_w = gauss_rule(npts)
-    starts = grid.left + grid.dx * np.arange(grid.n_elems)
-    x = (starts[:, None] + grid.dx * base_x).ravel()
-    vals = u(x).reshape(grid.n_elems, npts)
-    return float(grid.dx * np.sum(vals ** 3 @ base_w))
+def _cubic_integral(u: FemFunction) -> float:
+    """int u^3 dx by the element Gauss rule; exact for piecewise cubics."""
+    return float(u.grid.dx * np.sum(gauss_values(u.coeffs) ** 3 @ GAUSS_WEIGHTS))
 
 
-def _hamiltonian(u: FemFunction, gram_half) -> float:
+def _hamiltonian(u: FemFunction, ops) -> float:
     c = u.coeffs
-    if hasattr(gram_half, "apply_gram"):
-        quad_term = float(c @ gram_half.apply_gram(c))
-    else:
-        quad_term = float(c @ (np.asarray(gram_half) @ c))
-    return quad_term - _cubic_integral(u) / 3.0
+    return float(c @ ops.apply_gram(c)) - _cubic_integral(u) / 3.0
 
 
-def hamiltonian_ratio(u: FemFunction, u0: FemFunction, gram_half) -> float:
+def hamiltonian_ratio(u: FemFunction, u0: FemFunction, ops) -> float:
     """C3: ratio of int((D^{alpha/2}u)^2 - u^3/3) against the initial state.
 
-    gram_half may be the dense Gram matrix or an OperatorMatrices bundle
-    (needed above the dense size limit).
+    ops is the OperatorMatrices bundle of the grid; its Gram symbol supplies
+    the quadratic term.
     """
-    denom = _hamiltonian(u0, gram_half)
-    scale = abs(_hamiltonian(u, gram_half)) + abs(denom)
-    if abs(denom) < 1e-12 * max(scale, 1e-300):
+    num, denom = _hamiltonian(u, ops), _hamiltonian(u0, ops)
+    if abs(denom) < 1e-12 * max(abs(num) + abs(denom), 1e-300):
         return math.nan
-    return _hamiltonian(u, gram_half) / denom
+    return num / denom
 
 
 def relative_error(u: FemFunction, reference) -> float:

@@ -5,6 +5,12 @@ shape f with f(0) = 1, f'(0) = 0 and a slope shape g with g(0) = 0,
 g'(0) = 1, both supported on two elements.  Node j carries the pair of
 degrees of freedom (u(x_j), dx * u'(x_j)); the slope is scaled by the mesh
 width so both coefficients share the units of u.
+
+This module owns the element: one coefficient table of the four
+element-local shapes, one Gauss rule for element integrals, and the
+gather/scatter pair between coefficient vectors and per-element dofs.  Every
+other view of the shapes (node-centred f and g, derivatives, Gauss-point
+tables, the element mass) is derived from that table.
 """
 
 from __future__ import annotations
@@ -13,8 +19,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval
 
-from .circulant import block_symbol, solve_symbol
+from .circulant import apply_symbol, block_symbol, invert_symbol
 from .quad import gauss_rule
 
 __all__ = [
@@ -24,42 +31,110 @@ __all__ = [
     "shape_g",
     "shape_f_deriv",
     "shape_g_deriv",
+    "element_shapes",
+    "node_shape_tables",
+    "element_dofs",
+    "scatter",
+    "GAUSS_POINTS",
+    "GAUSS_WEIGHTS",
+    "ELEMENT_MASS",
+    "gauss_values",
+    "element_loads",
     "hermite_interpolate",
     "l2_project",
     "mass_offset_blocks",
 ]
 
+# Ascending coefficients in xi of the element-local shapes on xi in [0, 1]:
+# H00 (value at the left node), H10 (scaled slope, left), H01 (value, right),
+# H11 (scaled slope, right).  Rows match the element dofs of element_dofs.
+_HERMITE = np.array([
+    [1.0, 0.0, -3.0, 2.0],
+    [0.0, 1.0, -2.0, 1.0],
+    [0.0, 0.0, 3.0, -2.0],
+    [0.0, 0.0, -1.0, 1.0],
+])
 
-def shape_f(y):
-    """Value shape 1 + y^2 (2|y| - 3) on |y| <= 1, zero outside."""
+
+def element_shapes(xi, order: int) -> np.ndarray:
+    """The four element shapes (or their xi-derivatives) at xi: (4,) + xi.shape."""
+    return polyval(np.asarray(xi, dtype=float), polyder(_HERMITE, order, axis=1).T)
+
+
+def node_shape_tables(order: int) -> np.ndarray:
+    """Node-centred f and g as (2, 2, 4 - order) piece coefficients.
+
+    Axis 1 holds the piece on the element left of the node (e = -1) and the
+    piece on the element right of it (e = 0): f = (H01, H00), g = (H11, H10).
+    """
+    return polyder(_HERMITE, order, axis=1)[[[2, 0], [3, 1]]]
+
+
+def _node_shape(row: int, order: int, y):
+    # f and g are H00 and H10 reflected about the node: f even, g odd, and
+    # each derivative flips the parity.
     y = np.asarray(y, dtype=float)
     a = np.abs(y)
-    out = np.where(a <= 1.0, 1.0 + y * y * (2.0 * a - 3.0), 0.0)
+    val = element_shapes(a, order)[row]
+    if (row + order) % 2:
+        val = np.sign(y) * val
+    out = np.where(a <= 1.0, val, 0.0)
     return out if out.ndim else float(out)
+
+
+def shape_f(y):
+    """Value shape: 1 at y = 0, zero outside |y| <= 1."""
+    return _node_shape(0, 0, y)
 
 
 def shape_g(y):
-    """Slope shape y (1 - |y|)^2 on |y| <= 1, zero outside."""
-    y = np.asarray(y, dtype=float)
-    a = np.abs(y)
-    out = np.where(a <= 1.0, y * (1.0 - a) ** 2, 0.0)
-    return out if out.ndim else float(out)
+    """Slope shape: unit derivative at y = 0, zero outside |y| <= 1."""
+    return _node_shape(1, 0, y)
 
 
 def shape_f_deriv(y):
-    """Derivative of shape_f: 6 y (|y| - 1) on the support."""
-    y = np.asarray(y, dtype=float)
-    a = np.abs(y)
-    out = np.where(a <= 1.0, 6.0 * y * (a - 1.0), 0.0)
-    return out if out.ndim else float(out)
+    """Derivative of shape_f."""
+    return _node_shape(0, 1, y)
 
 
 def shape_g_deriv(y):
-    """Derivative of shape_g: (1 - |y|)(1 - 3|y|) on the support."""
-    y = np.asarray(y, dtype=float)
-    a = np.abs(y)
-    out = np.where(a <= 1.0, (1.0 - a) * (1.0 - 3.0 * a), 0.0)
-    return out if out.ndim else float(out)
+    """Derivative of shape_g."""
+    return _node_shape(1, 1, y)
+
+
+def element_dofs(coeffs: np.ndarray) -> np.ndarray:
+    """Per-element dofs (E, 4): value and slope at the left, then right node."""
+    nodal = coeffs.reshape(-1, 2)
+    return np.hstack([nodal, np.roll(nodal, -1, axis=0)])
+
+
+def scatter(contrib: np.ndarray) -> np.ndarray:
+    """Adjoint of element_dofs: sum (E, 4) element contributions onto nodes."""
+    return (contrib[:, :2] + np.roll(contrib[:, 2:], 1, axis=0)).reshape(-1)
+
+
+# The element integral rule on [0, 1]: 8 Gauss points integrate every product
+# of up to five element polynomials (degree <= 15) exactly.
+GAUSS_POINTS, GAUSS_WEIGHTS = gauss_rule(8)
+_GAUSS_SHAPES = element_shapes(GAUSS_POINTS, 0)                   # (4, 8)
+# The shapes and their xi-derivatives times the weights, (8, 4) each: a row of
+# integrand samples times one of these integrates it against every shape.
+_GAUSS_TESTS = tuple((element_shapes(GAUSS_POINTS, order) * GAUSS_WEIGHTS).T
+                     for order in (0, 1))
+ELEMENT_MASS = _GAUSS_SHAPES @ _GAUSS_TESTS[0]                   # int H_p H_q
+
+
+def gauss_values(coeffs: np.ndarray) -> np.ndarray:
+    """Values (E, 8) of the expanded function at each element's Gauss points."""
+    return element_dofs(coeffs) @ _GAUSS_SHAPES
+
+
+def element_loads(values: np.ndarray, order: int) -> np.ndarray:
+    """int values * d^order H_p / dxi^order dxi per element, as (E, 4).
+
+    values (E, 8) samples the integrand at each element's Gauss points.
+    """
+    return values @ _GAUSS_TESTS[order]
 
 
 @dataclass(frozen=True)
@@ -123,36 +198,25 @@ class FemFunction:
         """Unscaled nodal derivatives u'(x_j)."""
         return self.coeffs[1::2] / self.grid.dx
 
-    def _gather(self, x):
+    def _evaluate(self, x, order: int):
         grid = self.grid
         elem, xi = grid.locate(x)
         nxt = (elem + 1) % grid.n_elems
         c = self.coeffs
-        return xi, c[2 * elem], c[2 * elem + 1], c[2 * nxt], c[2 * nxt + 1]
+        s = element_shapes(xi, order)
+        out = (c[2 * elem] * s[0] + c[2 * elem + 1] * s[1]
+               + c[2 * nxt] * s[2] + c[2 * nxt + 1] * s[3]) / grid.dx ** order
+        return out if np.ndim(x) else float(out)
 
     def __call__(self, x):
-        xi, c0, c1, c2, c3 = self._gather(x)
-        out = (c0 * shape_f(xi) + c1 * shape_g(xi)
-               + c2 * shape_f(xi - 1.0) + c3 * shape_g(xi - 1.0))
-        return out if np.ndim(x) else float(out)
+        return self._evaluate(x, 0)
 
     def deriv(self, x):
-        xi, c0, c1, c2, c3 = self._gather(x)
-        out = (c0 * shape_f_deriv(xi) + c1 * shape_g_deriv(xi)
-               + c2 * shape_f_deriv(xi - 1.0)
-               + c3 * shape_g_deriv(xi - 1.0)) / self.grid.dx
-        return out if np.ndim(x) else float(out)
+        return self._evaluate(x, 1)
 
     def second_deriv(self, x):
         """Second derivative (piecewise linear, discontinuous at nodes)."""
-        xi, c0, c1, c2, c3 = self._gather(x)
-        # f'' = 12|y| - 6 (sign-even), g'' = 6y - 4 sign(y) on each side.
-        d2f0 = 12.0 * xi - 6.0
-        d2g0 = 6.0 * xi - 4.0
-        d2f1 = -12.0 * (xi - 1.0) - 6.0
-        d2g1 = 6.0 * (xi - 1.0) + 4.0
-        out = (c0 * d2f0 + c1 * d2g0 + c2 * d2f1 + c3 * d2g1) / self.grid.dx ** 2
-        return out if np.ndim(x) else float(out)
+        return self._evaluate(x, 2)
 
     def sup_norm(self, samples_per_elem: int = 17) -> float:
         """Max of |u| over a dense per-element sample (close upper bound)."""
@@ -184,45 +248,24 @@ def hermite_interpolate(grid: Grid,
     return FemFunction(grid, coeffs)
 
 
-# Exact element mass integrals: int_0^1 H_p H_q dxi for the four cubic
-# Hermite shapes (value-left, slope-left, value-right, slope-right).
-_ELEM_MASS = np.array([
-    [13 / 35, 11 / 210, 9 / 70, -13 / 420],
-    [11 / 210, 1 / 105, 13 / 420, -1 / 140],
-    [9 / 70, 13 / 420, 13 / 35, -11 / 210],
-    [-13 / 420, -1 / 140, -11 / 210, 1 / 105],
-])
-
-
 def mass_offset_blocks(grid: Grid) -> np.ndarray:
-    """Offset blocks of the mass matrix <v_j, v_i> (exact rationals)."""
+    """Offset blocks of the mass matrix <v_j, v_i>."""
     n, dx = grid.n_elems, grid.dx
     blocks = np.zeros((n, 2, 2))
-    blocks[0] = dx * (_ELEM_MASS[:2, :2] + _ELEM_MASS[2:, 2:])
-    blocks[1] = dx * _ELEM_MASS[:2, 2:]        # test at node 0, trial at node 1
-    blocks[n - 1] = dx * _ELEM_MASS[2:, :2]    # test at node 0, trial at node -1
+    blocks[0] = dx * (ELEMENT_MASS[:2, :2] + ELEMENT_MASS[2:, 2:])
+    blocks[1] = dx * ELEMENT_MASS[:2, 2:]        # test at node 0, trial at node 1
+    blocks[n - 1] = dx * ELEMENT_MASS[2:, :2]    # test at node 0, trial at node -1
     return blocks
 
 
-def load_vector(grid: Grid, func: Callable, npts: int = 8) -> np.ndarray:
-    """Loads <func, v_i> by an npts Gauss rule on each element."""
-    xi, w = gauss_rule(npts)
-    x = grid.nodes()[:, None] + xi[None, :] * grid.dx
-    fvals = np.asarray(func(x), dtype=float) * (w[None, :] * grid.dx)
-    shapes = np.stack([shape_f(xi), shape_g(xi),
-                       shape_f(xi - 1.0), shape_g(xi - 1.0)])
-    local = np.einsum("eq,pq->ep", fvals, shapes)
-    loads = np.zeros(grid.n_dofs)
-    elems = np.arange(grid.n_elems)
-    nxt = (elems + 1) % grid.n_elems
-    for p, dof in enumerate([2 * elems, 2 * elems + 1, 2 * nxt, 2 * nxt + 1]):
-        np.add.at(loads, dof, local[:, p])
-    return loads
+def load_vector(grid: Grid, func: Callable) -> np.ndarray:
+    """Loads <func, v_i> by the element Gauss rule."""
+    x = grid.nodes()[:, None] + GAUSS_POINTS[None, :] * grid.dx
+    fvals = np.asarray(func(x), dtype=float) * grid.dx
+    return scatter(element_loads(fvals, 0))
 
 
-def l2_project(grid: Grid, func: Callable, npts: int = 8) -> FemFunction:
+def l2_project(grid: Grid, func: Callable) -> FemFunction:
     """L2 projection of ``func`` onto the Hermite space."""
-    symbol = block_symbol(mass_offset_blocks(grid))
-    inv = np.linalg.inv(symbol)
-    coeffs = solve_symbol(inv, load_vector(grid, func, npts=npts))
-    return FemFunction(grid, coeffs)
+    inverse = invert_symbol(block_symbol(mass_offset_blocks(grid)))
+    return FemFunction(grid, apply_symbol(inverse, load_vector(grid, func)))

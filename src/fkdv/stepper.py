@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import OperatorMatrices, QuadratureSpec, _alpha_value
-from .circulant import apply_symbol
-from .fem import FemFunction, Grid
-from .quad import gauss_rule
+from .assembly import OperatorMatrices, _alpha_value
+from .circulant import apply_symbol, block_circulant_dense, invert_symbol
+from .fem import (FemFunction, Grid, element_loads, element_shapes, gauss_values,
+                  mass_offset_blocks, scatter)
 
 __all__ = [
     "SchemeConfig",
@@ -159,19 +159,13 @@ def calibrate_inverse_constant(n_elems: int = 64, samples: int = 257) -> float:
     over coefficients is sqrt(d^T M^{-1} d); maximising over x in one element
     (translation invariance) gives the inverse-inequality constant.
     """
-    from .fem import mass_offset_blocks
-    from .circulant import block_circulant_dense
-
     grid = Grid(0.0, 1.0, n_elems)
     mass = block_circulant_dense(mass_offset_blocks(grid))
     dx = grid.dx
     best = 0.0
     for xi in np.linspace(0.0, 1.0, samples):
         d = np.zeros(grid.n_dofs)
-        d[0] = (-6.0 * xi + 6.0 * xi * xi) / dx
-        d[1] = (1.0 - 4.0 * xi + 3.0 * xi * xi) / dx
-        d[2] = (6.0 * xi - 6.0 * xi * xi) / dx
-        d[3] = (3.0 * xi * xi - 2.0 * xi) / dx
+        d[:4] = element_shapes(xi, 1) / dx
         val = float(d @ np.linalg.solve(mass, d))
         best = max(best, math.sqrt(val) * dx ** 1.5)
     return best
@@ -214,55 +208,15 @@ def _check_cfl(dt: float, grid: Grid, u_l2: float, cfg: SchemeConfig) -> float:
     return lam
 
 
-# Shape values and xi-derivatives of [H00, H10, H01, H11] at the load rule's
-# Gauss points; the 1/dx of the test derivative cancels the element jacobian.
-def _load_tables(npts: int):
-    xi, w = gauss_rule(npts)
-    values = np.stack([1.0 - 3.0 * xi ** 2 + 2.0 * xi ** 3,
-                       xi * (1.0 - xi) ** 2,
-                       3.0 * xi ** 2 - 2.0 * xi ** 3,
-                       xi ** 3 - xi ** 2])
-    derivs = np.stack([-6.0 * xi + 6.0 * xi ** 2,
-                       1.0 - 4.0 * xi + 3.0 * xi ** 2,
-                       6.0 * xi - 6.0 * xi ** 2,
-                       3.0 * xi ** 2 - 2.0 * xi])
-    return values, derivs * w
+def nonlinear_load(w: FemFunction, un: FemFunction, grid: Grid) -> np.ndarray:
+    """q_i = <((w + un)/2)^2, d/dx v_i>; exact for the degree-6 integrand.
 
-
-def _element_dofs(coeffs: np.ndarray, n_elems: int) -> np.ndarray:
-    idx = (2 * np.arange(n_elems)[:, None] + np.arange(4)) % (2 * n_elems)
-    return coeffs[idx]
-
-
-def nonlinear_load(w: FemFunction, un: FemFunction, grid: Grid,
-                   quad: QuadratureSpec | None = None) -> np.ndarray:
-    """q_i = <((w + un)/2)^2, d/dx v_i>; exact for the degree-6 integrand."""
+    The 1/dx of the test derivative cancels the element jacobian.
+    """
     if w.grid != grid or un.grid != grid:
         raise ValueError("operands live on a different grid")
-    npts = quad.inner_pts if quad is not None else 8
-    values, wderivs = _load_tables(npts)
-    avg = 0.5 * (w.coeffs + un.coeffs)
-    local = _element_dofs(avg, grid.n_elems)          # (E, 4)
-    squares = (local @ values) ** 2                   # (E, npts)
-    contrib = squares @ wderivs.T                     # (E, 4)
-    out = np.zeros(grid.n_dofs)
-    idx = (2 * np.arange(grid.n_elems)[:, None] + np.arange(4)) % grid.n_dofs
-    np.add.at(out, idx, contrib)
-    return out
-
-
-def _invert_symbol(symbol: np.ndarray) -> np.ndarray:
-    a = symbol[:, 0, 0]
-    b = symbol[:, 0, 1]
-    c = symbol[:, 1, 0]
-    d = symbol[:, 1, 1]
-    det = a * d - b * c
-    inv = np.empty_like(symbol)
-    inv[:, 0, 0] = d / det
-    inv[:, 0, 1] = -b / det
-    inv[:, 1, 0] = -c / det
-    inv[:, 1, 1] = a / det
-    return inv
+    squares = gauss_values(0.5 * (w.coeffs + un.coeffs)) ** 2
+    return scatter(element_loads(squares, order=1))
 
 
 class _StepOperator:
@@ -271,18 +225,14 @@ class _StepOperator:
     def __init__(self, ops: OperatorMatrices, dt: float):
         self.ops = ops
         self.dt = dt
-        self.mass_symbol = ops.mass_symbol
         a_symbol = ops.mass_symbol - 0.5 * dt * ops.disp_symbol
-        self.a_inv = _invert_symbol(a_symbol)
+        self.a_inv = invert_symbol(a_symbol)
         self.b_symbol = ops.mass_symbol + 0.5 * dt * ops.disp_symbol
-
-    def m_norm(self, coeffs: np.ndarray) -> float:
-        return math.sqrt(max(float(coeffs @ apply_symbol(self.mass_symbol, coeffs)), 0.0))
 
     def step(self, un: FemFunction, cfg: SchemeConfig, cfl_lambda: float,
              step_index: int | None = None) -> tuple[FemFunction, StepReport]:
         grid = un.grid
-        norm_un = self.m_norm(un.coeffs)
+        norm_un = self.ops.l2_norm(un.coeffs)
         tol = cfg.tol_factor * grid.dx * norm_un
         b0 = apply_symbol(self.b_symbol, un.coeffs)
 
@@ -296,7 +246,7 @@ class _StepOperator:
             for iters in range(1, cfg.max_fixed_point_iters + 1):
                 q = nonlinear_load(w_fn, un, grid)
                 w_new = apply_symbol(self.a_inv, b0 + 0.5 * self.dt * q)
-                res = self.m_norm(w_new - w)
+                res = self.ops.l2_norm(w_new - w)
                 residuals.append(res)
                 w = w_new
                 w_fn = FemFunction(grid, w)
@@ -312,7 +262,7 @@ class _StepOperator:
         report = StepReport(
             iters=iters,
             final_residual=residuals[-1],
-            l2_drift=abs(self.m_norm(w) - norm_un),
+            l2_drift=abs(self.ops.l2_norm(w) - norm_un),
             cfl_lambda=cfl_lambda,
             mass_drift=abs(grid.dx * float(np.sum(w[0::2] - un.coeffs[0::2]))),
             residuals=residuals,
@@ -323,10 +273,10 @@ class _StepOperator:
 def fixed_point_step(un: FemFunction, ops: OperatorMatrices, dt: float,
                      cfg: SchemeConfig) -> tuple[FemFunction, StepReport]:
     """One Crank-Nicolson step (standalone form; factors the system itself)."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    if dt == 0 or not math.isfinite(dt):
+        raise ValueError("dt must be nonzero and finite")
     operator = _StepOperator(ops, dt)
-    lam = _check_cfl(dt, un.grid, operator.m_norm(un.coeffs), cfg)
+    lam = _check_cfl(dt, un.grid, ops.l2_norm(un.coeffs), cfg)
     return operator.step(un, cfg, lam)
 
 
@@ -353,7 +303,7 @@ def run(u0: FemFunction, t0: float, t_final: float, ops: OperatorMatrices,
     dt = choose_dt(u0, grid, cfg, t0, t_final)
     steps = round((t_final - t0) / dt)
     operator = _StepOperator(ops, dt)
-    lam = _check_cfl(dt, grid, operator.m_norm(u0.coeffs), cfg)
+    lam = _check_cfl(dt, grid, ops.l2_norm(u0.coeffs), cfg)
     keep = _snapshot_indices(steps, snapshot_stride)
 
     snapshots = [(0, u0)]

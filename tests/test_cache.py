@@ -1,4 +1,4 @@
-"""Disk caches: strict header validation, bit-identical read-through."""
+"""Block cache: strict header validation, bit-identical read-through."""
 
 from __future__ import annotations
 
@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from fkdv.assembly import QuadratureSpec, assemble_offset_blocks
-from fkdv.cache import (
-    cached_offset_blocks,
-    read_blocks,
-    read_samples,
-    write_blocks,
-    write_samples,
-)
+from fkdv.cache import cached_offset_blocks, read_blocks, write_blocks
 from fkdv.fem import Grid
 
 GRID = Grid(0.0, 2.0 * np.pi, 8)
@@ -31,7 +25,7 @@ def test_blocks_round_trip(tmp_path):
     back = read_blocks(path, GRID, 1.5, QUAD, "disp")
     assert back is not None
     assert np.array_equal(back, blocks)
-    assert path.read_bytes().startswith(b"FKDVOF01")
+    assert path.read_bytes().startswith(b"FKDVOF02")
 
 
 def test_blocks_shape_is_checked(tmp_path):
@@ -95,31 +89,3 @@ def test_cache_distinguishes_kinds(tmp_path):
     assert len(list(tmp_path.glob("*.blocks"))) == 2
     assert not np.array_equal(disp, gram)
 
-
-def test_samples_round_trip(tmp_path):
-    path = tmp_path / "ref.samples"
-    data = np.linspace(0.0, 1.0, 64)
-    write_samples(path, "frac-sin", 1.5, 64, 1e-3, 0.0, 1.0, data)
-    back = read_samples(path, "frac-sin", 1.5, 64, 1e-3, 0.0, 1.0)
-    assert back is not None
-    assert np.array_equal(back, data)
-    assert path.read_bytes().startswith(b"FKDVRF01")
-
-
-def test_samples_header_mismatches(tmp_path):
-    path = tmp_path / "ref.samples"
-    data = np.zeros(64)
-    write_samples(path, "frac-sin", 1.5, 64, 1e-3, 0.0, 1.0, data)
-    assert read_samples(path, "other", 1.5, 64, 1e-3, 0.0, 1.0) is None
-    assert read_samples(path, "frac-sin", 1.0, 64, 1e-3, 0.0, 1.0) is None
-    assert read_samples(path, "frac-sin", 1.5, 64, 2e-3, 0.0, 1.0) is None
-    assert read_samples(path, "frac-sin", 1.5, 64, 1e-3, 0.0, 2.0) is None
-    with pytest.raises(ValueError):
-        write_samples(path, "frac-sin", 1.5, 128, 1e-3, 0.0, 1.0, data)
-
-
-def test_samples_truncation_is_a_miss(tmp_path):
-    path = tmp_path / "ref.samples"
-    write_samples(path, "frac-sin", 1.5, 64, 1e-3, 0.0, 1.0, np.zeros(64))
-    path.write_bytes(path.read_bytes()[:-1])
-    assert read_samples(path, "frac-sin", 1.5, 64, 1e-3, 0.0, 1.0) is None

@@ -188,10 +188,14 @@ def test_snapshot_writes_profiles(tmp_path):
     ["snapshot", "--experiment", "frac-sin", "--elements", "16",
      "--times", "0.5;1"],
 ])
-def test_snapshot_config_errors_exit_two(argv):
+def test_snapshot_config_errors_exit_two(argv, tmp_path, monkeypatch):
+    # Without --out the files would land in the working directory; a config
+    # error must leave nothing there.
+    monkeypatch.chdir(tmp_path)
     rc, _, err = _invoke(argv)
     assert rc == EXIT_CONFIG
     assert "config error" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_emit_snapshot_zero_state_and_array_reference(tmp_path):

@@ -59,16 +59,8 @@ def test_ratios_are_one_for_identical_states(grid64, ops64):
     u = l2_project(grid64, lambda x: 1.0 + 0.5 * np.sin(x))
     assert mass_ratio(u, u) == pytest.approx(1.0, abs=1e-14)
     assert momentum_ratio(u, u) == pytest.approx(1.0, abs=1e-14)
-    assert hamiltonian_ratio(u, u, ops64.gram_half) == pytest.approx(
+    assert hamiltonian_ratio(u, u, ops64) == pytest.approx(
         1.0, abs=1e-14)
-
-
-def test_hamiltonian_ratio_accepts_operator_bundle(grid64, ops64):
-    u = l2_project(grid64, lambda x: 1.0 + 0.5 * np.sin(x))
-    v = l2_project(grid64, lambda x: 1.0 + 0.4 * np.sin(x) + 0.1 * np.cos(x))
-    dense = hamiltonian_ratio(v, u, ops64.gram_half)
-    bundled = hamiltonian_ratio(v, u, ops64)
-    assert bundled == pytest.approx(dense, rel=1e-12)
 
 
 def test_mass_ratio_flags_zero_mean_data(grid64):
@@ -86,12 +78,12 @@ def test_scale_invariance_of_linear_ratios(grid64, ops64):
     u0 = l2_project(grid64, lambda x: 1.0 + 0.5 * np.sin(x))
     u = l2_project(grid64, lambda x: 1.2 + 0.3 * np.sin(2.0 * x))
     c1, c2 = mass_ratio(u, u0), momentum_ratio(u, u0)
-    c3 = hamiltonian_ratio(u, u0, ops64.gram_half)
+    c3 = hamiltonian_ratio(u, u0, ops64)
     assert mass_ratio(3.0 * u, 3.0 * u0) == pytest.approx(c1, rel=1e-12)
     assert momentum_ratio(3.0 * u, 3.0 * u0) == pytest.approx(c2, rel=1e-12)
     # The Hamiltonian mixes quadratic and cubic terms, so its ratio is not
     # homogeneous in the amplitude.
-    assert hamiltonian_ratio(3.0 * u, 3.0 * u0, ops64.gram_half) != pytest.approx(
+    assert hamiltonian_ratio(3.0 * u, 3.0 * u0, ops64) != pytest.approx(
         c3, rel=1e-6)
 
 

@@ -1,0 +1,25 @@
+"""Public names: every ``__all__`` entry resolves and star-imports work."""
+
+from __future__ import annotations
+
+import importlib
+import pkgutil
+
+import pytest
+
+import fkdv
+
+MODULES = ["fkdv"] + [f"fkdv.{m.name}" for m in pkgutil.iter_modules(fkdv.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve_and_star_import(name: str):
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", None)
+    if exported is not None:
+        missing = [attr for attr in exported if not hasattr(module, attr)]
+        assert not missing, f"{name}.__all__ lists missing names {missing}"
+    namespace: dict = {}
+    exec(f"from {name} import *", namespace)
+    for attr in exported or ():
+        assert namespace[attr] is getattr(module, attr)

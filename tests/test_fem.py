@@ -8,15 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fkdv.fem import (
+    ELEMENT_MASS,
     FemFunction,
     Grid,
+    element_dofs,
     hermite_interpolate,
     l2_project,
+    scatter,
     shape_f,
     shape_f_deriv,
     shape_g,
     shape_g_deriv,
 )
+from fkdv.quad import gauss_rule
+from fkdv.stepper import nonlinear_load
 
 
 def _random_function(grid: Grid, seed: int = 0) -> FemFunction:
@@ -185,3 +190,61 @@ def test_interpolation_is_projection_fixed_point(seed: int):
     u = FemFunction(grid, rng.uniform(-1.0, 1.0, grid.n_dofs))
     v = hermite_interpolate(grid, u, u.deriv)
     assert v.coeffs == pytest.approx(u.coeffs, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the element table and gather/scatter
+
+
+def test_element_mass_matches_exact_rationals():
+    # int_0^1 H_p H_q dxi for (value-left, slope-left, value-right,
+    # slope-right), computed by hand; the table-derived mass may differ
+    # only in the last bit.
+    exact = np.array([
+        [13 / 35, 11 / 210, 9 / 70, -13 / 420],
+        [11 / 210, 1 / 105, 13 / 420, -1 / 140],
+        [9 / 70, 13 / 420, 13 / 35, -11 / 210],
+        [-13 / 420, -1 / 140, -11 / 210, 1 / 105],
+    ])
+    assert np.max(np.abs(ELEMENT_MASS - exact)) <= 2e-16
+
+
+@settings(max_examples=50)
+@given(st.integers(4, 64), st.integers(0, 2**32 - 1))
+def test_scatter_is_adjoint_of_element_dofs(n: int, seed: int):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(2 * n)
+    e = rng.standard_normal((n, 4))
+    lhs = float(np.sum(element_dofs(c) * e))
+    rhs = float(c @ scatter(e))
+    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+def _index_array_load(w: FemFunction, un: FemFunction, grid: Grid) -> np.ndarray:
+    # The load as first written: explicit polynomials at the Gauss points,
+    # index-array gather and np.add.at scatter.
+    xi, wts = gauss_rule(8)
+    values = np.stack([1.0 - 3.0 * xi ** 2 + 2.0 * xi ** 3,
+                       xi * (1.0 - xi) ** 2,
+                       3.0 * xi ** 2 - 2.0 * xi ** 3,
+                       xi ** 3 - xi ** 2])
+    derivs = np.stack([-6.0 * xi + 6.0 * xi ** 2,
+                       1.0 - 4.0 * xi + 3.0 * xi ** 2,
+                       6.0 * xi - 6.0 * xi ** 2,
+                       3.0 * xi ** 2 - 2.0 * xi]) * wts
+    idx = (2 * np.arange(grid.n_elems)[:, None] + np.arange(4)) % grid.n_dofs
+    avg = 0.5 * (w.coeffs + un.coeffs)
+    contrib = ((avg[idx] @ values) ** 2) @ derivs.T
+    out = np.zeros(grid.n_dofs)
+    np.add.at(out, idx, contrib)
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 8, 64, 512])
+def test_nonlinear_load_matches_index_array_formula(n: int):
+    grid = Grid(-1.0, 2.0, n)
+    w = _random_function(grid, seed=n)
+    un = _random_function(grid, seed=n + 1)
+    want = _index_array_load(w, un, grid)
+    got = nonlinear_load(w, un, grid)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

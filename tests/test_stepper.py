@@ -173,8 +173,10 @@ def test_zero_state_steps_to_zero_in_one_iteration(grid64, ops64):
 def test_fixed_point_step_needs_positive_dt(grid64, ops64):
     u0 = l2_project(grid64, np.sin)
     cfg = SchemeConfig(alpha=1.5, dt_rule="explicit", dt_value=0.01)
-    with pytest.raises(ValueError):
-        fixed_point_step(u0, ops64, 0.0, cfg)
+    # Only a zero or non-finite step is rejected; dt < 0 steps back in time.
+    for bad in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            fixed_point_step(u0, ops64, bad, cfg)
 
 
 def test_divergence_reports_context(grid64, ops64):
@@ -258,6 +260,10 @@ def test_cayley_map_reverses():
     again = run(there.final, 0.1, 0.0, ops, back)
     err = np.linalg.norm(again.final.coeffs - u0.coeffs)
     assert err / np.linalg.norm(u0.coeffs) < 1e-10
+    # The standalone step accepts dt < 0 and undoes a step of +dt.
+    w, _ = fixed_point_step(u0, ops, 0.01, fwd)
+    w, _ = fixed_point_step(w, ops, -0.01, back)
+    assert ops.l2_norm(w.coeffs - u0.coeffs) <= 1e-12
 
 
 def test_soliton_run_iteration_budget():
