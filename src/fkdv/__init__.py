@@ -8,10 +8,9 @@ quadratic term, which conserves the discrete L2 norm up to the iteration
 tolerance.
 """
 
-from .assembly import (FractionalOrder, OperatorMatrices, QuadratureSpec,
-                       assemble_offset_blocks, assemble_operators, frac_constant,
-                       frac_laplacian_pointwise, operator_identity_report,
-                       pv_frac_laplacian_basis)
+from .assembly import (FractionalOrder, OperatorMatrices, assemble_offset_blocks,
+                       assemble_operators, frac_constant, frac_laplacian_pointwise,
+                       operator_identity_report, pv_frac_laplacian_basis)
 from .diagnostics import (DiagnosticsRow, convergence_rate, hamiltonian_ratio,
                           mass_ratio, momentum_ratio, relative_error,
                           trapezoid_on_nodes)
@@ -35,7 +34,6 @@ __all__ = [
     "FractionalOrder",
     "Grid",
     "OperatorMatrices",
-    "QuadratureSpec",
     "SchemeConfig",
     "SpectralBlowup",
     "SpectralGrid",

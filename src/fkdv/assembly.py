@@ -43,7 +43,6 @@ from .quad import gauss_rule, geometric_edges
 
 __all__ = [
     "FractionalOrder",
-    "QuadratureSpec",
     "OperatorMatrices",
     "frac_constant",
     "assemble_offset_blocks",
@@ -60,6 +59,16 @@ __all__ = [
 _NEAR_OFFSET = 8
 _MULTIPOLE_ORDER = 20
 _EXPLICIT_IMAGE_SHELLS = 4
+# Gauss points per segment of the basis-pair correlations (8 integrates the
+# degree-6 products of cubics exactly) and per panel of the one-dimensional
+# principal value integrals.
+_INNER_PTS = 8
+_PV_PTS = 7
+# Periodic images summed explicitly by the pointwise evaluation; the
+# mean-value tail correction covers the rest.
+_POINTWISE_IMAGES = 16
+# Fourier modes summed per batch by the spectral backend.
+_MODE_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -78,35 +87,6 @@ class FractionalOrder:
 
 def _alpha_value(alpha) -> float:
     return FractionalOrder(float(alpha)).alpha
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Quadrature parameters for the singular assembly.
-
-    inner_pts      Gauss points per segment of the basis-pair correlations;
-                   8 integrates products of cubics exactly.
-    pv_pts         Gauss points per panel of the one-dimensional principal
-                   value integrals.
-    near_split     end of the singular panel in units of dx (capped at 1 so
-                   panels stay aligned with the polynomial pieces).
-    max_images     periodic images summed explicitly in pointwise evaluation.
-    """
-
-    inner_pts: int = 8
-    pv_pts: int = 7
-    near_split: float = 1.0
-    max_images: int = 64
-
-    def __post_init__(self) -> None:
-        if self.inner_pts < 4:
-            raise ValueError("inner_pts must be >= 4 for degree-6 exactness")
-        if self.pv_pts < 2:
-            raise ValueError("pv_pts must be >= 2")
-        if not self.near_split > 0:
-            raise ValueError("near_split must be positive")
-        if self.max_images < 1:
-            raise ValueError("max_images must be >= 1")
 
 
 def frac_constant(alpha: float) -> float:
@@ -148,12 +128,11 @@ def _eval_shape_tables(tables: np.ndarray, x: np.ndarray, h: float) -> np.ndarra
 
 
 def _correlations(u: np.ndarray, j: int, h: float,
-                  test_tables: np.ndarray, trial_tables: np.ndarray,
-                  npts: int) -> np.ndarray:
+                  test_tables: np.ndarray, trial_tables: np.ndarray) -> np.ndarray:
     """R[a, b, k] = int P_b(x + u_k) U_a(x) dx with the trial node at j*h.
 
     Exact for the piecewise-cubic shapes: segments split at every kink of
-    either factor, Gauss rule of npts per segment.
+    either factor, Gauss rule of _INNER_PTS per segment.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     shift = j * h
@@ -162,9 +141,9 @@ def _correlations(u: np.ndarray, j: int, h: float,
     brk = np.concatenate([fixed, moving], axis=-1)
     brk = np.clip(brk, -h, h)
     brk = np.sort(brk, axis=-1)
-    base_x, base_w = gauss_rule(npts)
+    base_x, base_w = gauss_rule(_INNER_PTS)
     widths = np.diff(brk, axis=-1)                       # (K, 5)
-    x = brk[..., :-1, None] + widths[..., None] * base_x  # (K, 5, npts)
+    x = brk[..., :-1, None] + widths[..., None] * base_x  # (K, 5, _INNER_PTS)
     w = widths[..., None] * base_w
     uvals = _eval_shape_tables(test_tables, x, h)
     pvals = _eval_shape_tables(trial_tables, x + u[:, None, None] - shift, h)
@@ -172,8 +151,7 @@ def _correlations(u: np.ndarray, j: int, h: float,
 
 
 def _near_pair_blocks(j: int, beta: float, h: float,
-                      test_tables: np.ndarray, trial_tables: np.ndarray,
-                      quad: QuadratureSpec) -> np.ndarray:
+                      test_tables: np.ndarray, trial_tables: np.ndarray) -> np.ndarray:
     """<D^beta P_b(. - j h), U_a> for one lattice offset j, all four pairs.
 
     Valid for any offset but intended for |j| <= _NEAR_OFFSET where supports
@@ -181,36 +159,35 @@ def _near_pair_blocks(j: int, beta: float, h: float,
     """
     c_beta = frac_constant(beta)
     span = abs(j) + 2
-    inner = quad.inner_pts
 
-    ip = _correlations(0.0, j, h, test_tables, trial_tables, inner)[..., 0]
+    ip = _correlations(0.0, j, h, test_tables, trial_tables)[..., 0]
 
     def g_of(u):
         return (2.0 * ip[..., None]
-                - _correlations(u, j, h, test_tables, trial_tables, inner)
-                - _correlations(-u, j, h, test_tables, trial_tables, inner))
+                - _correlations(u, j, h, test_tables, trial_tables)
+                - _correlations(-u, j, h, test_tables, trial_tables))
 
-    # Singular panel [0, delta h]: G(u) = u^2 * Gt(u/delta h) with Gt a
-    # polynomial of degree <= 5; fit Gt from samples away from the origin and
-    # integrate the fractional moments exactly.
-    delta = min(quad.near_split, 1.0) * h
+    # Singular panel [0, h], aligned with the polynomial pieces: there
+    # G(u) = u^2 * Gt(u/h) with Gt a polynomial of degree <= 5; fit Gt from
+    # samples away from the origin and integrate the fractional moments
+    # exactly.
     tau = np.linspace(0.25, 1.0, 8)
-    gt = g_of(tau * delta) / (tau * delta) ** 2          # (2, 2, 8)
+    gt = g_of(tau * h) / (tau * h) ** 2                  # (2, 2, 8)
     vand = np.vander(tau, 6, increasing=True)
     coef, *_ = np.linalg.lstsq(vand, gt.reshape(4, 8).T, rcond=None)
     inv_pow = 1.0 / (np.arange(6) + 2.0 - beta)
-    total = delta ** (2.0 - beta) * (inv_pow @ coef).reshape(2, 2)
+    total = h ** (2.0 - beta) * (inv_pow @ coef).reshape(2, 2)
 
-    # Analytic panels up to span*h, aligned with the lattice pieces of G and
-    # halved close to the singularity for margin.
-    edges = [delta] + [k * h for k in range(1, span + 1) if k * h > delta]
+    # Analytic panels from h up to span*h, aligned with the lattice pieces
+    # of G and halved close to the singularity for margin.
+    edges = [k * h for k in range(1, span + 1)]
     refined: list[float] = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         refined.append(lo)
         if lo < 4.0 * h:
             refined.append(0.5 * (lo + hi))
     refined.append(edges[-1])
-    base_x, base_w = gauss_rule(quad.pv_pts)
+    base_x, base_w = gauss_rule(_PV_PTS)
     lo = np.asarray(refined[:-1])
     wid = np.diff(np.asarray(refined))
     upts = (lo[:, None] + wid[:, None] * base_x).ravel()
@@ -310,9 +287,7 @@ def _enforce_structure(blocks: np.ndarray, kind: str) -> np.ndarray:
     return sym
 
 
-def assemble_offset_blocks(grid: Grid, alpha,
-                           quad: QuadratureSpec | None = None,
-                           kind: str = "disp") -> np.ndarray:
+def assemble_offset_blocks(grid: Grid, alpha, kind: str = "disp") -> np.ndarray:
     """Offset blocks of one operator matrix via the real-space quadrature.
 
     Returns an (N, 2, 2) array; blocks[m] couples test node i to trial node
@@ -323,7 +298,6 @@ def assemble_offset_blocks(grid: Grid, alpha,
     if kind not in ("disp", "gram_half"):
         raise ValueError(f"unknown kind {kind!r}")
     a = _alpha_value(alpha)
-    quad = quad or QuadratureSpec()
     n, h = grid.n_elems, grid.dx
 
     test_tables = _VALUE_TABLES
@@ -334,9 +308,9 @@ def assemble_offset_blocks(grid: Grid, alpha,
 
     blocks = np.zeros((n, 2, 2))
     for j in range(-_NEAR_OFFSET, _NEAR_OFFSET + 1):
-        blocks[j % n] += _near_pair_blocks(j, a, h, test_tables, trial_tables, quad)
+        blocks[j % n] += _near_pair_blocks(j, a, h, test_tables, trial_tables)
 
-    shells = max(1, min(_EXPLICIT_IMAGE_SHELLS, quad.max_images))
+    shells = _EXPLICIT_IMAGE_SHELLS
     pair_mom = _pair_moments(test_tables, trial_tables, h, _MULTIPOLE_ORDER)
     binom = _kernel_binom(a, _MULTIPOLE_ORDER)
     offsets = (np.arange(n)[None, :]
@@ -376,12 +350,13 @@ def _shape_fourier_g(theta: np.ndarray) -> np.ndarray:
     return -2.0j * np.where(small, series, exact)
 
 
-def spectral_offset_blocks(grid: Grid, kind: str, alpha=None,
-                           m_modes: int = 0, chunk: int = 1 << 18) -> np.ndarray:
+def spectral_offset_blocks(grid: Grid, kind: str, alpha,
+                           m_modes: int) -> np.ndarray:
     """Offset blocks from the Fourier series of the shape functions.
 
     Sums sigma(k) vhat_b(k) conj(vhat_a(k)) over the modes k = 2 pi l / width,
-    0 < |l| <= m_modes, folded onto node offsets by the FFT.  Independent of
+    0 < |l| <= m_modes (at least the number of elements), folded onto node
+    offsets by the FFT.  alpha is ignored for kind 'mass'.  Independent of
     the real-space backend in every ingredient.
     """
     if kind not in ("mass", "disp", "gram_half"):
@@ -393,8 +368,8 @@ def spectral_offset_blocks(grid: Grid, kind: str, alpha=None,
 
     accum = np.zeros((n, 2, 2), dtype=complex)
     prefactor = h * h / width
-    for start in range(-m_modes, m_modes + 1, chunk):
-        ell = np.arange(start, min(start + chunk, m_modes + 1))
+    for start in range(-m_modes, m_modes + 1, _MODE_CHUNK):
+        ell = np.arange(start, min(start + _MODE_CHUNK, m_modes + 1))
         ell = ell[ell != 0]
         if not ell.size:
             continue
@@ -437,7 +412,6 @@ class OperatorMatrices:
 
     grid: Grid
     alpha: float
-    quad: QuadratureSpec
     mass_blocks: np.ndarray
     disp_blocks: np.ndarray
     gram_blocks: np.ndarray
@@ -483,26 +457,23 @@ class OperatorMatrices:
         return math.sqrt(max(float(coeffs @ self.apply_mass(coeffs)), 0.0))
 
 
-def assemble_operators(grid: Grid, alpha, quad: QuadratureSpec | None = None,
-                       cache_dir=None) -> OperatorMatrices:
+def assemble_operators(grid: Grid, alpha, cache_dir=None) -> OperatorMatrices:
     """Assemble all three operator matrices with the real-space backend."""
     a = _alpha_value(alpha)
-    quad = quad or QuadratureSpec()
     if cache_dir is not None:
         from .cache import cached_offset_blocks
-        disp = cached_offset_blocks(cache_dir, grid, a, quad, "disp")
-        gram = cached_offset_blocks(cache_dir, grid, a, quad, "gram_half")
+        disp = cached_offset_blocks(cache_dir, grid, a, "disp")
+        gram = cached_offset_blocks(cache_dir, grid, a, "gram_half")
     else:
-        disp = assemble_offset_blocks(grid, a, quad, "disp")
-        gram = assemble_offset_blocks(grid, a, quad, "gram_half")
-    return OperatorMatrices(grid, a, quad, mass_offset_blocks(grid), disp, gram)
+        disp = assemble_offset_blocks(grid, a, "disp")
+        gram = assemble_offset_blocks(grid, a, "gram_half")
+    return OperatorMatrices(grid, a, mass_offset_blocks(grid), disp, gram)
 
 
 # ---------------------------------------------------------------------------
 # pointwise principal value evaluation
 
-def frac_laplacian_pointwise(u: FemFunction, x, alpha,
-                             quad: QuadratureSpec | None = None):
+def frac_laplacian_pointwise(u: FemFunction, x, alpha):
     """Pointwise D^alpha u(x) of a periodic Hermite function.
 
     Uses the symmetrised second difference
@@ -516,17 +487,15 @@ def frac_laplacian_pointwise(u: FemFunction, x, alpha,
     curvature jump makes the value infinite; nodes are rejected.
     """
     a = _alpha_value(alpha)
-    quad = quad or QuadratureSpec()
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.array([_pointwise_single(u, xi, a, quad) for xi in xs])
+    out = np.array([_pointwise_single(u, xi, a) for xi in xs])
     return out if np.ndim(x) else float(out[0])
 
 
-def _pointwise_single(u: FemFunction, x: float, alpha: float,
-                      quad: QuadratureSpec) -> float:
+def _pointwise_single(u: FemFunction, x: float, alpha: float) -> float:
     grid = u.grid
     h, width = grid.dx, grid.width
-    shells = quad.max_images
+    shells = _POINTWISE_IMAGES
     nodes = grid.nodes()
     images = nodes[None, :] + width * np.arange(-shells, shells + 1)[:, None]
     dist = np.unique(np.abs(images.ravel() - x))
@@ -547,7 +516,7 @@ def _pointwise_single(u: FemFunction, x: float, alpha: float,
             edges.append(np.asarray([b]))
         prev = b
     edge_arr = np.concatenate(edges)
-    base_x, base_w = gauss_rule(quad.pv_pts)
+    base_x, base_w = gauss_rule(_PV_PTS)
     lo = edge_arr[:-1]
     wid = np.diff(edge_arr)
     z = (lo[:, None] + wid[:, None] * base_x).ravel()
@@ -561,30 +530,25 @@ def _pointwise_single(u: FemFunction, x: float, alpha: float,
     return -frac_constant(alpha) * total
 
 
-def pv_frac_laplacian_basis(j: int, x, grid: Grid, alpha,
-                            quad: QuadratureSpec | None = None):
+def pv_frac_laplacian_basis(j: int, x, grid: Grid, alpha):
     """Pointwise D^alpha v_j(x) for a single basis function."""
     coeffs = np.zeros(grid.n_dofs)
     coeffs[j] = 1.0
-    return frac_laplacian_pointwise(FemFunction(grid, coeffs), x, alpha, quad)
+    return frac_laplacian_pointwise(FemFunction(grid, coeffs), x, alpha)
 
 
 # ---------------------------------------------------------------------------
 # identity suite
 
-def operator_identity_report(alpha, n_elems: int = 64,
-                             domain: tuple[float, float] = (0.0, 2.0 * np.pi),
-                             quad: QuadratureSpec | None = None,
-                             m_modes: int | None = None) -> dict:
-    """Run the operator cross-checks for one (alpha, N) and report each one.
+def operator_identity_report(alpha, n_elems: int = 64) -> dict:
+    """Run the operator cross-checks for one (alpha, N) on [0, 2 pi].
 
     Returns {"checks": [{name, value, tol, passed}, ...], "passed": bool}.
     """
     a = _alpha_value(alpha)
-    grid = Grid(domain[0], domain[1], n_elems)
-    quad = quad or QuadratureSpec()
-    m_modes = m_modes or 3000 * n_elems
-    ops = assemble_operators(grid, a, quad)
+    grid = Grid(0.0, 2.0 * np.pi, n_elems)
+    m_modes = 3000 * n_elems
+    ops = assemble_operators(grid, a)
     checks = []
 
     def record(name, value, tol):
@@ -619,14 +583,13 @@ def operator_identity_report(alpha, n_elems: int = 64,
     # Fourier symbol acting on an interpolated plane wave.  A finer grid keeps
     # the interpolation error of sin(kx) below the quadrature tolerance.
     from .fem import hermite_interpolate
-    fine = Grid(domain[0], domain[1], max(512, n_elems))
+    fine = Grid(grid.left, grid.right, max(512, n_elems))
     kphys = 2.0 * np.pi * max(1, round(4.0 / (fine.width / (2.0 * np.pi)))) / fine.width
     wave = hermite_interpolate(fine,
                                lambda t: np.sin(kphys * t),
                                lambda t: kphys * np.cos(kphys * t))
     probe = fine.left + fine.width * np.array([0.11, 0.23, 0.371, 0.52, 0.683, 0.817])
-    got = frac_laplacian_pointwise(wave, probe, a,
-                                   QuadratureSpec(pv_pts=quad.pv_pts, max_images=16))
+    got = frac_laplacian_pointwise(wave, probe, a)
     want = kphys ** a * np.sin(kphys * probe)
     record("pointwise_symbol_error",
            np.max(np.abs(got - want)) / kphys ** a, 1e-4)

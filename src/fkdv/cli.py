@@ -18,11 +18,12 @@ import configparser
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .assembly import QuadratureSpec, assemble_operators, operator_identity_report
+from .assembly import assemble_operators, operator_identity_report
 from .diagnostics import (DiagnosticsRow, convergence_rate, hamiltonian_ratio,
                           mass_ratio, momentum_ratio, relative_error)
 from .fem import Grid, l2_project
@@ -186,17 +187,13 @@ def _reference_values(cfg: RunConfig, spec: ExperimentSpec) -> np.ndarray | None
                                     sg, dt)
 
 
-def _row_worker(args: tuple) -> RowResult:
-    (base_name, overrides, n, dt_rule, dt_value, dt_factor, tol_factor,
-     ref_values, cache_dir) = args
-    spec = _resolve_spec(base_name, overrides)
+def _row_worker(cfg: RunConfig, n: int, ref_values: np.ndarray | None) -> RowResult:
+    spec = _resolve_spec(cfg.base_name, cfg.overrides)
     grid = Grid(spec.domain[0], spec.domain[1], n)
     u0 = l2_project(grid, spec.initial)
-    ops = assemble_operators(grid, spec.alpha, cache_dir=cache_dir)
-    cfg = SchemeConfig(alpha=spec.alpha, dt_rule=dt_rule, dt_value=dt_value,
-                       dt_factor=dt_factor, tol_factor=tol_factor)
+    ops = assemble_operators(grid, spec.alpha, cache_dir=cfg.cache_dir)
     try:
-        traj = run(u0, spec.t0, spec.t_final, ops, cfg)
+        traj = run(u0, spec.t0, spec.t_final, ops, _scheme_config(cfg, spec.alpha))
     except FixedPointDivergence as exc:
         return RowResult(n, None, str(exc))
     u = traj.final
@@ -223,14 +220,12 @@ def run_table(cfg: RunConfig) -> list[RowResult]:
     """Run the sweep and return per-row results with rates filled in."""
     spec = _resolve_spec(cfg.base_name, cfg.overrides)
     ref_values = _reference_values(cfg, spec)
-    payloads = [(cfg.base_name, cfg.overrides, n, cfg.dt_rule, cfg.dt_value,
-                 cfg.dt_factor, cfg.tol_factor, ref_values, cfg.cache_dir)
-                for n in cfg.sweep]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(_row_worker, payloads))
+            results = list(pool.map(_row_worker, repeat(cfg), cfg.sweep,
+                                    repeat(ref_values)))
     else:
-        results = [_row_worker(p) for p in payloads]
+        results = [_row_worker(cfg, n, ref_values) for n in cfg.sweep]
 
     finished: list[RowResult] = []
     prev: DiagnosticsRow | None = None
@@ -304,7 +299,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--cache", help="offset-block cache directory")
 
     p_snap = sub.add_parser("snapshot", help="write solution profiles")
-    p_snap.add_argument("--experiment", required=True)
+    p_snap.add_argument("--experiment", required=True,
+                        help=f"built-in name ({known}) or path to an INI file; "
+                             "its sweep, dt and reference keys apply to run only")
     p_snap.add_argument("--elements", type=int, required=True)
     p_snap.add_argument("--times", required=True,
                         help="comma-separated output times")
@@ -317,7 +314,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_run_config(args) -> RunConfig:
+def _resolve_experiment(args) -> tuple[str, dict, dict]:
+    """(base name, spec overrides, INI settings) from --experiment and --alpha.
+
+    --experiment names a built-in experiment or an INI file; --alpha
+    overrides the order either way.
+    """
     path = Path(args.experiment)
     if path.suffix == ".ini" or path.is_file():
         base, overrides, settings = _load_ini(path)
@@ -327,9 +329,13 @@ def _resolve_run_config(args) -> RunConfig:
         except KeyError as exc:
             raise ConfigError(str(exc)) from exc
         base, overrides, settings = args.experiment, {}, {}
-
     if args.alpha is not None:
         overrides["alpha"] = args.alpha
+    return base, overrides, settings
+
+
+def _resolve_run_config(args) -> RunConfig:
+    base, overrides, settings = _resolve_experiment(args)
     spec = _resolve_spec(base, overrides)
 
     sweep = settings.get("sweep", spec.sweep)
@@ -398,12 +404,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_snapshot(args) -> int:
-    try:
-        spec = get_experiment(args.experiment)
-    except KeyError as exc:
-        raise ConfigError(str(exc)) from exc
-    if args.alpha is not None:
-        spec = replace(spec, alpha=args.alpha)
+    base, overrides, _ = _resolve_experiment(args)
+    spec = _resolve_spec(base, overrides)
     try:
         times = [float(v) for v in args.times.split(",") if v]
     except ValueError as exc:

@@ -1,4 +1,4 @@
-"""Gauss-Legendre quadrature helpers on [0, 1] and on interval panels."""
+"""Gauss-Legendre rule on [0, 1] and geometric panel edges."""
 
 from __future__ import annotations
 
@@ -16,27 +16,13 @@ def gauss_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
-def panel_rule(edges: np.ndarray, npts: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss rule over the panels defined by sorted ``edges``.
-
-    Returns flat arrays of nodes and weights covering every panel
-    [edges[i], edges[i+1]] with an npts-point rule.
-    """
-    edges = np.asarray(edges, dtype=float)
-    base_x, base_w = gauss_rule(npts)
-    widths = np.diff(edges)
-    nodes = edges[:-1, None] + widths[:, None] * base_x[None, :]
-    weights = widths[:, None] * base_w[None, :]
-    return nodes.ravel(), weights.ravel()
-
-
-def geometric_edges(start: float, stop: float, ratio: float = 2.0) -> np.ndarray:
-    """Panel edges from start to stop with length ratio at most ``ratio``.
+def geometric_edges(start: float, stop: float) -> np.ndarray:
+    """Panel edges from start to stop, each panel at most twice the last.
 
     Panels grow geometrically away from ``start``; used to resolve kernels
     that vary fastest near the start of the interval.
     """
     if not (stop > start > 0.0):
         raise ValueError("need 0 < start < stop")
-    n = max(1, int(np.ceil(np.log(stop / start) / np.log(ratio))))
+    n = max(1, int(np.ceil(np.log(stop / start) / np.log(2.0))))
     return start * (stop / start) ** (np.arange(n + 1) / n)

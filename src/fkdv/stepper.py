@@ -10,29 +10,26 @@ The constant linear operator is factored once per trajectory as 2x2 complex
 inverses per circulant frequency, so a step costs a few FFTs regardless of
 whether the dense matrices would even fit in memory.  At the exact fixed
 point the map is an M-isometry (the L2 norm is conserved); the termination
-tolerance bounds the per-step drift.
+tolerance bounds the per-step drift.  Each step reports the contraction the
+iteration actually showed; no a-priori step-size bound is imposed.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import OperatorMatrices, _alpha_value
-from .circulant import apply_symbol, block_circulant_dense, invert_symbol
-from .fem import (FemFunction, Grid, element_loads, element_shapes, gauss_values,
-                  mass_offset_blocks, scatter)
+from .circulant import apply_symbol, invert_symbol
+from .fem import FemFunction, Grid, element_loads, gauss_values, scatter
 
 __all__ = [
     "SchemeConfig",
     "StepReport",
     "Trajectory",
     "FixedPointDivergence",
-    "SQRT_C2",
-    "calibrate_inverse_constant",
     "choose_dt",
     "nonlinear_load",
     "fixed_point_step",
@@ -40,11 +37,8 @@ __all__ = [
     "interpolate_in_time",
 ]
 
-# Calibrated sup of ||v'||_inf dx^{3/2} / ||v||_L2 over the periodic cubic
-# Hermite space (inverse inequality constant sqrt(C2)).  The exact supremum
-# is attained by a lone slope dof and equals sqrt(105) ~ 10.2470; see
-# calibrate_inverse_constant.
-SQRT_C2 = 10.25
+# Picard iterations allowed per step before FixedPointDivergence.
+MAX_PICARD_ITERS = 100
 
 _DT_RULES = ("courant", "explicit", "proportional")
 
@@ -54,11 +48,10 @@ class SchemeConfig:
     """Time-stepping parameters.
 
     dt_rule: 'courant' (dt = dx/||u0||_inf), 'explicit' (dt = dt_value), or
-    'proportional' (dt = dt_factor * dx).  cfl_L is the targeted contraction
-    factor L of the fixed-point map; K = (5 - L)/(1 - L) enters the CFL
-    bound.  The bound is advisory (warn) unless enforce_cfl is set.
-    nonlinear=False freezes the quadratic term, leaving the linear
-    Crank-Nicolson (Cayley) map — used by the isometry/reversibility checks.
+    'proportional' (dt = dt_factor * dx).  The Picard iteration stops once
+    a correction falls to tol_factor * dx * ||u_n||_L2.  nonlinear=False
+    freezes the quadratic term, leaving the linear Crank-Nicolson (Cayley)
+    map — used by the isometry/reversibility checks.
     """
 
     alpha: float
@@ -66,9 +59,6 @@ class SchemeConfig:
     dt_value: float | None = None
     dt_factor: float | None = None
     tol_factor: float = 0.002
-    max_fixed_point_iters: int = 100
-    cfl_L: float = 0.5
-    enforce_cfl: bool = False
     nonlinear: bool = True
 
     def __post_init__(self) -> None:
@@ -82,26 +72,21 @@ class SchemeConfig:
             raise ValueError("proportional dt_rule needs a positive dt_factor")
         if not self.tol_factor > 0:
             raise ValueError("tol_factor must be positive")
-        if self.max_fixed_point_iters < 1:
-            raise ValueError("max_fixed_point_iters must be >= 1")
-        if not 0.0 < self.cfl_L < 1.0:
-            raise ValueError("cfl_L must lie in (0, 1)")
-
-    @property
-    def K(self) -> float:
-        return (5.0 - self.cfl_L) / (1.0 - self.cfl_L)
 
 
 @dataclass(frozen=True)
 class StepReport:
-    """Per-step record of the inner iteration and conservation drift."""
+    """Per-step record of the inner iteration and conservation drift.
+
+    contraction is the largest ratio of successive Picard corrections in the
+    step (0.0 when the step took fewer than two iterations).
+    """
 
     iters: int
     final_residual: float
     l2_drift: float
-    cfl_lambda: float
     mass_drift: float
-    residuals: tuple[float, ...]
+    contraction: float
 
 
 @dataclass
@@ -136,39 +121,25 @@ class Trajectory:
 
 
 class FixedPointDivergence(RuntimeError):
-    """Inner Picard iteration failed to reach the termination tolerance."""
+    """Inner Picard iteration failed to reach the termination tolerance.
+
+    Raised after MAX_PICARD_ITERS iterations or at the first non-finite
+    residual; contraction is the largest finite ratio of successive
+    corrections observed in the step.
+    """
 
     def __init__(self, iters: int, residual: float, tol: float,
-                 cfl_lambda: float, step: int | None = None):
+                 contraction: float, step: int | None = None):
         at = f" at step {step}" if step is not None else ""
         super().__init__(
             f"fixed-point iteration did not converge{at}: residual {residual:.3e} "
-            f"after {iters} iterations (tol {tol:.3e}, lambda = dt/dx^1.5 = "
-            f"{cfl_lambda:.3g}); reduce dt")
+            f"after {iters} iterations (tol {tol:.3e}, observed contraction "
+            f"{contraction:.3g}); reduce dt")
         self.iters = iters
         self.residual = residual
         self.tol = tol
-        self.cfl_lambda = cfl_lambda
+        self.contraction = contraction
         self.step = step
-
-
-def calibrate_inverse_constant(n_elems: int = 64, samples: int = 257) -> float:
-    """Exact sup of ||v'||_inf dx^{3/2} / ||v||_L2 over the periodic space.
-
-    For a point evaluation v'(x) = d(x)^T c the supremum of |v'(x)|/||v||_M
-    over coefficients is sqrt(d^T M^{-1} d); maximising over x in one element
-    (translation invariance) gives the inverse-inequality constant.
-    """
-    grid = Grid(0.0, 1.0, n_elems)
-    mass = block_circulant_dense(mass_offset_blocks(grid))
-    dx = grid.dx
-    best = 0.0
-    for xi in np.linspace(0.0, 1.0, samples):
-        d = np.zeros(grid.n_dofs)
-        d[:4] = element_shapes(xi, 1) / dx
-        val = float(d @ np.linalg.solve(mass, d))
-        best = max(best, math.sqrt(val) * dx ** 1.5)
-    return best
 
 
 def choose_dt(u0: FemFunction, grid: Grid, cfg: SchemeConfig,
@@ -192,22 +163,6 @@ def choose_dt(u0: FemFunction, grid: Grid, cfg: SchemeConfig,
     return dt
 
 
-def _check_cfl(dt: float, grid: Grid, u_l2: float, cfg: SchemeConfig) -> float:
-    lam = abs(dt) / grid.dx ** 1.5
-    # The bound only concerns fixed-point contraction, so the pure linear
-    # flow is exempt.
-    if u_l2 > 0.0 and cfg.nonlinear:
-        bound = cfg.cfl_L / (2.0 * SQRT_C2 * cfg.K * u_l2)
-        if lam > bound:
-            msg = (f"CFL: lambda = dt/dx^1.5 = {lam:.3g} exceeds the contraction "
-                   f"bound {bound:.3g} (L = {cfg.cfl_L}); fixed-point convergence "
-                   f"is not guaranteed")
-            if cfg.enforce_cfl:
-                raise ValueError(msg)
-            warnings.warn(msg, stacklevel=3)
-    return lam
-
-
 def nonlinear_load(w: FemFunction, un: FemFunction, grid: Grid) -> np.ndarray:
     """q_i = <((w + un)/2)^2, d/dx v_i>; exact for the degree-6 integrand.
 
@@ -229,7 +184,7 @@ class _StepOperator:
         self.a_inv = invert_symbol(a_symbol)
         self.b_symbol = ops.mass_symbol + 0.5 * dt * ops.disp_symbol
 
-    def step(self, un: FemFunction, cfg: SchemeConfig, cfl_lambda: float,
+    def step(self, un: FemFunction, cfg: SchemeConfig,
              step_index: int | None = None) -> tuple[FemFunction, StepReport]:
         grid = un.grid
         norm_un = self.ops.l2_norm(un.coeffs)
@@ -238,34 +193,36 @@ class _StepOperator:
 
         if not cfg.nonlinear:
             w = apply_symbol(self.a_inv, b0)
-            iters, residuals = 1, (0.0,)
+            iters, res, contraction = 1, 0.0, 0.0
         else:
             w = un.coeffs
-            residuals = []
             w_fn = un
-            for iters in range(1, cfg.max_fixed_point_iters + 1):
+            res = contraction = 0.0
+            for iters in range(1, MAX_PICARD_ITERS + 1):
                 q = nonlinear_load(w_fn, un, grid)
                 w_new = apply_symbol(self.a_inv, b0 + 0.5 * self.dt * q)
-                res = self.ops.l2_norm(w_new - w)
-                residuals.append(res)
+                prev, res = res, self.ops.l2_norm(w_new - w)
+                # A non-finite correction can never recover; stop at once.
+                if not math.isfinite(res):
+                    raise FixedPointDivergence(iters, res, tol, contraction,
+                                               step_index)
+                if iters > 1:
+                    contraction = max(contraction, res / prev)
                 w = w_new
                 w_fn = FemFunction(grid, w)
                 if res <= tol:
                     break
             else:
-                raise FixedPointDivergence(cfg.max_fixed_point_iters,
-                                           residuals[-1], tol, cfl_lambda,
-                                           step_index)
-            residuals = tuple(residuals)
+                raise FixedPointDivergence(MAX_PICARD_ITERS, res, tol,
+                                           contraction, step_index)
 
         result = FemFunction(grid, w)
         report = StepReport(
             iters=iters,
-            final_residual=residuals[-1],
+            final_residual=res,
             l2_drift=abs(self.ops.l2_norm(w) - norm_un),
-            cfl_lambda=cfl_lambda,
             mass_drift=abs(grid.dx * float(np.sum(w[0::2] - un.coeffs[0::2]))),
-            residuals=residuals,
+            contraction=contraction,
         )
         return result, report
 
@@ -275,9 +232,7 @@ def fixed_point_step(un: FemFunction, ops: OperatorMatrices, dt: float,
     """One Crank-Nicolson step (standalone form; factors the system itself)."""
     if dt == 0 or not math.isfinite(dt):
         raise ValueError("dt must be nonzero and finite")
-    operator = _StepOperator(ops, dt)
-    lam = _check_cfl(dt, un.grid, ops.l2_norm(un.coeffs), cfg)
-    return operator.step(un, cfg, lam)
+    return _StepOperator(ops, dt).step(un, cfg)
 
 
 def _snapshot_indices(steps: int, stride: int | None) -> set[int]:
@@ -303,14 +258,13 @@ def run(u0: FemFunction, t0: float, t_final: float, ops: OperatorMatrices,
     dt = choose_dt(u0, grid, cfg, t0, t_final)
     steps = round((t_final - t0) / dt)
     operator = _StepOperator(ops, dt)
-    lam = _check_cfl(dt, grid, ops.l2_norm(u0.coeffs), cfg)
     keep = _snapshot_indices(steps, snapshot_stride)
 
     snapshots = [(0, u0)]
     reports: list[StepReport] = []
     u = u0
     for n in range(1, steps + 1):
-        u, report = operator.step(u, cfg, lam, step_index=n)
+        u, report = operator.step(u, cfg, step_index=n)
         reports.append(report)
         if n in keep:
             snapshots.append((n, u))

@@ -17,7 +17,6 @@ from scipy.integrate import quad as scipy_quad
 from fkdv.assembly import (
     FractionalOrder,
     OperatorMatrices,
-    QuadratureSpec,
     assemble_offset_blocks,
     assemble_operators,
     frac_constant,
@@ -33,7 +32,7 @@ from fkdv.circulant import (
     invert_symbol,
 )
 from fkdv.fem import FemFunction, Grid, l2_project, mass_offset_blocks
-from fkdv.quad import gauss_rule, geometric_edges, panel_rule
+from fkdv.quad import gauss_rule, geometric_edges
 
 # ---------------------------------------------------------------------------
 # quadrature helpers
@@ -52,15 +51,8 @@ def test_gauss_rule_validation():
         gauss_rule(0)
 
 
-def test_panel_rule_matches_whole_interval():
-    edges = np.array([0.0, 0.1, 0.35, 0.6, 1.0])
-    x, w = panel_rule(edges, 6)
-    assert float(np.sum(w * np.exp(x))) == pytest.approx(np.e - 1.0, abs=1e-12)
-    assert float(np.sum(w)) == pytest.approx(1.0, abs=1e-14)
-
-
 def test_geometric_edges_bounds_and_ratio():
-    edges = geometric_edges(0.01, 7.3, ratio=2.0)
+    edges = geometric_edges(0.01, 7.3)
     assert edges[0] == pytest.approx(0.01)
     assert edges[-1] == pytest.approx(7.3)
     ratios = edges[1:] / edges[:-1]
@@ -196,7 +188,7 @@ def test_symbol_application_matches_dense(ops64):
 
 def test_backends_agree_on_dispersion_blocks():
     grid = Grid(0.0, 2.0 * np.pi, 32)
-    real = assemble_offset_blocks(grid, 1.5, QuadratureSpec(), "disp")
+    real = assemble_offset_blocks(grid, 1.5, "disp")
     spec = spectral_offset_blocks(grid, "disp", 1.5, m_modes=3000 * 32)
     rel = np.linalg.norm(real - spec) / np.linalg.norm(spec)
     assert rel < 1e-6
@@ -204,7 +196,7 @@ def test_backends_agree_on_dispersion_blocks():
 
 def test_backends_agree_on_gram_blocks():
     grid = Grid(0.0, 2.0 * np.pi, 32)
-    real = assemble_offset_blocks(grid, 1.5, QuadratureSpec(), "gram_half")
+    real = assemble_offset_blocks(grid, 1.5, "gram_half")
     spec = spectral_offset_blocks(grid, "gram_half", 1.5, m_modes=3000 * 32)
     rel = np.linalg.norm(real - spec) / np.linalg.norm(spec)
     assert rel < 1e-6
@@ -316,18 +308,6 @@ def test_fractional_order_bounds():
             FractionalOrder(bad)
 
 
-def test_quadrature_spec_validation():
-    QuadratureSpec()  # defaults must be self-consistent
-    with pytest.raises(ValueError):
-        QuadratureSpec(inner_pts=3)
-    with pytest.raises(ValueError):
-        QuadratureSpec(pv_pts=1)
-    with pytest.raises(ValueError):
-        QuadratureSpec(near_split=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_images=0)
-
-
 def test_spectral_blocks_validation():
     grid = Grid(0.0, 1.0, 8)
     with pytest.raises(ValueError):
@@ -345,7 +325,7 @@ def test_assemble_accepts_wrapped_order():
 def test_dense_materialisation_size_limit():
     grid = Grid(0.0, 1.0, 8192)
     blocks = mass_offset_blocks(grid)
-    ops = OperatorMatrices(grid, 1.5, QuadratureSpec(), blocks,
-                           np.zeros_like(blocks), np.zeros_like(blocks))
+    ops = OperatorMatrices(grid, 1.5, blocks, np.zeros_like(blocks),
+                           np.zeros_like(blocks))
     with pytest.raises(ValueError):
         _ = ops.mass

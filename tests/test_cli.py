@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,15 @@ def test_run_repeat_is_bit_identical(tmp_path):
     _, first, _ = _invoke(["run", "--experiment", ini, "--jobs", "1"])
     _, second, _ = _invoke(["run", "--experiment", ini, "--jobs", "1"])
     assert first == second
+
+
+def test_run_emits_no_warning(tmp_path):
+    # A converging table has nothing to warn about.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, _, err = _invoke(["run", "--experiment", _short_bo_ini(tmp_path)])
+    assert rc == 0
+    assert err == ""
 
 
 def test_run_parallel_matches_serial(tmp_path):
@@ -180,6 +190,32 @@ def test_snapshot_writes_profiles(tmp_path):
     assert err.count("wrote") == 3
 
 
+def test_snapshot_reads_experiment_ini(tmp_path):
+    out = tmp_path / "out"
+    rc, _, err = _invoke(["snapshot", "--experiment", _short_bo_ini(tmp_path),
+                          "--elements", "16", "--times", "0,12",
+                          "--out", str(out)])
+    assert rc == 0
+    assert sorted(f.name for f in out.iterdir()) == ["bo-one-N16-t0.txt",
+                                                     "bo-one-N16-t12.txt"]
+    # The INI's t_final = 12 moves the closed-form column with it.
+    final = np.loadtxt(out / "bo-one-N16-t12.txt")
+    np.testing.assert_allclose(final[:, 2], bo_soliton(final[:, 0], 12.0),
+                               atol=1e-12)
+    assert err.count("wrote") == 2
+
+
+def test_snapshot_bad_ini_exits_two(tmp_path, tmp_path_factory, monkeypatch):
+    ini = tmp_path_factory.mktemp("ini") / "bad.ini"
+    ini.write_text("[experiment]\nbase = bo-one\nt_final = soon\n")
+    monkeypatch.chdir(tmp_path)
+    rc, _, err = _invoke(["snapshot", "--experiment", str(ini),
+                          "--elements", "16", "--times", "0"])
+    assert rc == EXIT_CONFIG
+    assert "config error" in err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv", [
     ["snapshot", "--experiment", "no-such", "--elements", "16", "--times", "0"],
     ["snapshot", "--experiment", "frac-sin", "--elements", "16",
@@ -202,7 +238,7 @@ def test_emit_snapshot_zero_state_and_array_reference(tmp_path):
     grid = Grid(0.0, 1.0, 8)
     zero = FemFunction(grid, np.zeros(grid.n_dofs))
     blank = StepReport(iters=1, final_residual=0.0, l2_drift=0.0,
-                       cfl_lambda=0.0, mass_drift=0.0, residuals=(0.0,))
+                       mass_drift=0.0, contraction=0.0)
     traj = Trajectory(grid, SchemeConfig(alpha=1.5), 0.1, 0.0,
                       [(0, zero), (1, zero)], [blank])
     ref = np.arange(8, dtype=float)

@@ -16,13 +16,12 @@ from fkdv.solutions import (
     kdv_one_soliton,
     kdv_one_soliton_dx,
 )
+import fkdv.stepper
 from fkdv.stepper import (
-    SQRT_C2,
     FixedPointDivergence,
     SchemeConfig,
     StepReport,
     Trajectory,
-    calibrate_inverse_constant,
     choose_dt,
     fixed_point_step,
     interpolate_in_time,
@@ -50,10 +49,6 @@ def test_scheme_config_validation():
         SchemeConfig(alpha=1.5, dt_rule="proportional")
     with pytest.raises(ValueError):
         SchemeConfig(alpha=1.5, tol_factor=0.0)
-    with pytest.raises(ValueError):
-        SchemeConfig(alpha=1.5, max_fixed_point_iters=0)
-    with pytest.raises(ValueError):
-        SchemeConfig(alpha=1.5, cfl_L=1.0)
 
 
 def test_courant_dt_from_soliton_peak():
@@ -96,31 +91,6 @@ def test_choose_dt_sign_mismatch_raises(grid64):
     zero = l2_project(grid64, lambda x: np.zeros_like(x))
     with pytest.raises(ValueError):
         choose_dt(zero, grid64, SchemeConfig(alpha=1.5))
-
-
-def test_cfl_lambda_reported(grid64, ops64):
-    u0 = l2_project(grid64, np.sin)
-    dt = 0.01
-    cfg = SchemeConfig(alpha=1.5, dt_rule="explicit", dt_value=dt)
-    traj = run(u0, 0.0, 5 * dt, ops64, cfg)
-    lam = dt / grid64.dx**1.5
-    assert traj.reports[0].cfl_lambda == pytest.approx(lam, rel=1e-12)
-
-
-def test_enforce_cfl_raises(grid64, ops64):
-    u0 = l2_project(grid64, np.sin)
-    cfg = SchemeConfig(alpha=1.5, dt_rule="explicit", dt_value=0.05,
-                       enforce_cfl=True)
-    with pytest.raises(ValueError, match="CFL"):
-        run(u0, 0.0, 0.1, ops64, cfg)
-
-
-def test_calibrated_constant_bounds_pinned_value():
-    got = calibrate_inverse_constant()
-    # The pinned constant must stay a (close) upper bound: a too-small pin
-    # would loosen the advertised contraction guarantee.
-    assert got <= SQRT_C2
-    assert got > 0.9 * SQRT_C2
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +138,7 @@ def test_zero_state_steps_to_zero_in_one_iteration(grid64, ops64):
     w, report = fixed_point_step(zero, ops64, 0.01, cfg)
     assert np.all(w.coeffs == 0.0)
     assert report.iters == 1
+    assert report.contraction == 0.0
 
 
 def test_fixed_point_step_needs_positive_dt(grid64, ops64):
@@ -180,15 +151,32 @@ def test_fixed_point_step_needs_positive_dt(grid64, ops64):
 
 
 def test_divergence_reports_context(grid64, ops64):
+    # The corrections grow until they overflow; the iteration must stop at
+    # the first non-finite residual instead of iterating on NaN.
     big = l2_project(grid64, lambda x: 9.0 * np.sin(x))
-    cfg = SchemeConfig(alpha=1.5, dt_rule="explicit", dt_value=0.5,
-                       max_fixed_point_iters=30)
+    cfg = SchemeConfig(alpha=1.5, dt_rule="explicit", dt_value=0.5)
     with pytest.raises(FixedPointDivergence) as exc, \
             np.errstate(over="ignore", invalid="ignore"):
         fixed_point_step(big, ops64, 0.5, cfg)
-    assert exc.value.iters == 30
-    assert exc.value.cfl_lambda == pytest.approx(0.5 / grid64.dx**1.5)
+    assert exc.value.iters < fkdv.stepper.MAX_PICARD_ITERS
+    assert not math.isfinite(exc.value.residual)
+    # The last finite ratios show the growth.
+    assert 1.0 < exc.value.contraction < math.inf
+    assert f"after {exc.value.iters} iterations" in str(exc.value)
+    assert "observed contraction" in str(exc.value)
     assert "reduce dt" in str(exc.value)
+
+
+def test_iteration_cap_reports_observed_contraction(grid64, ops64, monkeypatch):
+    monkeypatch.setattr(fkdv.stepper, "MAX_PICARD_ITERS", 2)
+    u0 = l2_project(grid64, np.sin)
+    cfg = SchemeConfig(alpha=1.5, dt_rule="explicit", dt_value=0.01,
+                       tol_factor=1e-14)
+    with pytest.raises(FixedPointDivergence) as exc:
+        fixed_point_step(u0, ops64, 0.01, cfg)
+    assert exc.value.iters == 2
+    assert 0.0 < exc.value.residual < math.inf
+    assert 0.0 < exc.value.contraction < 1.0
 
 
 def test_final_residual_below_tolerance(grid64, ops64):
@@ -202,8 +190,8 @@ def test_final_residual_below_tolerance(grid64, ops64):
 
 
 def test_residuals_decrease_within_contraction_regime(grid64, ops64):
-    # dt under the contraction bound and a tolerance far below the first
-    # correction forces several iterations; each must shrink the residual.
+    # A small dt and a tolerance far below the first correction force
+    # several iterations; each must shrink the residual.
     dt = 0.003 * grid64.dx**1.5
     u0 = l2_project(grid64, lambda x: 0.5 * np.sin(x))
     cfg = SchemeConfig(alpha=1.5, dt_rule="explicit", dt_value=dt,
@@ -211,8 +199,7 @@ def test_residuals_decrease_within_contraction_regime(grid64, ops64):
     traj = run(u0, 0.0, 5 * dt, ops64, cfg)
     for report in traj.reports:
         assert report.iters >= 3
-        for a, b in zip(report.residuals[1:], report.residuals[2:]):
-            assert b < a
+        assert 0.0 < report.contraction < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +293,7 @@ def _toy_trajectory(n_states: int) -> Trajectory:
     states = [FemFunction(grid, rng.standard_normal(grid.n_dofs))
               for _ in range(n_states)]
     blank = StepReport(iters=1, final_residual=0.0, l2_drift=0.0,
-                       cfl_lambda=0.0, mass_drift=0.0, residuals=(0.0,))
+                       mass_drift=0.0, contraction=0.0)
     return Trajectory(grid, SchemeConfig(alpha=1.5), 0.1, 0.0,
                       list(enumerate(states)), [blank] * (n_states - 1))
 
@@ -331,7 +318,7 @@ def test_interpolate_constant_trajectory():
     grid = Grid(0.0, 1.0, 8)
     u = FemFunction(grid, np.linspace(0.0, 1.0, grid.n_dofs))
     blank = StepReport(iters=1, final_residual=0.0, l2_drift=0.0,
-                       cfl_lambda=0.0, mass_drift=0.0, residuals=(0.0,))
+                       mass_drift=0.0, contraction=0.0)
     traj = Trajectory(grid, SchemeConfig(alpha=1.5), 0.1, 0.0,
                       [(i, u) for i in range(4)], [blank] * 3)
     for t in (0.0, 0.07, 0.15, 0.3):
