@@ -446,15 +446,21 @@ class OperatorMatrices:
     def gram_half(self) -> np.ndarray:
         return self._dense(self.gram_blocks)
 
-    def apply_mass(self, coeffs: np.ndarray) -> np.ndarray:
-        return apply_symbol(self.mass_symbol, coeffs)
-
     def apply_gram(self, coeffs: np.ndarray) -> np.ndarray:
         return apply_symbol(self.gram_symbol, coeffs)
 
     def l2_norm(self, coeffs: np.ndarray) -> float:
-        """True L2 norm of the expanded function, via the mass matrix."""
-        return math.sqrt(max(float(coeffs @ self.apply_mass(coeffs)), 0.0))
+        """True L2 norm of the expanded function, sqrt(c^T M c), without FFTs.
+
+        M couples only neighbouring nodes (mass_offset_blocks), so with node
+        pairs c_j, c^T M c = sum_j c_j.B_0 c_j + 2 sum_j c_j.B_1 c_{j+1}.
+        """
+        nodal = coeffs.reshape(-1, 2)
+        diag = nodal @ self.mass_blocks[0]
+        right = nodal @ self.mass_blocks[1]
+        square = np.vdot(diag, nodal) + 2.0 * (
+            np.vdot(right[:-1], nodal[1:]) + right[-1] @ nodal[0])
+        return math.sqrt(max(float(square), 0.0))
 
 
 def assemble_operators(grid: Grid, alpha, cache_dir=None) -> OperatorMatrices:

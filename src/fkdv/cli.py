@@ -368,7 +368,7 @@ def _resolve_run_config(args) -> RunConfig:
     else:
         reference = ("self", 4 * max(sweep, default=4))
 
-    return RunConfig(
+    cfg = RunConfig(
         base_name=base,
         overrides=overrides,
         sweep=sweep,
@@ -382,6 +382,12 @@ def _resolve_run_config(args) -> RunConfig:
         jobs=max(1, args.jobs),
         cache_dir=Path(args.cache) if args.cache else None,
     )
+    # Check the step settings now, before any reference solve or output.
+    try:
+        _scheme_config(cfg, spec.alpha)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return cfg
 
 
 def _cmd_run(args) -> int:

@@ -105,12 +105,17 @@ def shape_g_deriv(y):
 def element_dofs(coeffs: np.ndarray) -> np.ndarray:
     """Per-element dofs (E, 4): value and slope at the left, then right node."""
     nodal = coeffs.reshape(-1, 2)
-    return np.hstack([nodal, np.roll(nodal, -1, axis=0)])
+    out = np.empty((nodal.shape[0], 4), dtype=nodal.dtype)
+    out[:, :2], out[:-1, 2:], out[-1, 2:] = nodal, nodal[1:], nodal[0]
+    return out
 
 
 def scatter(contrib: np.ndarray) -> np.ndarray:
     """Adjoint of element_dofs: sum (E, 4) element contributions onto nodes."""
-    return (contrib[:, :2] + np.roll(contrib[:, 2:], 1, axis=0)).reshape(-1)
+    out = np.empty((contrib.shape[0], 2), dtype=contrib.dtype)
+    np.add(contrib[1:, :2], contrib[:-1, 2:], out=out[1:])
+    np.add(contrib[0, :2], contrib[-1, 2:], out=out[0])
+    return out.reshape(-1)
 
 
 # The element integral rule on [0, 1]: 8 Gauss points integrate every product

@@ -184,10 +184,10 @@ class _StepOperator:
         self.a_inv = invert_symbol(a_symbol)
         self.b_symbol = ops.mass_symbol + 0.5 * dt * ops.disp_symbol
 
-    def step(self, un: FemFunction, cfg: SchemeConfig,
-             step_index: int | None = None) -> tuple[FemFunction, StepReport]:
+    def step(self, un: FemFunction, norm_un: float, cfg: SchemeConfig,
+             step_index: int | None = None) -> tuple[FemFunction, StepReport, float]:
+        """Step from un of M-norm norm_un; returns the state, report and M-norm."""
         grid = un.grid
-        norm_un = self.ops.l2_norm(un.coeffs)
         tol = cfg.tol_factor * grid.dx * norm_un
         b0 = apply_symbol(self.b_symbol, un.coeffs)
 
@@ -198,33 +198,35 @@ class _StepOperator:
             w = un.coeffs
             w_fn = un
             res = contraction = 0.0
-            for iters in range(1, MAX_PICARD_ITERS + 1):
-                q = nonlinear_load(w_fn, un, grid)
-                w_new = apply_symbol(self.a_inv, b0 + 0.5 * self.dt * q)
-                prev, res = res, self.ops.l2_norm(w_new - w)
-                # A non-finite correction can never recover; stop at once.
-                if not math.isfinite(res):
-                    raise FixedPointDivergence(iters, res, tol, contraction,
-                                               step_index)
-                if iters > 1:
-                    contraction = max(contraction, res / prev)
-                w = w_new
-                w_fn = FemFunction(grid, w)
-                if res <= tol:
-                    break
-            else:
-                raise FixedPointDivergence(MAX_PICARD_ITERS, res, tol,
-                                           contraction, step_index)
+            # Overflow only leads to a non-finite residual, which ends the step.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for iters in range(1, MAX_PICARD_ITERS + 1):
+                    q = nonlinear_load(w_fn, un, grid)
+                    w_new = apply_symbol(self.a_inv, b0 + 0.5 * self.dt * q)
+                    prev, res = res, self.ops.l2_norm(w_new - w)
+                    # A non-finite correction can never recover; stop at once.
+                    if not math.isfinite(res):
+                        raise FixedPointDivergence(iters, res, tol, contraction,
+                                                   step_index)
+                    if iters > 1:
+                        contraction = max(contraction, res / prev)
+                    w = w_new
+                    w_fn = FemFunction(grid, w)
+                    if res <= tol:
+                        break
+                else:
+                    raise FixedPointDivergence(MAX_PICARD_ITERS, res, tol,
+                                               contraction, step_index)
 
-        result = FemFunction(grid, w)
+        norm_w = self.ops.l2_norm(w)
         report = StepReport(
             iters=iters,
             final_residual=res,
-            l2_drift=abs(self.ops.l2_norm(w) - norm_un),
+            l2_drift=abs(norm_w - norm_un),
             mass_drift=abs(grid.dx * float(np.sum(w[0::2] - un.coeffs[0::2]))),
             contraction=contraction,
         )
-        return result, report
+        return FemFunction(grid, w), report, norm_w
 
 
 def fixed_point_step(un: FemFunction, ops: OperatorMatrices, dt: float,
@@ -232,7 +234,8 @@ def fixed_point_step(un: FemFunction, ops: OperatorMatrices, dt: float,
     """One Crank-Nicolson step (standalone form; factors the system itself)."""
     if dt == 0 or not math.isfinite(dt):
         raise ValueError("dt must be nonzero and finite")
-    return _StepOperator(ops, dt).step(un, cfg)
+    norm_un = ops.l2_norm(un.coeffs)
+    return _StepOperator(ops, dt).step(un, norm_un, cfg)[:2]
 
 
 def _snapshot_indices(steps: int, stride: int | None) -> set[int]:
@@ -262,9 +265,9 @@ def run(u0: FemFunction, t0: float, t_final: float, ops: OperatorMatrices,
 
     snapshots = [(0, u0)]
     reports: list[StepReport] = []
-    u = u0
+    u, norm_u = u0, ops.l2_norm(u0.coeffs)
     for n in range(1, steps + 1):
-        u, report = operator.step(u, cfg, step_index=n)
+        u, report, norm_u = operator.step(u, norm_u, cfg, step_index=n)
         reports.append(report)
         if n in keep:
             snapshots.append((n, u))

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
 from fkdv.assembly import (
@@ -118,6 +120,18 @@ def test_mass_block_zero_rationals():
     dx = grid.dx
     want = np.array([[26.0 / 35.0 * dx, 0.0], [0.0, 2.0 / 105.0 * dx]])
     assert blocks[0] == pytest.approx(want, abs=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 512), st.integers(0, 2**32 - 1))
+def test_banded_l2_norm_matches_symbol_apply(n: int, seed: int):
+    grid = Grid(-1.0, 2.0, n)
+    blocks = mass_offset_blocks(grid)
+    ops = OperatorMatrices(grid, 1.5, blocks, np.zeros_like(blocks),
+                           np.zeros_like(blocks))
+    c = np.random.default_rng(seed).standard_normal(grid.n_dofs)
+    want = math.sqrt(float(c @ apply_symbol(ops.mass_symbol, c)))
+    assert ops.l2_norm(c) == pytest.approx(want, rel=1e-13)
 
 
 def test_mass_matrix_spd(grid64):

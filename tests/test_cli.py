@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+import fkdv.cli
 from fkdv.cli import EXIT_ALL_DIVERGED, EXIT_CONFIG, emit_snapshot, main
 from fkdv.fem import FemFunction, Grid
 from fkdv.solutions import bo_soliton
@@ -22,9 +23,7 @@ HEADER = "N,E,C1,C2,C3,rate"
 
 def _invoke(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
-    # Divergence rows overflow on purpose before they are caught and reported.
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            np.errstate(over="ignore", invalid="ignore"):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
     return rc, out.getvalue(), err.getvalue()
 
@@ -123,9 +122,13 @@ def test_run_uses_cache_directory(tmp_path):
 
 
 def test_run_all_rows_diverged_exits_three():
-    # dt far above the contraction threshold: every row fails, none silently
-    rc, out, err = _invoke(["run", "--experiment", "kdv-one",
-                            "--sweep", "32,64", "--dt", "1.0"])
+    # dt far above the contraction threshold: every row fails, none silently.
+    # The overflow on the way to a non-finite residual is not a warning, so
+    # the exit code holds with warnings as errors (python -W error).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = _invoke(["run", "--experiment", "kdv-one",
+                                "--sweep", "32,64", "--dt", "1.0"])
     assert rc == EXIT_ALL_DIVERGED
     for row in _rows(out):
         assert row[1:5] == ["nan", "nan", "nan", "nan"]
@@ -150,6 +153,32 @@ def test_run_config_errors_exit_two(argv):
     rc, _, err = _invoke(argv)
     assert rc == EXIT_CONFIG
     assert "config error" in err
+
+
+@pytest.mark.parametrize("flags, ini", [
+    (["--tol-factor", "0"], None),
+    ([], "dt_rule = bogus\n"),
+    ([], "dt_rule = explicit\n"),      # no dt_value
+])
+def test_bad_step_settings_exit_two_before_any_solve(
+        flags, ini, tmp_path, tmp_path_factory, monkeypatch):
+    experiment = "frac-sin"      # no closed form: a self reference is solved
+    if ini is not None:
+        path = tmp_path_factory.mktemp("ini") / "steps.ini"
+        path.write_text(f"[experiment]\nbase = frac-sin\n{ini}")
+        experiment = str(path)
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("operators assembled before the settings were checked")
+
+    monkeypatch.setattr(fkdv.cli, "assemble_operators", no_assembly)
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = _invoke(["run", "--experiment", experiment, "--sweep", "8",
+                            "--out", str(tmp_path / "out"), *flags])
+    assert rc == EXIT_CONFIG
+    assert "config error" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_ini_without_experiment_section(tmp_path):

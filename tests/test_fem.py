@@ -220,6 +220,21 @@ def test_scatter_is_adjoint_of_element_dofs(n: int, seed: int):
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
+@settings(max_examples=50)
+@given(st.integers(4, 64), st.integers(0, 2**32 - 1))
+def test_gather_scatter_match_roll_formulas(n: int, seed: int):
+    # The slice-based gather/scatter move the same numbers and add the same
+    # pairs as the np.hstack/np.roll formulas they replaced, bit for bit.
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(2 * n)
+    e = rng.standard_normal((n, 4))
+    nodal = c.reshape(-1, 2)
+    gathered = np.hstack([nodal, np.roll(nodal, -1, axis=0)])
+    scattered = (e[:, :2] + np.roll(e[:, 2:], 1, axis=0)).reshape(-1)
+    assert np.array_equal(element_dofs(c), gathered)
+    assert np.array_equal(scatter(e), scattered)
+
+
 def _index_array_load(w: FemFunction, un: FemFunction, grid: Grid) -> np.ndarray:
     # The load as first written: explicit polynomials at the Gauss points,
     # index-array gather and np.add.at scatter.

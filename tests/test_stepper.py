@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -155,8 +156,8 @@ def test_divergence_reports_context(grid64, ops64):
     # the first non-finite residual instead of iterating on NaN.
     big = l2_project(grid64, lambda x: 9.0 * np.sin(x))
     cfg = SchemeConfig(alpha=1.5, dt_rule="explicit", dt_value=0.5)
-    with pytest.raises(FixedPointDivergence) as exc, \
-            np.errstate(over="ignore", invalid="ignore"):
+    with pytest.raises(FixedPointDivergence) as exc, warnings.catch_warnings():
+        warnings.simplefilter("error")      # the overflow is not reported
         fixed_point_step(big, ops64, 0.5, cfg)
     assert exc.value.iters < fkdv.stepper.MAX_PICARD_ITERS
     assert not math.isfinite(exc.value.residual)
@@ -269,6 +270,18 @@ def test_mass_drift_is_roundoff(grid64, ops64):
     scale = grid64.dx * float(np.sum(np.abs(u0.node_values)))
     for report in traj.reports:
         assert report.mass_drift < 1e-12 * max(scale, 1.0)
+
+
+def test_l2_drift_compares_successive_states(grid64, ops64):
+    # run hands each state's M-norm on to the next step instead of taking it
+    # again; the drifts must equal the norms recomputed from the states.
+    u0 = l2_project(grid64, lambda x: 1.0 + 0.5 * np.sin(x))
+    cfg = SchemeConfig(alpha=1.5, dt_rule="explicit", dt_value=0.05)
+    traj = run(u0, 0.0, 0.5, ops64, cfg, snapshot_stride=1)
+    norms = [ops64.l2_norm(traj.state(n).coeffs) for n in range(traj.n_steps + 1)]
+    drifts = [abs(b - a) for a, b in zip(norms, norms[1:])]
+    assert [r.l2_drift for r in traj.reports] == drifts
+    assert max(drifts) > 0.0
 
 
 def test_default_snapshot_policy_keeps_ten_states(grid64, ops64):
