@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -59,7 +60,6 @@ class RunConfig:
     reference: tuple  # ("closed",) | ("self", M) | ("spectral", M)
     out_dir: Path | None
     jobs: int
-    cache_dir: Path | None
 
 
 @dataclass(frozen=True)
@@ -154,6 +154,15 @@ def _scheme_config(cfg: RunConfig, alpha: float) -> SchemeConfig:
                         dt_factor=cfg.dt_factor, tol_factor=cfg.tol_factor)
 
 
+def _solve(cfg: RunConfig, spec: ExperimentSpec, n: int):
+    """Project, assemble and step one N-element run: (u0, ops, trajectory)."""
+    grid = Grid(spec.domain[0], spec.domain[1], n)
+    u0 = l2_project(grid, spec.initial)
+    ops = assemble_operators(grid, spec.alpha)
+    return u0, ops, run(u0, spec.t0, spec.t_final, ops,
+                        _scheme_config(cfg, spec.alpha))
+
+
 def _reference_values(cfg: RunConfig, spec: ExperimentSpec) -> np.ndarray | None:
     """Fine-grid reference node values, or None for closed-form references."""
     if not cfg.sweep:
@@ -172,11 +181,7 @@ def _reference_values(cfg: RunConfig, spec: ExperimentSpec) -> np.ndarray | None
                 f"reference resolution {m} must be a multiple of each sweep "
                 f"entry (violated by N={n})")
     if kind == "self":
-        grid = Grid(spec.domain[0], spec.domain[1], m)
-        u0 = l2_project(grid, spec.initial)
-        ops = assemble_operators(grid, spec.alpha,
-                                 cache_dir=cfg.cache_dir)
-        traj = run(u0, spec.t0, spec.t_final, ops, _scheme_config(cfg, spec.alpha))
+        _, _, traj = _solve(cfg, spec, m)
         return traj.final.node_values.copy()
     sg = SpectralGrid(spec.domain[0], spec.domain[1], m)
     samples = np.asarray(spec.initial(sg.points()), dtype=float)
@@ -189,16 +194,13 @@ def _reference_values(cfg: RunConfig, spec: ExperimentSpec) -> np.ndarray | None
 
 def _row_worker(cfg: RunConfig, n: int, ref_values: np.ndarray | None) -> RowResult:
     spec = _resolve_spec(cfg.base_name, cfg.overrides)
-    grid = Grid(spec.domain[0], spec.domain[1], n)
-    u0 = l2_project(grid, spec.initial)
-    ops = assemble_operators(grid, spec.alpha, cache_dir=cfg.cache_dir)
     try:
-        traj = run(u0, spec.t0, spec.t_final, ops, _scheme_config(cfg, spec.alpha))
+        u0, ops, traj = _solve(cfg, spec, n)
     except FixedPointDivergence as exc:
         return RowResult(n, None, str(exc))
     u = traj.final
     if ref_values is None:
-        ref = spec.reference(grid.nodes())
+        ref = spec.reference(u.grid.nodes())
     else:
         ref = ref_values[:: len(ref_values) // n]
     row = DiagnosticsRow(
@@ -257,6 +259,22 @@ def table_csv(results: list[RowResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _atomic_write(path: Path, text: str) -> None:
+    """Write text to a temporary file beside path, then rename it over path.
+
+    A failure leaves path untouched and no temporary file behind.  The file
+    is created like any other, so it gets the usual (umask) permissions.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def emit_snapshot(traj: Trajectory, t: float, path, reference=None) -> None:
     """Write node profiles at time t: columns x, u(x, t)[, reference(x)]."""
     u = interpolate_in_time(traj, t)
@@ -265,11 +283,8 @@ def emit_snapshot(traj: Trajectory, t: float, path, reference=None) -> None:
     if reference is not None:
         cols.append(np.asarray(reference(nodes) if callable(reference)
                                else reference, dtype=float))
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        for parts in zip(*cols):
-            fh.write(" ".join(f"{v:.12g}" for v in parts) + "\n")
+    rows = (" ".join(f"{v:.12g}" for v in parts) + "\n" for parts in zip(*cols))
+    _atomic_write(Path(path), "".join(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="closed, self:<M>, or spectral:<M>")
     p_run.add_argument("--out", help="output directory for the CSV table")
     p_run.add_argument("--jobs", type=int, default=1)
-    p_run.add_argument("--cache", help="offset-block cache directory")
 
     p_snap = sub.add_parser("snapshot", help="write solution profiles")
     p_snap.add_argument("--experiment", required=True,
@@ -380,7 +394,6 @@ def _resolve_run_config(args) -> RunConfig:
         reference=reference,
         out_dir=Path(args.out) if args.out else None,
         jobs=max(1, args.jobs),
-        cache_dir=Path(args.cache) if args.cache else None,
     )
     # Check the step settings now, before any reference solve or output.
     try:
@@ -399,10 +412,9 @@ def _cmd_run(args) -> int:
         if res.error:
             print(f"row N={res.n_elems} failed: {res.error}", file=sys.stderr)
     if cfg.out_dir is not None:
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
         name = _resolve_spec(cfg.base_name, cfg.overrides).name
         out_path = cfg.out_dir / f"{name}-table.csv"
-        out_path.write_text(csv_text)
+        _atomic_write(out_path, csv_text)
         print(f"wrote {out_path}", file=sys.stderr)
     if results and all(res.row is None for res in results):
         return EXIT_ALL_DIVERGED

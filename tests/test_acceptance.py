@@ -52,7 +52,7 @@ def _table(base: str, sweep: tuple[int, ...],
     cfg = RunConfig(base_name=base, overrides={}, sweep=sweep,
                     dt_rule="courant", dt_value=None, dt_factor=None,
                     tol_factor=tol_factor, reference=reference,
-                    out_dir=None, jobs=1, cache_dir=None)
+                    out_dir=None, jobs=1)
     return run_table(cfg)
 
 

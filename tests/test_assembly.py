@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
+from scipy.special import zeta
 
+from fkdv import assembly
 from fkdv.assembly import (
     FractionalOrder,
     OperatorMatrices,
@@ -26,7 +28,19 @@ from fkdv.assembly import (
     pv_frac_laplacian_basis,
     spectral_offset_blocks,
 )
-from fkdv.assembly import _shape_fourier_f, _shape_fourier_g
+from fkdv.assembly import (
+    _DERIV_TABLES,
+    _EXPLICIT_IMAGE_SHELLS,
+    _MULTIPOLE_ORDER,
+    _NEAR_OFFSET,
+    _VALUE_TABLES,
+    _add_far_field,
+    _image_tail_blocks,
+    _kernel_binom,
+    _pair_moments,
+    _shape_fourier_f,
+    _shape_fourier_g,
+)
 from fkdv.circulant import (
     apply_symbol,
     block_circulant_dense,
@@ -214,6 +228,63 @@ def test_backends_agree_on_gram_blocks():
     spec = spectral_offset_blocks(grid, "gram_half", 1.5, m_modes=3000 * 32)
     rel = np.linalg.norm(real - spec) / np.linalg.norm(spec)
     assert rel < 1e-6
+
+
+def _multipole_inputs(n: int, alpha: float, kind: str):
+    """(h, pair moments, kernel binomials) as assemble_offset_blocks builds them."""
+    h = 2.0 * np.pi / n
+    trial = _DERIV_TABLES / h if kind == "disp" else _VALUE_TABLES
+    return (h, _pair_moments(_VALUE_TABLES, trial, h, _MULTIPOLE_ORDER),
+            _kernel_binom(alpha, _MULTIPOLE_ORDER))
+
+
+@pytest.mark.parametrize("kind", ["disp", "gram_half"])
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 1.999])
+@pytest.mark.parametrize("n", [4, 5, 9, 64, 1024])
+def test_image_tail_matches_hurwitz_zeta_per_residue(n, alpha, kind):
+    # Oracle: each order's two image sums evaluated by scipy's Hurwitz zeta
+    # at every residue's own argument, no series.
+    h, pair_mom, binom = _multipole_inputs(n, alpha, kind)
+    shells = _EXPLICIT_IMAGE_SHELLS
+    m_frac = np.arange(n) / n
+    want = np.zeros((n, 2, 2))
+    for k in range(_MULTIPOLE_ORDER + 1):
+        p = 1.0 + alpha + k
+        pos = zeta(p, shells + m_frac)
+        neg = zeta(p, shells + 1.0 - m_frac) * (-1.0) ** k
+        want += ((binom[k] * (n * h) ** (-p) * (pos + neg))[:, None, None]
+                 * pair_mom[k])
+    want *= -frac_constant(alpha)
+    got = _image_tail_blocks(n, alpha, h, pair_mom, binom, shells)
+    scale = np.max(np.abs(want), axis=0)
+    assert np.all(scale > 0.0)
+    assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("n, chunk", [(5, None), (4096, None), (4096, 1000)])
+@pytest.mark.parametrize("kind", ["disp", "gram_half"])
+def test_far_field_matches_per_order_sum(kind, n, chunk, monkeypatch):
+    # Oracle: every far offset of the explicit shells, one power per order,
+    # scattered onto residues in offset order.  At N = 5 near offsets fall in
+    # four shells; at N = 4096 the 8N offsets fill eight default batches, and
+    # a batch of 1000 also splits each shell into five.
+    if chunk is not None:
+        monkeypatch.setattr(assembly, "_FAR_CHUNK", chunk)
+    alpha = 1.5
+    h, pair_mom, binom = _multipole_inputs(n, alpha, kind)
+    shells = _EXPLICIT_IMAGE_SHELLS
+    j = np.arange(-shells * n, shells * n)
+    j = j[np.abs(j) > _NEAR_OFFSET]
+    dist, sign = np.abs(j) * h, np.sign(j)
+    contrib = np.zeros(j.shape + (2, 2))
+    for k in range(_MULTIPOLE_ORDER + 1):
+        contrib += ((binom[k] * sign ** k * dist ** (-1.0 - alpha - k))[:, None, None]
+                    * pair_mom[k])
+    want = np.zeros((n, 2, 2))
+    np.add.at(want, j % n, -frac_constant(alpha) * contrib)
+    got = np.zeros((n, 2, 2))
+    _add_far_field(got, alpha, h, pair_mom, binom, shells)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_gram_symbol_is_square_of_half_order():

@@ -113,12 +113,22 @@ def test_run_parallel_matches_serial(tmp_path):
                                        rtol=1e-12, equal_nan=True)
 
 
-def test_run_uses_cache_directory(tmp_path):
-    cache = tmp_path / "cache"
-    rc, _, _ = _invoke(["run", "--experiment", "frac-sin", "--sweep", "8",
-                        "--dt", "0.7", "--cache", str(cache)])
-    assert rc == 0
-    assert list(cache.glob("*.blocks"))
+@pytest.mark.parametrize("argv, target", [
+    (["run", "--sweep", "16"], "bo-one-table.csv"),
+    (["snapshot", "--elements", "16", "--times", "12"], "bo-one-N16-t12.txt"),
+])
+def test_failed_write_leaves_no_partial_output(tmp_path, monkeypatch,
+                                               argv, target):
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    out_dir = tmp_path / "out"
+    monkeypatch.setattr(fkdv.cli.os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        _invoke(argv + ["--experiment", _short_bo_ini(tmp_path),
+                        "--out", str(out_dir)])
+    assert not (out_dir / target).exists()
+    assert not list(out_dir.glob("*.tmp"))
 
 
 def test_run_all_rows_diverged_exits_three():
