@@ -10,7 +10,7 @@ tolerance.
 
 from .assembly import (FractionalOrder, OperatorMatrices, assemble_offset_blocks,
                        assemble_operators, frac_constant, frac_laplacian_pointwise,
-                       operator_identity_report, pv_frac_laplacian_basis)
+                       operator_identity_report)
 from .diagnostics import (DiagnosticsRow, convergence_rate, hamiltonian_ratio,
                           mass_ratio, momentum_ratio, relative_error,
                           trapezoid_on_nodes)
@@ -60,7 +60,6 @@ __all__ = [
     "momentum_ratio",
     "nonlinear_load",
     "operator_identity_report",
-    "pv_frac_laplacian_basis",
     "relative_error",
     "run",
     "smooth_sin_data",

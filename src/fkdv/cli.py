@@ -46,6 +46,10 @@ class ConfigError(Exception):
     """Invalid command line or experiment configuration."""
 
 
+# INI keys that go to SchemeConfig under the same names.
+_STEP_SETTINGS = ("dt_rule", "dt_value", "dt_factor", "tol_factor")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved settings for one table run."""
@@ -53,10 +57,7 @@ class RunConfig:
     base_name: str
     overrides: dict
     sweep: tuple[int, ...]
-    dt_rule: str
-    dt_value: float | None
-    dt_factor: float | None
-    tol_factor: float
+    scheme: SchemeConfig
     reference: tuple  # ("closed",) | ("self", M) | ("spectral", M)
     out_dir: Path | None
     jobs: int
@@ -109,12 +110,9 @@ def _load_ini(path: Path) -> tuple[str, dict, dict]:
             settings["sweep"] = _parse_sweep(section["sweep"])
         if "dt_rule" in section:
             settings["dt_rule"] = section["dt_rule"]
-        if "dt_value" in section:
-            settings["dt_value"] = section.getfloat("dt_value")
-        if "dt_factor" in section:
-            settings["dt_factor"] = section.getfloat("dt_factor")
-        if "tol_factor" in section:
-            settings["tol_factor"] = section.getfloat("tol_factor")
+        for key in ("dt_value", "dt_factor", "tol_factor"):
+            if key in section:
+                settings[key] = section.getfloat(key)
         if "reference" in section:
             settings["reference"] = _parse_reference(section["reference"])
     except ValueError as exc:
@@ -149,18 +147,12 @@ def _parse_reference(text: str) -> tuple:
         f"bad reference {text!r}; expected closed, self:<M> or spectral:<M>")
 
 
-def _scheme_config(cfg: RunConfig, alpha: float) -> SchemeConfig:
-    return SchemeConfig(alpha=alpha, dt_rule=cfg.dt_rule, dt_value=cfg.dt_value,
-                        dt_factor=cfg.dt_factor, tol_factor=cfg.tol_factor)
-
-
 def _solve(cfg: RunConfig, spec: ExperimentSpec, n: int):
     """Project, assemble and step one N-element run: (u0, ops, trajectory)."""
     grid = Grid(spec.domain[0], spec.domain[1], n)
     u0 = l2_project(grid, spec.initial)
     ops = assemble_operators(grid, spec.alpha)
-    return u0, ops, run(u0, spec.t0, spec.t_final, ops,
-                        _scheme_config(cfg, spec.alpha))
+    return u0, ops, run(u0, spec.t0, spec.t_final, ops, cfg.scheme)
 
 
 def _reference_values(cfg: RunConfig, spec: ExperimentSpec) -> np.ndarray | None:
@@ -222,8 +214,10 @@ def run_table(cfg: RunConfig) -> list[RowResult]:
     """Run the sweep and return per-row results with rates filled in."""
     spec = _resolve_spec(cfg.base_name, cfg.overrides)
     ref_values = _reference_values(cfg, spec)
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    # A fork pool starts all its workers at once, so never ask for idle ones.
+    workers = min(cfg.jobs, len(cfg.sweep))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_row_worker, repeat(cfg), cfg.sweep,
                                     repeat(ref_values)))
     else:
@@ -356,22 +350,28 @@ def _resolve_run_config(args) -> RunConfig:
     if args.sweep:
         sweep = _parse_sweep(args.sweep)
 
-    dt_rule = settings.get("dt_rule", spec.dt_rule)
-    dt_value = settings.get("dt_value")
-    dt_factor = settings.get("dt_factor")
+    step = {key: settings[key] for key in _STEP_SETTINGS if key in settings}
     if args.dt is not None:
-        dt_rule, dt_value = "explicit", args.dt
+        step.update(dt_rule="explicit", dt_value=args.dt)
+    elif args.dt_rule == "courant":
+        step["dt_rule"] = "courant"
     elif args.dt_rule is not None:
-        if args.dt_rule == "courant":
-            dt_rule = "courant"
-        elif args.dt_rule.startswith("prop:"):
-            try:
-                dt_factor = float(args.dt_rule[5:])
-            except ValueError as exc:
-                raise ConfigError(f"bad --dt-rule {args.dt_rule!r}") from exc
-            dt_rule = "proportional"
-        else:
+        if not args.dt_rule.startswith("prop:"):
             raise ConfigError(f"bad --dt-rule {args.dt_rule!r}")
+        try:
+            step.update(dt_rule="proportional",
+                        dt_factor=float(args.dt_rule[5:]))
+        except ValueError as exc:
+            raise ConfigError(f"bad --dt-rule {args.dt_rule!r}") from exc
+    if args.tol_factor is not None:
+        step["tol_factor"] = args.tol_factor
+    # Check the step settings and --jobs now, before any solve or output.
+    try:
+        scheme = SchemeConfig(**step)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
 
     if args.reference:
         reference = _parse_reference(args.reference)
@@ -382,25 +382,15 @@ def _resolve_run_config(args) -> RunConfig:
     else:
         reference = ("self", 4 * max(sweep, default=4))
 
-    cfg = RunConfig(
+    return RunConfig(
         base_name=base,
         overrides=overrides,
         sweep=sweep,
-        dt_rule=dt_rule,
-        dt_value=dt_value,
-        dt_factor=dt_factor,
-        tol_factor=settings.get("tol_factor", 0.002)
-        if args.tol_factor is None else args.tol_factor,
+        scheme=scheme,
         reference=reference,
         out_dir=Path(args.out) if args.out else None,
-        jobs=max(1, args.jobs),
+        jobs=args.jobs,
     )
-    # Check the step settings now, before any reference solve or output.
-    try:
-        _scheme_config(cfg, spec.alpha)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg
 
 
 def _cmd_run(args) -> int:
@@ -438,8 +428,7 @@ def _cmd_snapshot(args) -> int:
     grid = Grid(spec.domain[0], spec.domain[1], args.elements)
     u0 = l2_project(grid, spec.initial)
     ops = assemble_operators(grid, spec.alpha)
-    cfg = SchemeConfig(alpha=spec.alpha, dt_rule=spec.dt_rule)
-    traj = run(u0, spec.t0, spec.t_final, ops, cfg, snapshot_stride=1)
+    traj = run(u0, spec.t0, spec.t_final, ops, SchemeConfig(), snapshot_stride=1)
     out = Path(args.out)
     for t in times:
         ref = None

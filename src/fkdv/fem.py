@@ -27,10 +27,6 @@ from .quad import gauss_rule
 __all__ = [
     "Grid",
     "FemFunction",
-    "shape_f",
-    "shape_g",
-    "shape_f_deriv",
-    "shape_g_deriv",
     "element_shapes",
     "node_shape_tables",
     "element_dofs",
@@ -68,38 +64,6 @@ def node_shape_tables(order: int) -> np.ndarray:
     piece on the element right of it (e = 0): f = (H01, H00), g = (H11, H10).
     """
     return polyder(_HERMITE, order, axis=1)[[[2, 0], [3, 1]]]
-
-
-def _node_shape(row: int, order: int, y):
-    # f and g are H00 and H10 reflected about the node: f even, g odd, and
-    # each derivative flips the parity.
-    y = np.asarray(y, dtype=float)
-    a = np.abs(y)
-    val = element_shapes(a, order)[row]
-    if (row + order) % 2:
-        val = np.sign(y) * val
-    out = np.where(a <= 1.0, val, 0.0)
-    return out if out.ndim else float(out)
-
-
-def shape_f(y):
-    """Value shape: 1 at y = 0, zero outside |y| <= 1."""
-    return _node_shape(0, 0, y)
-
-
-def shape_g(y):
-    """Slope shape: unit derivative at y = 0, zero outside |y| <= 1."""
-    return _node_shape(1, 0, y)
-
-
-def shape_f_deriv(y):
-    """Derivative of shape_f."""
-    return _node_shape(0, 1, y)
-
-
-def shape_g_deriv(y):
-    """Derivative of shape_g."""
-    return _node_shape(1, 1, y)
 
 
 def element_dofs(coeffs: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ closed forms and are measured against fine-grid self references instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace, field
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -179,13 +179,9 @@ class ExperimentSpec:
     t0: float
     t_final: float
     sweep: tuple[int, ...]
-    dt_rule: str
     initial: Callable
-    initial_deriv: Callable
     reference: Callable | None = None
     exact: Callable | None = None
-    exact_dx: Callable | None = None
-    description: str = ""
 
     def __post_init__(self) -> None:
         if not self.t_final > self.t0:
@@ -198,14 +194,9 @@ def rebind_closed_forms(spec: ExperimentSpec) -> ExperimentSpec:
     """Re-tie the time-bound callables of ``spec`` to its current t0/t_final."""
     if spec.exact is None:
         return spec
-    exact, exact_dx, t0, tf = spec.exact, spec.exact_dx, spec.t0, spec.t_final
-    return replace(
-        spec,
-        initial=lambda x: exact(x, t0),
-        initial_deriv=(spec.initial_deriv if exact_dx is None
-                       else (lambda x: exact_dx(x, t0))),
-        reference=lambda x: exact(x, tf),
-    )
+    exact, t0, tf = spec.exact, spec.t0, spec.t_final
+    return replace(spec, initial=lambda x: exact(x, t0),
+                   reference=lambda x: exact(x, tf))
 
 
 def builtin_experiments() -> list[ExperimentSpec]:
@@ -217,13 +208,9 @@ def builtin_experiments() -> list[ExperimentSpec]:
         t0=0.0,
         t_final=120.0,
         sweep=(64, 128, 256, 512, 1024),
-        dt_rule="courant",
         initial=lambda x: bo_soliton(x, 0.0),
-        initial_deriv=lambda x: bo_soliton_dx(x, 0.0),
         reference=lambda x: bo_soliton(x, 120.0),
         exact=bo_soliton,
-        exact_dx=bo_soliton_dx,
-        description="Benjamin-Ono periodic soliton over one time period",
     )
     kdv_one = ExperimentSpec(
         name="kdv-one",
@@ -232,13 +219,9 @@ def builtin_experiments() -> list[ExperimentSpec]:
         t0=-1.0,
         t_final=2.0,
         sweep=(32, 64, 128, 256, 512, 1024, 2048),
-        dt_rule="courant",
         initial=lambda x: kdv_one_soliton(x, -1.0),
-        initial_deriv=lambda x: kdv_one_soliton_dx(x, -1.0),
         reference=lambda x: kdv_one_soliton(x, 2.0),
         exact=kdv_one_soliton,
-        exact_dx=kdv_one_soliton_dx,
-        description="single KdV soliton at alpha = 1.999",
     )
     kdv_two = ExperimentSpec(
         name="kdv-two",
@@ -247,13 +230,9 @@ def builtin_experiments() -> list[ExperimentSpec]:
         t0=-10.0,
         t_final=10.0,
         sweep=(256, 512, 1024, 2048, 4096),
-        dt_rule="courant",
         initial=lambda x: kdv_two_soliton(x, -10.0),
-        initial_deriv=lambda x: kdv_two_soliton_dx(x, -10.0),
         reference=lambda x: kdv_two_soliton(x, 10.0),
         exact=kdv_two_soliton,
-        exact_dx=kdv_two_soliton_dx,
-        description="two-soliton KdV interaction at alpha = 1.999",
     )
     frac_sin = ExperimentSpec(
         name="frac-sin",
@@ -262,11 +241,8 @@ def builtin_experiments() -> list[ExperimentSpec]:
         t0=0.0,
         t_final=1.0,
         sweep=(512, 1024, 2048, 4096, 8192, 16384),
-        dt_rule="courant",
         initial=smooth_sin_data,
-        initial_deriv=smooth_sin_data_dx,
         reference=None,
-        description="smooth sine data at alpha = 1.5, fine-grid reference",
     )
     frac_triangle = ExperimentSpec(
         name="frac-triangle",
@@ -275,11 +251,8 @@ def builtin_experiments() -> list[ExperimentSpec]:
         t0=0.0,
         t_final=0.1,
         sweep=(2048, 4096, 8192, 16384, 32768),
-        dt_rule="courant",
         initial=triangle_data,
-        initial_deriv=triangle_data_dx,
         reference=None,
-        description="discontinuous ramp data at alpha = 1.5, fine-grid reference",
     )
     return [bo, kdv_one, kdv_two, frac_sin, frac_triangle]
 

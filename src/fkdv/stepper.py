@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import OperatorMatrices, _alpha_value
+from .assembly import OperatorMatrices
 from .circulant import apply_symbol, invert_symbol
 from .fem import FemFunction, Grid, element_loads, gauss_values, scatter
 
@@ -45,7 +45,7 @@ _DT_RULES = ("courant", "explicit", "proportional")
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Time-stepping parameters.
+    """Time-stepping parameters; the order alpha comes with the operators.
 
     dt_rule: 'courant' (dt = dx/||u0||_inf), 'explicit' (dt = dt_value), or
     'proportional' (dt = dt_factor * dx).  The Picard iteration stops once
@@ -54,7 +54,6 @@ class SchemeConfig:
     map — used by the isometry/reversibility checks.
     """
 
-    alpha: float
     dt_rule: str = "courant"
     dt_value: float | None = None
     dt_factor: float | None = None
@@ -62,7 +61,6 @@ class SchemeConfig:
     nonlinear: bool = True
 
     def __post_init__(self) -> None:
-        _alpha_value(self.alpha)
         if self.dt_rule not in _DT_RULES:
             raise ValueError(f"dt_rule must be one of {_DT_RULES}")
         # Negative dt is allowed: the Cayley map is time reversible.

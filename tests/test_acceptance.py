@@ -50,9 +50,8 @@ def _table(base: str, sweep: tuple[int, ...],
            reference: tuple = ("closed",),
            tol_factor: float = TOL_FACTOR) -> list[RowResult]:
     cfg = RunConfig(base_name=base, overrides={}, sweep=sweep,
-                    dt_rule="courant", dt_value=None, dt_factor=None,
-                    tol_factor=tol_factor, reference=reference,
-                    out_dir=None, jobs=1)
+                    scheme=SchemeConfig(tol_factor=tol_factor),
+                    reference=reference, out_dir=None, jobs=1)
     return run_table(cfg)
 
 
@@ -98,7 +97,7 @@ def sin_battery() -> dict:
         grid = Grid(spec.domain[0], spec.domain[1], n)
         u0 = l2_project(grid, spec.initial)
         ops = assemble_operators(grid, spec.alpha)
-        traj = run(u0, spec.t0, spec.t_final, ops, SchemeConfig(alpha=spec.alpha))
+        traj = run(u0, spec.t0, spec.t_final, ops, SchemeConfig())
         mass_u0 = apply_symbol(ops.mass_symbol, u0.coeffs)
         norm0 = math.sqrt(float(u0.coeffs @ mass_u0))
         finals[n] = (traj.final, u0)
@@ -277,12 +276,12 @@ def test_acceptance_6_linear_isometry_and_reversibility(capsys):
     def m_norm(coeffs: np.ndarray) -> float:
         return math.sqrt(float(coeffs @ apply_symbol(ops.mass_symbol, coeffs)))
 
-    cfg = SchemeConfig(alpha=1.5, dt_rule="explicit", dt_value=0.01,
+    cfg = SchemeConfig(dt_rule="explicit", dt_value=0.01,
                        nonlinear=False)
     forward = run(u0, 0.0, 1.0, ops, cfg)  # 100 steps
     iso = abs(m_norm(forward.final.coeffs) - m_norm(u0.coeffs)) / m_norm(u0.coeffs)
 
-    back_cfg = SchemeConfig(alpha=1.5, dt_rule="explicit", dt_value=-0.01,
+    back_cfg = SchemeConfig(dt_rule="explicit", dt_value=-0.01,
                             nonlinear=False)
     back = run(forward.final, 1.0, 0.0, ops, back_cfg)
     rev = m_norm(back.final.coeffs - u0.coeffs) / m_norm(u0.coeffs)
@@ -307,11 +306,10 @@ def test_acceptance_7_temporal_order(capsys):
     grid = Grid(spec.domain[0], spec.domain[1], 2048)
     u0 = l2_project(grid, spec.initial)
     ops = assemble_operators(grid, spec.alpha)
-    dt0 = choose_dt(u0, grid, SchemeConfig(alpha=spec.alpha),
-                    spec.t0, spec.t_final)
+    dt0 = choose_dt(u0, grid, SchemeConfig(), spec.t0, spec.t_final)
     finals = []
     for k in range(4):
-        cfg = SchemeConfig(alpha=spec.alpha, dt_rule="explicit",
+        cfg = SchemeConfig(dt_rule="explicit",
                            dt_value=dt0 / 2 ** k,
                            tol_factor=CONVERGED_TOL_FACTOR)
         finals.append(run(u0, spec.t0, spec.t_final, ops, cfg).final)

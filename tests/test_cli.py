@@ -113,6 +113,38 @@ def test_run_parallel_matches_serial(tmp_path):
                                        rtol=1e-12, equal_nan=True)
 
 
+@pytest.mark.parametrize("sweep, jobs, pool_sizes", [
+    ("16,32", "5000", [2]),      # one worker per row, not per --jobs
+    ("16", "4", []),             # a one-row sweep runs in this process
+    ("16,32", "1", []),
+])
+def test_pool_never_larger_than_the_sweep(sweep, jobs, pool_sizes, tmp_path,
+                                          monkeypatch):
+    created = []
+
+    class SerialPool:
+        """Records the pool size asked for; maps in this process."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(fkdv.cli, "ProcessPoolExecutor", SerialPool)
+    rc, out, _ = _invoke(["run", "--experiment", _short_bo_ini(tmp_path),
+                          "--sweep", sweep, "--jobs", jobs])
+    assert rc == 0
+    assert created == pool_sizes
+    assert len(_rows(out)) == len(sweep.split(","))
+
+
 @pytest.mark.parametrize("argv, target", [
     (["run", "--sweep", "16"], "bo-one-table.csv"),
     (["snapshot", "--elements", "16", "--times", "12"], "bo-one-N16-t12.txt"),
@@ -169,6 +201,8 @@ def test_run_config_errors_exit_two(argv):
     (["--tol-factor", "0"], None),
     ([], "dt_rule = bogus\n"),
     ([], "dt_rule = explicit\n"),      # no dt_value
+    (["--jobs", "0"], None),
+    (["--jobs", "-3"], None),
 ])
 def test_bad_step_settings_exit_two_before_any_solve(
         flags, ini, tmp_path, tmp_path_factory, monkeypatch):
@@ -278,7 +312,7 @@ def test_emit_snapshot_zero_state_and_array_reference(tmp_path):
     zero = FemFunction(grid, np.zeros(grid.n_dofs))
     blank = StepReport(iters=1, final_residual=0.0, l2_drift=0.0,
                        mass_drift=0.0, contraction=0.0)
-    traj = Trajectory(grid, SchemeConfig(alpha=1.5), 0.1, 0.0,
+    traj = Trajectory(grid, SchemeConfig(), 0.1, 0.0,
                       [(0, zero), (1, zero)], [blank])
     ref = np.arange(8, dtype=float)
     path = tmp_path / "profile.txt"
@@ -306,6 +340,14 @@ def test_verify_passes_and_prints_checks():
 def test_verify_passes_at_unit_alpha_small_grid():
     rc, out, _ = _invoke(["verify", "--alpha", "1.0", "--elements", "32"])
     assert rc == 0
+    assert "FAIL" not in out
+
+
+def test_verify_probes_avoid_nodes_at_any_size():
+    # At N=600, 0.11 and 0.52 of the window fall on nodes, where the
+    # pointwise value is undefined for alpha > 1.
+    rc, out, err = _invoke(["verify", "--alpha", "1.5", "--elements", "600"])
+    assert rc == 0, err
     assert "FAIL" not in out
 
 

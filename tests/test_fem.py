@@ -6,19 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyval
 
 from fkdv.fem import (
     ELEMENT_MASS,
     FemFunction,
     Grid,
     element_dofs,
+    element_shapes,
     hermite_interpolate,
     l2_project,
+    node_shape_tables,
     scatter,
-    shape_f,
-    shape_f_deriv,
-    shape_g,
-    shape_g_deriv,
 )
 from fkdv.quad import gauss_rule
 from fkdv.stepper import nonlinear_load
@@ -29,33 +28,49 @@ def _random_function(grid: Grid, seed: int = 0) -> FemFunction:
     return FemFunction(grid, rng.standard_normal(grid.n_dofs))
 
 
+F, G = 0, 1     # rows of node_shape_tables: value shape f, slope shape g
+
+
+def _node_shape(shape: int, order: int, y: float) -> float:
+    """f or g (or a derivative) at offset y in [-1, 1] elements from its node."""
+    left, right = node_shape_tables(order)[shape]
+    return polyval(1.0 + y, left) if y < 0.0 else polyval(y, right)
+
+
 def test_shape_values_at_midpoint():
-    assert shape_f(0.5) == pytest.approx(0.5, abs=1e-15)
-    assert shape_g(0.5) == pytest.approx(0.125, abs=1e-15)
+    assert _node_shape(F, 0, 0.5) == pytest.approx(0.5, abs=1e-15)
+    assert _node_shape(G, 0, 0.5) == pytest.approx(0.125, abs=1e-15)
+
+
+def _piece_ends(shape: int, order: int) -> list[float]:
+    """The shape (or derivative) at y = -1, 0 (left piece), 0 (right piece), 1."""
+    left, right = node_shape_tables(order)[shape]
+    return [*polyval([0.0, 1.0], left), *polyval([0.0, 1.0], right)]
 
 
 def test_shape_endpoint_values():
-    assert shape_f(0.0) == 1.0
-    assert shape_f(1.0) == 0.0
-    assert shape_g(0.0) == 0.0
-    assert shape_g(1.0) == 0.0
+    # Each element shape carries exactly one of the four element dofs, so f
+    # is 1 and g is 0 at their node from either side, and both vanish at
+    # the ends of their support.
+    ends = np.array([0.0, 1.0])
+    assert np.array_equal(element_shapes(ends, 0), [[1, 0], [0, 0], [0, 1], [0, 0]])
+    assert _piece_ends(F, 0) == [0.0, 1.0, 1.0, 0.0]
+    assert _piece_ends(G, 0) == [0.0, 0.0, 0.0, 0.0]
 
 
 def test_shape_endpoint_derivatives():
     # These identities are what makes the assembled space C^1: each shape
     # carries exactly one nodal dof (value or slope) and kills the rest.
-    assert shape_f_deriv(0.0) == pytest.approx(0.0, abs=1e-12)
-    assert shape_f_deriv(1.0) == pytest.approx(0.0, abs=1e-12)
-    assert shape_g_deriv(0.0) == pytest.approx(1.0, abs=1e-12)
-    assert shape_g_deriv(1.0) == pytest.approx(0.0, abs=1e-12)
-    assert shape_f_deriv(-1.0) == pytest.approx(0.0, abs=1e-12)
-    assert shape_g_deriv(-1.0) == pytest.approx(0.0, abs=1e-12)
+    ends = np.array([0.0, 1.0])
+    assert np.array_equal(element_shapes(ends, 1), [[0, 0], [1, 0], [0, 0], [0, 1]])
+    assert _piece_ends(F, 1) == pytest.approx([0.0, 0.0, 0.0, 0.0], abs=1e-12)
+    assert _piece_ends(G, 1) == pytest.approx([0.0, 1.0, 1.0, 0.0], abs=1e-12)
 
 
 @given(st.floats(-1.0, 1.0))
 def test_shapes_even_and_odd(y: float):
-    assert shape_f(y) == pytest.approx(shape_f(-y), abs=1e-12)
-    assert shape_g(y) == pytest.approx(-shape_g(-y), abs=1e-12)
+    assert _node_shape(F, 0, y) == pytest.approx(_node_shape(F, 0, -y), abs=1e-12)
+    assert _node_shape(G, 0, y) == pytest.approx(-_node_shape(G, 0, -y), abs=1e-12)
 
 
 def test_partition_of_unity():

@@ -251,7 +251,6 @@ def test_registry_contents():
     assert specs["frac-sin"].alpha == 1.5
     assert specs["frac-triangle"].t_final == 0.1
     for spec in specs.values():
-        assert spec.dt_rule == "courant"
         assert list(spec.sweep) == sorted(set(spec.sweep))
     for name in ("bo-one", "kdv-one", "kdv-two"):
         assert specs[name].reference is not None
@@ -282,8 +281,6 @@ def test_rebind_closed_forms_follows_overridden_times():
     x = np.linspace(-15.0, 15.0, 7)
     assert rebound.reference(x) == pytest.approx(bo_soliton(x, 12.0), abs=1e-15)
     assert rebound.initial(x) == pytest.approx(bo_soliton(x, 0.0), abs=1e-15)
-    assert rebound.initial_deriv(x) == pytest.approx(
-        bo_soliton_dx(x, 0.0), abs=1e-15)
 
 
 def test_rebind_without_closed_form_is_identity():

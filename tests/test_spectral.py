@@ -136,7 +136,7 @@ def test_galerkin_run_matches_spectral_reference():
     grid = Grid(0.0, 2.0 * np.pi, n)
     ops = assemble_operators(grid, 1.5)
     u0 = hermite_interpolate(grid, smooth_sin_data, smooth_sin_data_dx)
-    traj = run(u0, 0.0, 1.0, ops, SchemeConfig(alpha=1.5))
+    traj = run(u0, 0.0, 1.0, ops, SchemeConfig())
     sgrid = SpectralGrid(0.0, 2.0 * np.pi, 4096)
     s0 = smooth_sin_data(sgrid.points())
     dt = 0.1 * default_spectral_dt(s0, sgrid)

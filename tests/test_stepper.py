@@ -40,30 +40,30 @@ def _m_norm(coeffs: np.ndarray, mass_symbol: np.ndarray) -> float:
 
 
 def test_scheme_config_validation():
+    with pytest.raises(TypeError):      # the order comes with the operators
+        SchemeConfig(alpha=1.5)
     with pytest.raises(ValueError):
-        SchemeConfig(alpha=2.0)
+        SchemeConfig(dt_rule="adaptive")
     with pytest.raises(ValueError):
-        SchemeConfig(alpha=1.5, dt_rule="adaptive")
+        SchemeConfig(dt_rule="explicit")
     with pytest.raises(ValueError):
-        SchemeConfig(alpha=1.5, dt_rule="explicit")
+        SchemeConfig(dt_rule="proportional")
     with pytest.raises(ValueError):
-        SchemeConfig(alpha=1.5, dt_rule="proportional")
-    with pytest.raises(ValueError):
-        SchemeConfig(alpha=1.5, tol_factor=0.0)
+        SchemeConfig(tol_factor=0.0)
 
 
 def test_courant_dt_from_soliton_peak():
     grid = Grid(-15.0, 15.0, 256)
     u0 = hermite_interpolate(grid, lambda x: kdv_one_soliton(x, 0.0),
                              lambda x: kdv_one_soliton_dx(x, 0.0))
-    dt = choose_dt(u0, grid, SchemeConfig(alpha=1.999))
+    dt = choose_dt(u0, grid, SchemeConfig())
     # The soliton peaks at exactly 9 on a node, so dt = dx / 9.
     assert dt == pytest.approx(grid.dx / 9.0, rel=1e-12)
 
 
 def test_explicit_dt_step_count(grid64, ops64):
     u0 = l2_project(grid64, np.sin)
-    cfg = SchemeConfig(alpha=1.5, dt_rule="explicit", dt_value=0.01)
+    cfg = SchemeConfig(dt_rule="explicit", dt_value=0.01)
     traj = run(u0, 0.0, 1.0, ops64, cfg)
     assert traj.n_steps == 100
     assert traj.dt == pytest.approx(0.01)
@@ -72,26 +72,26 @@ def test_explicit_dt_step_count(grid64, ops64):
 
 def test_proportional_dt_rule(grid64):
     u0 = l2_project(grid64, np.sin)
-    cfg = SchemeConfig(alpha=1.5, dt_rule="proportional", dt_factor=0.5)
+    cfg = SchemeConfig(dt_rule="proportional", dt_factor=0.5)
     dt = choose_dt(u0, grid64, cfg)
     assert dt == pytest.approx(0.5 * grid64.dx)
 
 
 def test_choose_dt_snaps_down_to_divide_span(grid64):
     u0 = l2_project(grid64, np.sin)
-    cfg = SchemeConfig(alpha=1.5, dt_rule="explicit", dt_value=0.3)
+    cfg = SchemeConfig(dt_rule="explicit", dt_value=0.3)
     dt = choose_dt(u0, grid64, cfg, 0.0, 1.0)
     assert dt == pytest.approx(0.25)
 
 
 def test_choose_dt_sign_mismatch_raises(grid64):
     u0 = l2_project(grid64, np.sin)
-    cfg = SchemeConfig(alpha=1.5, dt_rule="explicit", dt_value=0.1)
+    cfg = SchemeConfig(dt_rule="explicit", dt_value=0.1)
     with pytest.raises(ValueError):
         choose_dt(u0, grid64, cfg, 0.0, -1.0)
     zero = l2_project(grid64, lambda x: np.zeros_like(x))
     with pytest.raises(ValueError):
-        choose_dt(zero, grid64, SchemeConfig(alpha=1.5))
+        choose_dt(zero, grid64, SchemeConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +135,7 @@ def test_nonlinear_load_grid_mismatch():
 
 def test_zero_state_steps_to_zero_in_one_iteration(grid64, ops64):
     zero = FemFunction(grid64, np.zeros(grid64.n_dofs))
-    cfg = SchemeConfig(alpha=1.5, dt_rule="explicit", dt_value=0.01)
+    cfg = SchemeConfig(dt_rule="explicit", dt_value=0.01)
     w, report = fixed_point_step(zero, ops64, 0.01, cfg)
     assert np.all(w.coeffs == 0.0)
     assert report.iters == 1
@@ -144,7 +144,7 @@ def test_zero_state_steps_to_zero_in_one_iteration(grid64, ops64):
 
 def test_fixed_point_step_needs_positive_dt(grid64, ops64):
     u0 = l2_project(grid64, np.sin)
-    cfg = SchemeConfig(alpha=1.5, dt_rule="explicit", dt_value=0.01)
+    cfg = SchemeConfig(dt_rule="explicit", dt_value=0.01)
     # Only a zero or non-finite step is rejected; dt < 0 steps back in time.
     for bad in (0.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
@@ -155,7 +155,7 @@ def test_divergence_reports_context(grid64, ops64):
     # The corrections grow until they overflow; the iteration must stop at
     # the first non-finite residual instead of iterating on NaN.
     big = l2_project(grid64, lambda x: 9.0 * np.sin(x))
-    cfg = SchemeConfig(alpha=1.5, dt_rule="explicit", dt_value=0.5)
+    cfg = SchemeConfig(dt_rule="explicit", dt_value=0.5)
     with pytest.raises(FixedPointDivergence) as exc, warnings.catch_warnings():
         warnings.simplefilter("error")      # the overflow is not reported
         fixed_point_step(big, ops64, 0.5, cfg)
@@ -171,7 +171,7 @@ def test_divergence_reports_context(grid64, ops64):
 def test_iteration_cap_reports_observed_contraction(grid64, ops64, monkeypatch):
     monkeypatch.setattr(fkdv.stepper, "MAX_PICARD_ITERS", 2)
     u0 = l2_project(grid64, np.sin)
-    cfg = SchemeConfig(alpha=1.5, dt_rule="explicit", dt_value=0.01,
+    cfg = SchemeConfig(dt_rule="explicit", dt_value=0.01,
                        tol_factor=1e-14)
     with pytest.raises(FixedPointDivergence) as exc:
         fixed_point_step(u0, ops64, 0.01, cfg)
@@ -182,7 +182,7 @@ def test_iteration_cap_reports_observed_contraction(grid64, ops64, monkeypatch):
 
 def test_final_residual_below_tolerance(grid64, ops64):
     u0 = l2_project(grid64, np.sin)
-    cfg = SchemeConfig(alpha=1.5, dt_rule="explicit", dt_value=0.02)
+    cfg = SchemeConfig(dt_rule="explicit", dt_value=0.02)
     traj = run(u0, 0.0, 0.1, ops64, cfg, snapshot_stride=1)
     for n, report in enumerate(traj.reports):
         prev = traj.state(n).coeffs
@@ -195,7 +195,7 @@ def test_residuals_decrease_within_contraction_regime(grid64, ops64):
     # several iterations; each must shrink the residual.
     dt = 0.003 * grid64.dx**1.5
     u0 = l2_project(grid64, lambda x: 0.5 * np.sin(x))
-    cfg = SchemeConfig(alpha=1.5, dt_rule="explicit", dt_value=dt,
+    cfg = SchemeConfig(dt_rule="explicit", dt_value=dt,
                        tol_factor=1e-8)
     traj = run(u0, 0.0, 5 * dt, ops64, cfg)
     for report in traj.reports:
@@ -209,7 +209,7 @@ def test_residuals_decrease_within_contraction_regime(grid64, ops64):
 
 def test_run_with_zero_span_returns_initial(grid64, ops64):
     u0 = l2_project(grid64, np.sin)
-    cfg = SchemeConfig(alpha=1.5)
+    cfg = SchemeConfig()
     traj = run(u0, 3.0, 3.0, ops64, cfg)
     assert traj.n_steps == 0
     assert traj.final is u0
@@ -221,14 +221,14 @@ def test_run_rejects_foreign_operators(grid64):
     ops32 = assemble_operators(other, 1.5)
     u0 = l2_project(grid64, np.sin)
     with pytest.raises(ValueError):
-        run(u0, 0.0, 1.0, ops32, SchemeConfig(alpha=1.5))
+        run(u0, 0.0, 1.0, ops32, SchemeConfig())
 
 
 def test_cayley_map_is_isometry():
     grid = Grid(0.0, 2.0 * np.pi, 32)
     ops = assemble_operators(grid, 1.5)
     u0 = l2_project(grid, np.sin)
-    cfg = SchemeConfig(alpha=1.5, dt_rule="explicit", dt_value=0.01,
+    cfg = SchemeConfig(dt_rule="explicit", dt_value=0.01,
                        nonlinear=False)
     traj = run(u0, 0.0, 0.2, ops, cfg)
     n0 = _m_norm(u0.coeffs, ops.mass_symbol)
@@ -240,9 +240,9 @@ def test_cayley_map_reverses():
     grid = Grid(0.0, 2.0 * np.pi, 32)
     ops = assemble_operators(grid, 1.5)
     u0 = l2_project(grid, np.sin)
-    fwd = SchemeConfig(alpha=1.5, dt_rule="explicit", dt_value=0.01,
+    fwd = SchemeConfig(dt_rule="explicit", dt_value=0.01,
                        nonlinear=False)
-    back = SchemeConfig(alpha=1.5, dt_rule="explicit", dt_value=-0.01,
+    back = SchemeConfig(dt_rule="explicit", dt_value=-0.01,
                         nonlinear=False)
     there = run(u0, 0.0, 0.1, ops, fwd)
     again = run(there.final, 0.1, 0.0, ops, back)
@@ -259,13 +259,13 @@ def test_soliton_run_iteration_budget():
     ops = assemble_operators(grid, 1.0)
     u0 = hermite_interpolate(grid, lambda x: bo_soliton(x, 0.0),
                              lambda x: bo_soliton_dx(x, 0.0))
-    traj = run(u0, 0.0, 2.0, ops, SchemeConfig(alpha=1.0))
+    traj = run(u0, 0.0, 2.0, ops, SchemeConfig())
     assert max(r.iters for r in traj.reports) <= 10
 
 
 def test_mass_drift_is_roundoff(grid64, ops64):
     u0 = l2_project(grid64, lambda x: 1.0 + 0.5 * np.sin(x))
-    cfg = SchemeConfig(alpha=1.5, dt_rule="explicit", dt_value=0.02)
+    cfg = SchemeConfig(dt_rule="explicit", dt_value=0.02)
     traj = run(u0, 0.0, 0.2, ops64, cfg)
     scale = grid64.dx * float(np.sum(np.abs(u0.node_values)))
     for report in traj.reports:
@@ -276,7 +276,7 @@ def test_l2_drift_compares_successive_states(grid64, ops64):
     # run hands each state's M-norm on to the next step instead of taking it
     # again; the drifts must equal the norms recomputed from the states.
     u0 = l2_project(grid64, lambda x: 1.0 + 0.5 * np.sin(x))
-    cfg = SchemeConfig(alpha=1.5, dt_rule="explicit", dt_value=0.05)
+    cfg = SchemeConfig(dt_rule="explicit", dt_value=0.05)
     traj = run(u0, 0.0, 0.5, ops64, cfg, snapshot_stride=1)
     norms = [ops64.l2_norm(traj.state(n).coeffs) for n in range(traj.n_steps + 1)]
     drifts = [abs(b - a) for a, b in zip(norms, norms[1:])]
@@ -286,7 +286,7 @@ def test_l2_drift_compares_successive_states(grid64, ops64):
 
 def test_default_snapshot_policy_keeps_ten_states(grid64, ops64):
     u0 = l2_project(grid64, np.sin)
-    cfg = SchemeConfig(alpha=1.5, dt_rule="explicit", dt_value=0.01)
+    cfg = SchemeConfig(dt_rule="explicit", dt_value=0.01)
     traj = run(u0, 0.0, 0.9, ops64, cfg)
     indices = [idx for idx, _ in traj.snapshots]
     assert indices[0] == 0
@@ -307,7 +307,7 @@ def _toy_trajectory(n_states: int) -> Trajectory:
               for _ in range(n_states)]
     blank = StepReport(iters=1, final_residual=0.0, l2_drift=0.0,
                        mass_drift=0.0, contraction=0.0)
-    return Trajectory(grid, SchemeConfig(alpha=1.5), 0.1, 0.0,
+    return Trajectory(grid, SchemeConfig(), 0.1, 0.0,
                       list(enumerate(states)), [blank] * (n_states - 1))
 
 
@@ -332,7 +332,7 @@ def test_interpolate_constant_trajectory():
     u = FemFunction(grid, np.linspace(0.0, 1.0, grid.n_dofs))
     blank = StepReport(iters=1, final_residual=0.0, l2_drift=0.0,
                        mass_drift=0.0, contraction=0.0)
-    traj = Trajectory(grid, SchemeConfig(alpha=1.5), 0.1, 0.0,
+    traj = Trajectory(grid, SchemeConfig(), 0.1, 0.0,
                       [(i, u) for i in range(4)], [blank] * 3)
     for t in (0.0, 0.07, 0.15, 0.3):
         assert interpolate_in_time(traj, t).coeffs == pytest.approx(
