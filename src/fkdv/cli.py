@@ -24,13 +24,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import assemble_operators, operator_identity_report
+from .assembly import (FractionalOrder, assemble_operators,
+                       operator_identity_report)
 from .diagnostics import (DiagnosticsRow, convergence_rate, hamiltonian_ratio,
                           mass_ratio, momentum_ratio, relative_error)
 from .fem import Grid, l2_project
 from .solutions import (ExperimentSpec, builtin_experiments, get_experiment,
                         rebind_closed_forms)
-from .spectral import SpectralGrid, default_spectral_dt, spectral_reference_solve
+from .spectral import (REFERENCE_DT_FACTOR, SpectralGrid, default_spectral_dt,
+                       spectral_reference_solve)
 from .stepper import (FixedPointDivergence, SchemeConfig, Trajectory,
                       interpolate_in_time, run)
 
@@ -177,9 +179,7 @@ def _reference_values(cfg: RunConfig, spec: ExperimentSpec) -> np.ndarray | None
         return traj.final.node_values.copy()
     sg = SpectralGrid(spec.domain[0], spec.domain[1], m)
     samples = np.asarray(spec.initial(sg.points()), dtype=float)
-    # 0.25*default is borderline for the integrator at large m; 0.1 is safely
-    # inside the stable range at every resolution used here.
-    dt = 0.1 * default_spectral_dt(samples, sg)
+    dt = REFERENCE_DT_FACTOR * default_spectral_dt(samples, sg)
     return spectral_reference_solve(samples, spec.alpha, spec.t0, spec.t_final,
                                     sg, dt)
 
@@ -441,11 +441,14 @@ def _cmd_snapshot(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # Only the arguments map to a config error; a ValueError raised inside
+    # the report is a defect and keeps its traceback.
     try:
-        report = operator_identity_report(args.alpha, args.elements)
+        FractionalOrder(args.alpha)
+        Grid(0.0, 2.0 * np.pi, args.elements)
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(str(exc)) from exc
+    report = operator_identity_report(args.alpha, args.elements)
     for check in report["checks"]:
         status = "PASS" if check["passed"] else "FAIL"
         print(f"{check['name']}: {check['value']:.3e} (tol {check['tol']:.1e}) "

@@ -16,15 +16,10 @@ import numpy as np
 
 __all__ = [
     "bo_soliton",
-    "bo_soliton_dx",
     "kdv_one_soliton",
-    "kdv_one_soliton_dx",
     "kdv_two_soliton",
-    "kdv_two_soliton_dx",
     "smooth_sin_data",
-    "smooth_sin_data_dx",
     "triangle_data",
-    "triangle_data_dx",
     "ExperimentSpec",
     "rebind_closed_forms",
     "builtin_experiments",
@@ -51,18 +46,6 @@ def bo_soliton(x, t, c: float = 0.25, L: float = 15.0):
     return out if np.ndim(x) else float(out)
 
 
-def bo_soliton_dx(x, t, c: float = 0.25, L: float = 15.0):
-    """Spatial derivative of bo_soliton."""
-    delta = math.pi / (c * L)
-    if delta > 1.0:
-        raise ValueError(f"invalid parameters: pi/(cL) = {delta} > 1")
-    gamma = math.sqrt(1.0 - delta * delta)
-    phase = c * delta * (np.asarray(x, dtype=float) - c * t)
-    denom = 1.0 - gamma * np.cos(phase)
-    out = -2.0 * c * c * delta ** 3 * gamma * np.sin(phase) / denom ** 2
-    return out if np.ndim(x) else float(out)
-
-
 _KDV_WIDTH = math.sqrt(3.0) / 2.0
 
 
@@ -75,13 +58,6 @@ def kdv_one_soliton(x, t):
     """
     xi = _KDV_WIDTH * (np.asarray(x, dtype=float) - 3.0 * t)
     out = 9.0 / np.cosh(xi) ** 2
-    return out if np.ndim(x) else float(out)
-
-
-def kdv_one_soliton_dx(x, t):
-    """Spatial derivative of kdv_one_soliton."""
-    xi = _KDV_WIDTH * (np.asarray(x, dtype=float) - 3.0 * t)
-    out = -18.0 * _KDV_WIDTH * np.tanh(xi) / np.cosh(xi) ** 2
     return out if np.ndim(x) else float(out)
 
 
@@ -123,29 +99,9 @@ def kdv_two_soliton(x, t, a: float = 0.5, b: float = 1.0):
     return out if np.ndim(x) else float(out)
 
 
-def kdv_two_soliton_dx(x, t, a: float = 0.5, b: float = 1.0):
-    """Spatial derivative of kdv_two_soliton by fourth-order differencing.
-
-    Step 1e-3 balances the h^4 truncation against roundoff; both are below
-    1e-11 on the unit-scale profile, ample for slope degrees of freedom.
-    """
-    h = 1e-3
-    xs = np.asarray(x, dtype=float)
-    vals = (kdv_two_soliton(xs - 2.0 * h, t, a, b)
-            - 8.0 * kdv_two_soliton(xs - h, t, a, b)
-            + 8.0 * kdv_two_soliton(xs + h, t, a, b)
-            - kdv_two_soliton(xs + 2.0 * h, t, a, b)) / (12.0 * h)
-    return vals if np.ndim(x) else float(vals)
-
-
 def smooth_sin_data(x):
     """Smooth zero-mean initial profile 0.5 sin(x)."""
     out = 0.5 * np.sin(np.asarray(x, dtype=float))
-    return out if np.ndim(x) else float(out)
-
-
-def smooth_sin_data_dx(x):
-    out = 0.5 * np.cos(np.asarray(x, dtype=float))
     return out if np.ndim(x) else float(out)
 
 
@@ -153,12 +109,6 @@ def triangle_data(x):
     """Ramp (x+1)/2 on [-1, 1), zero elsewhere; jump discontinuity at x = 1."""
     xs = np.asarray(x, dtype=float)
     out = np.where((xs >= -1.0) & (xs < 1.0), 0.5 * (xs + 1.0), 0.0)
-    return out if np.ndim(x) else float(out)
-
-
-def triangle_data_dx(x):
-    xs = np.asarray(x, dtype=float)
-    out = np.where((xs >= -1.0) & (xs < 1.0), 0.5, 0.0)
     return out if np.ndim(x) else float(out)
 
 

@@ -33,8 +33,8 @@ from fkdv.diagnostics import (convergence_rate, momentum_ratio,
                               relative_error, trapezoid_on_nodes)
 from fkdv.fem import Grid, l2_project
 from fkdv.solutions import get_experiment
-from fkdv.spectral import (SpectralGrid, default_spectral_dt,
-                           spectral_reference_solve)
+from fkdv.spectral import (REFERENCE_DT_FACTOR, SpectralGrid,
+                           default_spectral_dt, spectral_reference_solve)
 from fkdv.stepper import SchemeConfig, choose_dt, run
 
 TOL_FACTOR = 0.002
@@ -110,7 +110,7 @@ def sin_battery() -> dict:
 
     sg = SpectralGrid(spec.domain[0], spec.domain[1], 4096)
     samples = np.asarray(spec.initial(sg.points()), dtype=float)
-    dt = 0.1 * default_spectral_dt(samples, sg)
+    dt = REFERENCE_DT_FACTOR * default_spectral_dt(samples, sg)
     spectral = spectral_reference_solve(samples, spec.alpha, spec.t0,
                                         spec.t_final, sg, dt)
     cross = relative_error(finals[2048][0], spectral[:: 4096 // 2048])

@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+import fkdv.assembly
 import fkdv.cli
 from fkdv.cli import EXIT_ALL_DIVERGED, EXIT_CONFIG, emit_snapshot, main
 from fkdv.fem import FemFunction, Grid
@@ -353,5 +354,22 @@ def test_verify_probes_avoid_nodes_at_any_size():
 
 def test_verify_rejects_alpha_two():
     rc, _, err = _invoke(["verify", "--alpha", "2.0"])
+    assert rc == EXIT_CONFIG
+    assert "config error" in err
+
+
+def test_verify_does_not_report_an_internal_error_as_config_error(monkeypatch):
+    # Valid arguments, then a ValueError deep inside the report: it must
+    # leave main as a traceback (exit 1), not as "config error" (exit 2).
+    def broken(*args, **kwargs):
+        raise ValueError("defect inside the report")
+
+    monkeypatch.setattr(fkdv.assembly, "spectral_offset_blocks", broken)
+    with pytest.raises(ValueError, match="defect inside the report"):
+        _invoke(["verify", "--alpha", "1.5", "--elements", "16"])
+
+
+def test_verify_rejects_too_few_elements():
+    rc, _, err = _invoke(["verify", "--alpha", "1.5", "--elements", "3"])
     assert rc == EXIT_CONFIG
     assert "config error" in err

@@ -11,17 +11,19 @@ import pytest
 from fkdv.solutions import (
     ExperimentSpec,
     bo_soliton,
-    bo_soliton_dx,
     builtin_experiments,
     get_experiment,
     kdv_one_soliton,
-    kdv_one_soliton_dx,
     kdv_two_soliton,
-    kdv_two_soliton_dx,
     rebind_closed_forms,
     smooth_sin_data,
-    smooth_sin_data_dx,
     triangle_data,
+)
+from solution_derivatives import (
+    bo_soliton_dx,
+    kdv_one_soliton_dx,
+    kdv_two_soliton_dx,
+    smooth_sin_data_dx,
     triangle_data_dx,
 )
 

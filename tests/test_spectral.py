@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from fkdv.assembly import assemble_operators
 from fkdv.diagnostics import relative_error
 from fkdv.fem import Grid, hermite_interpolate
-from fkdv.solutions import kdv_one_soliton, smooth_sin_data, smooth_sin_data_dx
+from fkdv.solutions import kdv_one_soliton, smooth_sin_data, triangle_data
 from fkdv.spectral import (
+    REFERENCE_DT_FACTOR,
     SpectralBlowup,
     SpectralGrid,
     default_spectral_dt,
@@ -17,6 +20,7 @@ from fkdv.spectral import (
     spectral_reference_solve,
 )
 from fkdv.stepper import SchemeConfig, run
+from solution_derivatives import smooth_sin_data_dx
 
 
 def test_grid_validation():
@@ -98,6 +102,55 @@ def test_zero_data_stays_zero():
     assert np.max(np.abs(out)) == 0.0
 
 
+def _complex_fft_solve(u0_samples, a, t0, t_final, grid, dt):
+    """The full-spectrum integrating-factor RK4 loop, kept as an oracle."""
+    span = t_final - t0
+    steps = max(1, math.ceil(span / dt - 1e-9))
+    dt = span / steps
+
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.m, d=grid.width / grid.m)
+    symbol = 1j * k * np.abs(k) ** a
+    keep = np.abs(np.fft.fftfreq(grid.m) * grid.m) <= grid.m // 3
+    half = np.exp(0.5 * dt * symbol)
+    full = half * half
+
+    def rhs(v: np.ndarray) -> np.ndarray:
+        w = np.fft.ifft(np.where(keep, v, 0.0)).real
+        return -0.5j * k * np.where(keep, np.fft.fft(w * w), 0.0)
+
+    v = np.fft.fft(u0_samples)
+    for n in range(steps):
+        k1 = dt * rhs(v)
+        k2 = dt * rhs(half * (v + 0.5 * k1))
+        k3 = dt * rhs(half * v + 0.5 * k2)
+        k4 = dt * rhs(full * v + half * k3)
+        v = full * v + (full * k1 + 2.0 * half * (k2 + k3) + k4) / 6.0
+    return np.fft.ifft(v).real
+
+
+PARITY_DATA = {
+    "triangle": ((-10.0, 10.0), triangle_data),
+    "kdv-soliton": ((-15.0, 15.0), lambda x: kdv_one_soliton(x, 0.0)),
+    "sine": ((0.0, 2.0 * np.pi), smooth_sin_data),
+}
+
+
+@pytest.mark.parametrize("m", [256, 1024])
+@pytest.mark.parametrize("data", sorted(PARITY_DATA))
+def test_half_spectrum_solve_matches_complex_fft_oracle(data, m):
+    # The field is real, so stepping its m/2+1 rfft modes is the same
+    # computation as stepping all m complex modes, up to round-off.
+    (left, right), initial = PARITY_DATA[data]
+    grid = SpectralGrid(left, right, m)
+    u0 = initial(grid.points())
+    dt = REFERENCE_DT_FACTOR * default_spectral_dt(u0, grid)
+    for alpha in (1.0, 1.5, 1.999, 2.0):
+        got = spectral_reference_solve(u0, alpha, 0.0, 300 * dt, grid, dt)
+        want = _complex_fft_solve(u0, alpha, 0.0, 300 * dt, grid, dt)
+        assert got.dtype == np.float64 and got.shape == (m,)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_blowup_is_reported():
     grid = SpectralGrid(0.0, 2.0 * np.pi, 4096)
     u0 = smooth_sin_data(grid.points())
@@ -109,7 +162,7 @@ def test_blowup_is_reported():
 def test_l2_norm_conserved_on_smooth_run():
     grid = SpectralGrid(0.0, 2.0 * np.pi, 4096)
     u0 = smooth_sin_data(grid.points())
-    dt = 0.1 * default_spectral_dt(u0, grid)
+    dt = REFERENCE_DT_FACTOR * default_spectral_dt(u0, grid)
     uT = spectral_reference_solve(u0, 1.5, 0.0, 1.0, grid, dt)
     n0 = np.sqrt(np.mean(u0 * u0))
     nT = np.sqrt(np.mean(uT * uT))
@@ -122,7 +175,7 @@ def test_advects_kdv_soliton_exactly():
     grid = SpectralGrid(-15.0, 15.0, 4096)
     x = grid.points()
     u0 = kdv_one_soliton(x, 0.0)
-    dt = 0.1 * default_spectral_dt(u0, grid)
+    dt = REFERENCE_DT_FACTOR * default_spectral_dt(u0, grid)
     u1 = spectral_reference_solve(u0, 2.0, 0.0, 1.0, grid, dt)
     want = kdv_one_soliton(x, 1.0)
     rel = np.linalg.norm(u1 - want) / np.linalg.norm(want)
@@ -139,7 +192,7 @@ def test_galerkin_run_matches_spectral_reference():
     traj = run(u0, 0.0, 1.0, ops, SchemeConfig())
     sgrid = SpectralGrid(0.0, 2.0 * np.pi, 4096)
     s0 = smooth_sin_data(sgrid.points())
-    dt = 0.1 * default_spectral_dt(s0, sgrid)
+    dt = REFERENCE_DT_FACTOR * default_spectral_dt(s0, sgrid)
     ref = spectral_reference_solve(s0, 1.5, 0.0, 1.0, sgrid, dt)
     rel = relative_error(traj.final, ref[:: 4096 // n])
     assert rel < 5e-3

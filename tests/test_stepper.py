@@ -11,12 +11,7 @@ import pytest
 from fkdv.assembly import assemble_operators
 from fkdv.circulant import apply_symbol
 from fkdv.fem import FemFunction, Grid, hermite_interpolate, l2_project
-from fkdv.solutions import (
-    bo_soliton,
-    bo_soliton_dx,
-    kdv_one_soliton,
-    kdv_one_soliton_dx,
-)
+from fkdv.solutions import bo_soliton, kdv_one_soliton
 import fkdv.stepper
 from fkdv.stepper import (
     FixedPointDivergence,
@@ -29,6 +24,7 @@ from fkdv.stepper import (
     nonlinear_load,
     run,
 )
+from solution_derivatives import bo_soliton_dx, kdv_one_soliton_dx
 
 
 def _m_norm(coeffs: np.ndarray, mass_symbol: np.ndarray) -> float:
