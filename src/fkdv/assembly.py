@@ -31,12 +31,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy.special import binom as comb
-from scipy.special import zeta as hurwitz_zeta
 
 from .circulant import apply_symbol, block_symbol
 from .fem import FemFunction, Grid, mass_offset_blocks, node_shape_tables
@@ -74,6 +72,10 @@ _PV_PTS = 7
 _POINTWISE_IMAGES = 16
 # Fourier modes summed per batch by the spectral backend.
 _MODE_CHUNK = 1 << 18
+# Euler-Maclaurin coefficients (2k)! / B_2k of the Cephes Hurwitz zeta.
+_ZETA_EM = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
+            7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
+            -4.5979787224074726105e15, 1.8152105401943546773e17, -7.1661652561756670113e18)
 
 
 @dataclass(frozen=True)
@@ -242,6 +244,36 @@ def _kernel_binom(beta: float, kmax: int) -> np.ndarray:
     return coef
 
 
+@partial(np.vectorize, otypes=[float])
+def hurwitz_zeta(x: float, q: float) -> float:
+    """zeta(x, q) = sum_{i >= 0} (q + i)^-x for x > 1, q > 0 (elementwise).
+
+    The Cephes zeta (Moshier 1989) step for step: direct terms while i < 9 or
+    q + i <= 9, then Euler-Maclaurin with twelve Bernoulli terms, to 2^-53.
+    """
+    if not (x > 1.0 and q > 0.0):
+        raise ValueError(f"hurwitz_zeta needs x > 1 and q > 0, got x={x}, q={q}")
+    s, w, i = math.pow(q, -x), q, 0
+    while i < 9 or w <= 9.0:
+        i, w = i + 1, w + 1.0
+        b = math.pow(w, -x)
+        s += b
+        if abs(b / s) < 2.0 ** -53:
+            return s
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a, k = 1.0, 0.0
+    for coef in _ZETA_EM:
+        a *= x + k
+        b /= w
+        t = a * b / coef
+        s += t
+        if abs(t / s) < 2.0 ** -53:
+            break
+        a, b, k = a * (x + (k + 1.0)), b / w, k + 2.0
+    return s
+
+
 def _add_far_field(blocks: np.ndarray, beta: float, h: float,
                    pair_mom: np.ndarray, binom: np.ndarray, shells: int) -> None:
     """Add the multipole blocks of the explicit shells' far offsets in place.
@@ -280,9 +312,13 @@ def _image_tail_blocks(n: int, beta: float, h: float,
     p = 1.0 + beta + k
     zetas = hurwitz_zeta(1.0 + beta + np.arange(len(binom) + _TAIL_TERMS),
                          shells + 0.5)
+    n_r = p + r - 1.0      # binom(n_r, r) = (p)_r / r! as scipy.special.binom forms it
+    num = np.ones(n_r.shape)
+    for i in range(1, _TAIL_TERMS + 1):
+        num *= np.where(i <= r, i + n_r - r, 1.0)
     coef = np.where((k - r) % 2 == 0,
                     2.0 * (-1.0) ** k * binom[:, None] * (n * h) ** -p
-                    * comb(p + r - 1.0, r) * zetas[k + r], 0.0)
+                    * (num / np.cumprod(np.maximum(r, 1.0))) * zetas[k + r], 0.0)
     table = np.einsum("kr,kab->rab", coef, pair_mom).reshape(-1, 4)
     out = polyval(np.arange(n) / n - 0.5, table).T     # Horner in y, (n, 4)
     return -frac_constant(beta) * out.reshape(n, 2, 2)

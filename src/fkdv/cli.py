@@ -17,7 +17,6 @@ import argparse
 import configparser
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
 from pathlib import Path
@@ -76,15 +75,19 @@ class RowResult:
 
 
 def _resolve_spec(base_name: str, overrides: dict) -> ExperimentSpec:
-    spec = get_experiment(base_name)
-    if overrides:
-        spec = rebind_closed_forms(replace(spec, **overrides))
+    try:
+        spec = get_experiment(base_name)
+        if overrides:
+            spec = rebind_closed_forms(replace(spec, **overrides))
+        FractionalOrder(spec.alpha)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(exc.args[0]) from exc
     return spec
 
 
 def _load_ini(path: Path) -> tuple[str, dict, dict]:
     """Parse an experiment INI file into (base name, spec overrides, settings)."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -128,8 +131,8 @@ def _parse_sweep(text: str) -> tuple[int, ...]:
         sweep = tuple(int(v) for v in text.replace(" ", "").split(",") if v)
     except ValueError as exc:
         raise ConfigError(f"bad sweep {text!r}") from exc
-    if list(sweep) != sorted(set(sweep)):
-        raise ConfigError(f"sweep must be strictly increasing, got {text!r}")
+    if list(sweep) != sorted(set(sweep)) or min(sweep, default=4) < 4:
+        raise ConfigError(f"sweep must be strictly increasing from at least 4, got {text!r}")
     return sweep
 
 
@@ -217,6 +220,8 @@ def run_table(cfg: RunConfig) -> list[RowResult]:
     # A fork pool starts all its workers at once, so never ask for idle ones.
     workers = min(cfg.jobs, len(cfg.sweep))
     if workers > 1:
+        # Imported here, so only a parallel sweep pays the ~16 ms import.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_row_worker, repeat(cfg), cfg.sweep,
                                     repeat(ref_values)))
@@ -332,10 +337,6 @@ def _resolve_experiment(args) -> tuple[str, dict, dict]:
     if path.suffix == ".ini" or path.is_file():
         base, overrides, settings = _load_ini(path)
     else:
-        try:
-            get_experiment(args.experiment)
-        except KeyError as exc:
-            raise ConfigError(str(exc)) from exc
         base, overrides, settings = args.experiment, {}, {}
     if args.alpha is not None:
         overrides["alpha"] = args.alpha
@@ -347,7 +348,7 @@ def _resolve_run_config(args) -> RunConfig:
     spec = _resolve_spec(base, overrides)
 
     sweep = settings.get("sweep", spec.sweep)
-    if args.sweep:
+    if args.sweep is not None:
         sweep = _parse_sweep(args.sweep)
 
     step = {key: settings[key] for key in _STEP_SETTINGS if key in settings}
@@ -373,7 +374,7 @@ def _resolve_run_config(args) -> RunConfig:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
 
-    if args.reference:
+    if args.reference is not None:
         reference = _parse_reference(args.reference)
     elif "reference" in settings:
         reference = settings["reference"]

@@ -134,8 +134,10 @@ class ExperimentSpec:
     exact: Callable | None = None
 
     def __post_init__(self) -> None:
-        if not self.t_final > self.t0:
-            raise ValueError("t_final must exceed t0")
+        if not 0 < self.t_final - self.t0 < math.inf:
+            raise ValueError("t_final must exceed t0 by a finite span")
+        if not 0 < self.domain[1] - self.domain[0] < math.inf:
+            raise ValueError(f"domain {self.domain} must be a finite interval")
         if list(self.sweep) != sorted(set(self.sweep)):
             raise ValueError("sweep must be strictly increasing")
 

@@ -64,12 +64,12 @@ class SchemeConfig:
         if self.dt_rule not in _DT_RULES:
             raise ValueError(f"dt_rule must be one of {_DT_RULES}")
         # Negative dt is allowed: the Cayley map is time reversible.
-        if self.dt_rule == "explicit" and not self.dt_value:
-            raise ValueError("explicit dt_rule needs a nonzero dt_value")
-        if self.dt_rule == "proportional" and not (self.dt_factor and self.dt_factor > 0):
-            raise ValueError("proportional dt_rule needs a positive dt_factor")
-        if not self.tol_factor > 0:
-            raise ValueError("tol_factor must be positive")
+        if self.dt_rule == "explicit" and not math.isfinite(self.dt_value or math.nan):
+            raise ValueError("explicit dt_rule needs a finite nonzero dt_value")
+        if self.dt_rule == "proportional" and not 0 < (self.dt_factor or 0) < math.inf:
+            raise ValueError("proportional dt_rule needs a finite positive dt_factor")
+        if not 0 < self.tol_factor < math.inf:
+            raise ValueError("tol_factor must be finite and positive")
 
 
 @dataclass(frozen=True)

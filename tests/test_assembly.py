@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyval
 from scipy.integrate import quad as scipy_quad
+from scipy.special import binom as scipy_binom
 from scipy.special import zeta
 
 from fkdv import assembly, circulant
@@ -32,6 +34,7 @@ from fkdv.assembly import (
     _EXPLICIT_IMAGE_SHELLS,
     _MULTIPOLE_ORDER,
     _NEAR_OFFSET,
+    _TAIL_TERMS,
     _VALUE_TABLES,
     _add_far_field,
     _image_tail_blocks,
@@ -258,6 +261,51 @@ def test_image_tail_matches_hurwitz_zeta_per_residue(n, alpha, kind):
     scale = np.max(np.abs(want), axis=0)
     assert np.all(scale > 0.0)
     assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+def test_hurwitz_zeta_equals_scipy_bit_for_bit():
+    # Every argument the image tail passes (x = 1 + alpha + j, q = shells +
+    # 1/2) over a grid of alpha in [1, 2), then the same x at q = 0.5 .. 20.5.
+    n_args = _MULTIPOLE_ORDER + 1 + _TAIL_TERMS
+    x = 1.0 + np.linspace(1.0, 2.0, 200, endpoint=False)[:, None] + np.arange(n_args)
+    q = _EXPLICIT_IMAGE_SHELLS + 0.5
+    assert np.array_equal(assembly.hurwitz_zeta(x, q), zeta(x, q))
+    for q in np.arange(0.5, 21.0):
+        assert np.array_equal(assembly.hurwitz_zeta(x[::8], q), zeta(x[::8], q))
+
+
+@pytest.mark.parametrize("x, q", [(1.0, 4.5), (0.5, 4.5), (-3.0, 4.5), (np.nan, 4.5),
+                                  (3.0, 0.0), (3.0, -1.5), (3.0, np.nan)])
+def test_hurwitz_zeta_rejects_arguments_outside_its_domain(x, q):
+    with pytest.raises(ValueError, match="x > 1 and q > 0"):
+        assembly.hurwitz_zeta(x, q)
+
+
+def _scipy_image_tail(n, beta, h, pair_mom, binom, shells):
+    """_image_tail_blocks with scipy.special's zeta and binom as coefficients."""
+    k, r = np.ogrid[:len(binom), :_TAIL_TERMS + 1]
+    p = 1.0 + beta + k
+    zetas = zeta(1.0 + beta + np.arange(len(binom) + _TAIL_TERMS), shells + 0.5)
+    coef = np.where((k - r) % 2 == 0,
+                    2.0 * (-1.0) ** k * binom[:, None] * (n * h) ** -p
+                    * scipy_binom(p + r - 1.0, r) * zetas[k + r], 0.0)
+    table = np.einsum("kr,kab->rab", coef, pair_mom).reshape(-1, 4)
+    out = polyval(np.arange(n) / n - 0.5, table).T
+    return -frac_constant(beta) * out.reshape(n, 2, 2)
+
+
+@pytest.mark.parametrize("kind", ["disp", "gram_half"])
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 1.999])
+@pytest.mark.parametrize("n", [4, 64, 1024])
+def test_image_tail_is_bit_identical_to_scipy_coefficients(n, alpha, kind):
+    # The in-house zeta and binomial leave the tail blocks unchanged to the
+    # last bit.  The binomial is formed as scipy forms it; for r >= 20 scipy
+    # switches to a beta function, which differs by ulps on terms too small
+    # to reach the blocks' last bit.
+    h, pair_mom, binom = _multipole_inputs(n, alpha, kind)
+    shells = _EXPLICIT_IMAGE_SHELLS
+    assert np.array_equal(_image_tail_blocks(n, alpha, h, pair_mom, binom, shells),
+                          _scipy_image_tail(n, alpha, h, pair_mom, binom, shells))
 
 
 @pytest.mark.parametrize("n, chunk", [(5, None), (4096, None), (4096, 1000)])

@@ -5,18 +5,26 @@ can be asserted directly.
 """
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import io
+import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fkdv.assembly
 import fkdv.cli
 from fkdv.cli import EXIT_ALL_DIVERGED, EXIT_CONFIG, emit_snapshot, main
 from fkdv.fem import FemFunction, Grid
-from fkdv.solutions import bo_soliton
+from fkdv.solutions import bo_soliton, builtin_experiments
 from fkdv.stepper import SchemeConfig, StepReport, Trajectory
 
 HEADER = "N,E,C1,C2,C3,rate"
@@ -73,6 +81,14 @@ def test_run_empty_sweep_emits_header_only(tmp_path):
     path = tmp_path / "empty.ini"
     path.write_text("[experiment]\nbase = frac-sin\nsweep =\n")
     rc, out, _ = _invoke(["run", "--experiment", str(path)])
+    assert rc == 0
+    assert out == HEADER + "\n"
+
+
+def test_run_empty_sweep_flag_is_the_empty_sweep():
+    # As in an INI file: an explicitly empty --sweep runs nothing rather
+    # than falling back to the experiment's own sweep.
+    rc, out, _ = _invoke(["run", "--experiment", "bo-one", "--sweep="])
     assert rc == 0
     assert out == HEADER + "\n"
 
@@ -138,7 +154,7 @@ def test_pool_never_larger_than_the_sweep(sweep, jobs, pool_sizes, tmp_path,
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(fkdv.cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     rc, out, _ = _invoke(["run", "--experiment", _short_bo_ini(tmp_path),
                           "--sweep", sweep, "--jobs", jobs])
     assert rc == 0
@@ -373,3 +389,172 @@ def test_verify_rejects_too_few_elements():
     rc, _, err = _invoke(["verify", "--alpha", "1.5", "--elements", "3"])
     assert rc == EXIT_CONFIG
     assert "config error" in err
+
+
+# ---------------------------------------------------------------------------
+# runtime dependencies
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--experiment", "bo-one", "--sweep", "16,32"],
+    ["verify", "--alpha", "1.5", "--elements", "16"],
+])
+def test_runs_without_scipy(argv):
+    # numpy is the only runtime dependency: with scipy unimportable a fresh
+    # interpreter prints byte for byte what this process prints.
+    script = ("import sys; sys.modules['scipy'] = None; import fkdv.cli; "
+              "sys.exit(fkdv.cli.main(sys.argv[1:]))")
+    src = str(Path(fkdv.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=600)
+    rc, out, _ = _invoke(argv)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert rc == 0
+    assert proc.stdout == out.encode()
+
+
+# ---------------------------------------------------------------------------
+# generated bad inputs: every one exits 2 with one line and writes nothing
+
+def _parses(convert, text: str) -> bool:
+    try:
+        convert(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _finite_interval(text: str) -> bool:
+    try:
+        lo, hi = (float(v) for v in text.split(","))
+    except ValueError:
+        return False
+    return 0.0 < hi - lo < math.inf
+
+
+_EXPERIMENTS = {spec.name for spec in builtin_experiments()}
+_BO_T_FINAL = 120.0
+# Printable ASCII without outer blanks, which configparser would strip.
+_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12).map(str.strip)
+_NOT_FLOAT = _TEXT.filter(lambda t: not _parses(float, t))
+_NOT_INT = _TEXT.filter(lambda t: not _parses(int, t))
+_NOT_POSITIVE = st.one_of(_NOT_FLOAT, st.floats(max_value=0.0).map(repr),
+                          st.sampled_from(["nan", "inf"]))
+
+
+def _list_ending_in(valid, bad):
+    """Comma lists of up to two valid entries, then one bad comma-free entry."""
+    return st.tuples(st.lists(valid, max_size=2), bad.filter(lambda t: t and "," not in t)).map(
+        lambda parts: ",".join([*parts[0], parts[1]]))
+
+
+_BAD_SWEEP = st.one_of(
+    st.lists(st.integers(4, 4096), min_size=2, max_size=4)
+    .filter(lambda v: v != sorted(set(v))).map(lambda v: ",".join(map(str, v))),
+    st.lists(st.integers(-8, 3), min_size=1, max_size=3)
+    .map(lambda v: ",".join(map(str, sorted(set(v))))),
+    _list_ending_in(st.integers(4, 4096).map(str), _NOT_INT),
+)
+_BAD_REFERENCE = st.one_of(
+    _TEXT.filter(lambda t: t != "closed" and not t.startswith(("self:", "spectral:"))),
+    st.tuples(st.sampled_from(["self:", "spectral:"]), st.one_of(
+        _NOT_INT,
+        st.integers(max_value=3).map(str),
+        # bo-one sweeps up to N=1024, so M must be a multiple of it.
+        st.integers(4, 10**6).filter(lambda m: m % 1024).map(str))).map("".join),
+)
+_BAD_RUN_FLAGS = {
+    "--sweep": _BAD_SWEEP,
+    "--reference": _BAD_REFERENCE,
+    "--dt-rule": st.one_of(
+        _TEXT.filter(lambda t: t != "courant" and not t.startswith("prop:")),
+        _NOT_POSITIVE.map(lambda t: "prop:" + t)),
+    "--jobs": st.integers(max_value=0).map(str),
+}
+_BAD_TIMES = st.one_of(
+    st.text(st.sampled_from(", "), max_size=4),
+    _list_ending_in(st.floats(0.0, _BO_T_FINAL).map(repr), _NOT_FLOAT),
+    st.floats().filter(lambda t: not -1e-6 <= t <= _BO_T_FINAL + 1e-6).map(repr),
+)
+
+
+def _ini(key: str, values, needs: str = ""):
+    """INI lines setting key to each value, after the lines it needs."""
+    return values.map(lambda v: f"{needs}{key} = {v}")
+
+
+# One bad [experiment] key each, besides base = bo-one.
+_BAD_INI = {
+    "base": _ini("base", _TEXT.filter(lambda t: t not in _EXPERIMENTS)),
+    "alpha": _ini("alpha", st.one_of(
+        _NOT_FLOAT, st.floats(max_value=1.0, exclude_max=True).map(repr),
+        st.floats(min_value=2.0).map(repr), st.just("nan"))),
+    "t0": _ini("t0", st.one_of(_NOT_FLOAT, st.floats(min_value=_BO_T_FINAL).map(repr),
+                               st.sampled_from(["nan", "-inf"]))),
+    "t_final": _ini("t_final", st.one_of(_NOT_FLOAT, st.floats(max_value=0.0).map(repr),
+                                         st.sampled_from(["nan", "inf"]))),
+    "domain": _ini("domain", st.one_of(
+        _TEXT, st.tuples(st.floats(allow_nan=True), st.floats(allow_nan=True))
+        .map(lambda d: f"{d[0]!r}, {d[1]!r}")).filter(lambda t: not _finite_interval(t))),
+    "sweep": _ini("sweep", _BAD_SWEEP),
+    "dt_rule": _ini("dt_rule", st.one_of(
+        _TEXT.filter(lambda t: t not in ("courant", "explicit", "proportional")),
+        st.sampled_from(["explicit", "proportional"]))),    # without their value
+    "dt_value": _ini("dt_value", st.one_of(
+        _NOT_FLOAT, st.sampled_from(["0", "-0.0", "nan", "inf", "-inf"])),
+        needs="dt_rule = explicit\n"),
+    "dt_factor": _ini("dt_factor", _NOT_POSITIVE, needs="dt_rule = proportional\n"),
+    "tol_factor": _ini("tol_factor", _NOT_POSITIVE),
+    "reference": _ini("reference", _BAD_REFERENCE),
+}
+_GENERATED = settings(max_examples=50, deadline=None,
+                      suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@pytest.fixture
+def no_solve(monkeypatch):
+    """Fail the test if a generated input gets as far as any solve."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generated bad input reached a solve")
+
+    for name in ("l2_project", "assemble_operators", "run", "spectral_reference_solve"):
+        monkeypatch.setattr(fkdv.cli, name, refuse)
+
+
+def _assert_config_error(argv: list[str], tmp_path) -> None:
+    rc, out, err = _invoke(argv + ["--out", str(tmp_path / "out")])
+    assert rc == EXIT_CONFIG
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: "), err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", sorted(_BAD_RUN_FLAGS))
+@_GENERATED
+@given(data=st.data())
+def test_generated_bad_run_flags_exit_two(flag, data, tmp_path, no_solve):
+    value = data.draw(_BAD_RUN_FLAGS[flag], label=flag)
+    _assert_config_error(["run", "--experiment", "bo-one", f"{flag}={value}"], tmp_path)
+
+
+@_GENERATED
+@given(times=_BAD_TIMES)
+def test_generated_bad_snapshot_times_exit_two(times, tmp_path, no_solve):
+    _assert_config_error(["snapshot", "--experiment", "bo-one", "--elements", "16",
+                          f"--times={times}"], tmp_path)
+
+
+@pytest.fixture
+def ini_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("ini") / "bad.ini"
+
+
+@pytest.mark.parametrize("key", sorted(_BAD_INI))
+@_GENERATED
+@given(data=st.data())
+def test_generated_bad_ini_keys_exit_two(key, data, ini_path, tmp_path, no_solve):
+    lines = data.draw(_BAD_INI[key], label=key)
+    base = "" if key == "base" else "base = bo-one\n"
+    ini_path.write_text(f"[experiment]\n{base}{lines}\n")
+    _assert_config_error(["run", "--experiment", str(ini_path)], tmp_path)
