@@ -17,12 +17,11 @@ from .diagnostics import (DiagnosticsRow, convergence_rate, hamiltonian_ratio,
 from .fem import FemFunction, Grid, hermite_interpolate, l2_project
 from .solutions import (ExperimentSpec, bo_soliton, builtin_experiments,
                         get_experiment, kdv_one_soliton, kdv_two_soliton,
-                        rebind_closed_forms, smooth_sin_data, triangle_data)
-from .spectral import (SpectralBlowup, SpectralGrid, spectral_frac_apply,
-                       spectral_reference_solve)
+                        smooth_sin_data, triangle_data)
+from .spectral import SpectralBlowup, SpectralGrid, spectral_reference_solve
 from .stepper import (FixedPointDivergence, SchemeConfig, StepReport,
-                      Trajectory, choose_dt, fixed_point_step,
-                      interpolate_in_time, nonlinear_load, run)
+                      Trajectory, choose_dt, interpolate_in_time,
+                      nonlinear_load, run)
 
 __version__ = "0.1.0"
 
@@ -45,11 +44,9 @@ __all__ = [
     "builtin_experiments",
     "choose_dt",
     "convergence_rate",
-    "fixed_point_step",
     "frac_constant",
     "frac_laplacian_pointwise",
     "get_experiment",
-    "rebind_closed_forms",
     "hamiltonian_ratio",
     "hermite_interpolate",
     "interpolate_in_time",
@@ -63,7 +60,6 @@ __all__ = [
     "relative_error",
     "run",
     "smooth_sin_data",
-    "spectral_frac_apply",
     "spectral_reference_solve",
     "trapezoid_on_nodes",
     "triangle_data",

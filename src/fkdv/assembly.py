@@ -344,10 +344,9 @@ def assemble_offset_blocks(grid: Grid, alpha, kind: str = "disp") -> np.ndarray:
     """Offset blocks of one operator matrix via the real-space quadrature.
 
     Returns an (N, 2, 2) array; blocks[m] couples test node i to trial node
-    i + m.  kind is one of 'mass', 'disp', 'gram_half'.
+    i + m.  kind is 'disp' or 'gram_half'; the mass blocks are
+    fkdv.fem.mass_offset_blocks.
     """
-    if kind == "mass":
-        return mass_offset_blocks(grid)
     if kind not in ("disp", "gram_half"):
         raise ValueError(f"unknown kind {kind!r}")
     a = _alpha_value(alpha)

@@ -16,7 +16,6 @@ __all__ = [
     "block_symbol",
     "apply_symbol",
     "invert_symbol",
-    "block_circulant_dense",
 ]
 
 
@@ -53,11 +52,3 @@ def invert_symbol(symbol: np.ndarray) -> np.ndarray:
     inv[:, 1, 0] = -c / det
     inv[:, 1, 1] = a / det
     return inv
-
-
-def block_circulant_dense(blocks: np.ndarray) -> np.ndarray:
-    """Materialise the dense 2N x 2N matrix from its offset blocks."""
-    n = blocks.shape[0]
-    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    dense = blocks[(j - i) % n]          # (N, N, 2, 2): test node, trial node
-    return dense.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)

@@ -28,8 +28,7 @@ from .assembly import (FractionalOrder, assemble_operators,
 from .diagnostics import (DiagnosticsRow, convergence_rate, hamiltonian_ratio,
                           mass_ratio, momentum_ratio, relative_error)
 from .fem import Grid, l2_project
-from .solutions import (ExperimentSpec, builtin_experiments, get_experiment,
-                        rebind_closed_forms)
+from .solutions import ExperimentSpec, builtin_experiments, get_experiment
 from .spectral import (REFERENCE_DT_FACTOR, SpectralGrid, default_spectral_dt,
                        spectral_reference_solve)
 from .stepper import (FixedPointDivergence, SchemeConfig, Trajectory,
@@ -78,7 +77,7 @@ def _resolve_spec(base_name: str, overrides: dict) -> ExperimentSpec:
     try:
         spec = get_experiment(base_name)
         if overrides:
-            spec = rebind_closed_forms(replace(spec, **overrides))
+            spec = replace(spec, **overrides)
         FractionalOrder(spec.alpha)
     except (KeyError, ValueError) as exc:
         raise ConfigError(exc.args[0]) from exc
@@ -152,12 +151,12 @@ def _parse_reference(text: str) -> tuple:
         f"bad reference {text!r}; expected closed, self:<M> or spectral:<M>")
 
 
-def _solve(cfg: RunConfig, spec: ExperimentSpec, n: int):
+def _solve(scheme: SchemeConfig, spec: ExperimentSpec, n: int, keep_states: bool):
     """Project, assemble and step one N-element run: (u0, ops, trajectory)."""
     grid = Grid(spec.domain[0], spec.domain[1], n)
     u0 = l2_project(grid, spec.initial)
     ops = assemble_operators(grid, spec.alpha)
-    return u0, ops, run(u0, spec.t0, spec.t_final, ops, cfg.scheme)
+    return u0, ops, run(u0, spec.t0, spec.t_final, ops, scheme, keep_states)
 
 
 def _reference_values(cfg: RunConfig, spec: ExperimentSpec) -> np.ndarray | None:
@@ -178,7 +177,7 @@ def _reference_values(cfg: RunConfig, spec: ExperimentSpec) -> np.ndarray | None
                 f"reference resolution {m} must be a multiple of each sweep "
                 f"entry (violated by N={n})")
     if kind == "self":
-        _, _, traj = _solve(cfg, spec, m)
+        _, _, traj = _solve(cfg.scheme, spec, m, False)
         return traj.final.node_values.copy()
     sg = SpectralGrid(spec.domain[0], spec.domain[1], m)
     samples = np.asarray(spec.initial(sg.points()), dtype=float)
@@ -187,10 +186,10 @@ def _reference_values(cfg: RunConfig, spec: ExperimentSpec) -> np.ndarray | None
                                     sg, dt)
 
 
-def _row_worker(cfg: RunConfig, n: int, ref_values: np.ndarray | None) -> RowResult:
-    spec = _resolve_spec(cfg.base_name, cfg.overrides)
+def _row_worker(scheme: SchemeConfig, spec: ExperimentSpec, n: int,
+                ref_values: np.ndarray | None) -> RowResult:
     try:
-        u0, ops, traj = _solve(cfg, spec, n)
+        u0, ops, traj = _solve(scheme, spec, n, False)
     except FixedPointDivergence as exc:
         return RowResult(n, None, str(exc))
     u = traj.final
@@ -223,10 +222,10 @@ def run_table(cfg: RunConfig) -> list[RowResult]:
         # Imported here, so only a parallel sweep pays the ~16 ms import.
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_row_worker, repeat(cfg), cfg.sweep,
-                                    repeat(ref_values)))
+            results = list(pool.map(_row_worker, repeat(cfg.scheme), repeat(spec),
+                                    cfg.sweep, repeat(ref_values)))
     else:
-        results = [_row_worker(cfg, n, ref_values) for n in cfg.sweep]
+        results = [_row_worker(cfg.scheme, spec, n, ref_values) for n in cfg.sweep]
 
     finished: list[RowResult] = []
     prev: DiagnosticsRow | None = None
@@ -403,8 +402,7 @@ def _cmd_run(args) -> int:
         if res.error:
             print(f"row N={res.n_elems} failed: {res.error}", file=sys.stderr)
     if cfg.out_dir is not None:
-        name = _resolve_spec(cfg.base_name, cfg.overrides).name
-        out_path = cfg.out_dir / f"{name}-table.csv"
+        out_path = cfg.out_dir / f"{cfg.base_name}-table.csv"
         _atomic_write(out_path, csv_text)
         print(f"wrote {out_path}", file=sys.stderr)
     if results and all(res.row is None for res in results):
@@ -425,11 +423,12 @@ def _cmd_snapshot(args) -> int:
     for t in times:
         if not spec.t0 - 1e-9 * span <= t <= spec.t_final + 1e-9 * span:
             raise ConfigError(f"time {t} outside [{spec.t0}, {spec.t_final}]")
+    try:
+        Grid(spec.domain[0], spec.domain[1], args.elements)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
-    grid = Grid(spec.domain[0], spec.domain[1], args.elements)
-    u0 = l2_project(grid, spec.initial)
-    ops = assemble_operators(grid, spec.alpha)
-    traj = run(u0, spec.t0, spec.t_final, ops, SchemeConfig(), snapshot_stride=1)
+    _, _, traj = _solve(SchemeConfig(), spec, args.elements, True)
     out = Path(args.out)
     for t in times:
         ref = None

@@ -162,11 +162,6 @@ class FemFunction:
     def node_values(self) -> np.ndarray:
         return self.coeffs[0::2]
 
-    @property
-    def node_slopes(self) -> np.ndarray:
-        """Unscaled nodal derivatives u'(x_j)."""
-        return self.coeffs[1::2] / self.grid.dx
-
     def _evaluate(self, x, order: int):
         grid = self.grid
         elem, xi = grid.locate(x)
@@ -192,9 +187,6 @@ class FemFunction:
         xi = np.linspace(0.0, 1.0, 17)
         x = (self.grid.nodes()[:, None] + xi[None, :] * self.grid.dx).ravel()
         return float(np.max(np.abs(self(x))))
-
-    def copy(self) -> "FemFunction":
-        return FemFunction(self.grid, self.coeffs.copy())
 
     def __add__(self, other: "FemFunction") -> "FemFunction":
         return FemFunction(self.grid, self.coeffs + other.coeffs)

@@ -9,8 +9,9 @@ closed forms and are measured against fine-grid self references instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -21,7 +22,6 @@ __all__ = [
     "smooth_sin_data",
     "triangle_data",
     "ExperimentSpec",
-    "rebind_closed_forms",
     "builtin_experiments",
     "get_experiment",
 ]
@@ -116,11 +116,10 @@ def triangle_data(x):
 class ExperimentSpec:
     """One named experiment: equation order, window, times, data, sweep.
 
-    reference is the exact profile at t_final when a closed form exists,
-    None when the run must be measured against a fine-grid reference.
-    exact, when present, is that profile as a function of (x, t); it lets
-    rebind_closed_forms regenerate initial/reference after the times are
-    overridden, so a shortened run is still compared at the right moment.
+    exact is the closed form u(x, t) when one exists; otherwise data is the
+    profile at t0 and the run is measured against a fine-grid reference.
+    Both initial and reference read the spec's own times, so a spec with
+    overridden t0 or t_final starts and is compared at the right moments.
     """
 
     name: str
@@ -129,11 +128,12 @@ class ExperimentSpec:
     t0: float
     t_final: float
     sweep: tuple[int, ...]
-    initial: Callable
-    reference: Callable | None = None
+    data: Callable | None = None
     exact: Callable | None = None
 
     def __post_init__(self) -> None:
+        if (self.data is None) == (self.exact is None):
+            raise ValueError("give exactly one of data and exact")
         if not 0 < self.t_final - self.t0 < math.inf:
             raise ValueError("t_final must exceed t0 by a finite span")
         if not 0 < self.domain[1] - self.domain[0] < math.inf:
@@ -141,14 +141,14 @@ class ExperimentSpec:
         if list(self.sweep) != sorted(set(self.sweep)):
             raise ValueError("sweep must be strictly increasing")
 
+    def initial(self, x):
+        """The profile at t0."""
+        return self.data(x) if self.exact is None else self.exact(x, self.t0)
 
-def rebind_closed_forms(spec: ExperimentSpec) -> ExperimentSpec:
-    """Re-tie the time-bound callables of ``spec`` to its current t0/t_final."""
-    if spec.exact is None:
-        return spec
-    exact, t0, tf = spec.exact, spec.t0, spec.t_final
-    return replace(spec, initial=lambda x: exact(x, t0),
-                   reference=lambda x: exact(x, tf))
+    @property
+    def reference(self) -> Callable | None:
+        """The exact profile at t_final, or None without a closed form."""
+        return None if self.exact is None else partial(self.exact, t=self.t_final)
 
 
 def builtin_experiments() -> list[ExperimentSpec]:
@@ -160,8 +160,6 @@ def builtin_experiments() -> list[ExperimentSpec]:
         t0=0.0,
         t_final=120.0,
         sweep=(64, 128, 256, 512, 1024),
-        initial=lambda x: bo_soliton(x, 0.0),
-        reference=lambda x: bo_soliton(x, 120.0),
         exact=bo_soliton,
     )
     kdv_one = ExperimentSpec(
@@ -171,8 +169,6 @@ def builtin_experiments() -> list[ExperimentSpec]:
         t0=-1.0,
         t_final=2.0,
         sweep=(32, 64, 128, 256, 512, 1024, 2048),
-        initial=lambda x: kdv_one_soliton(x, -1.0),
-        reference=lambda x: kdv_one_soliton(x, 2.0),
         exact=kdv_one_soliton,
     )
     kdv_two = ExperimentSpec(
@@ -182,8 +178,6 @@ def builtin_experiments() -> list[ExperimentSpec]:
         t0=-10.0,
         t_final=10.0,
         sweep=(256, 512, 1024, 2048, 4096),
-        initial=lambda x: kdv_two_soliton(x, -10.0),
-        reference=lambda x: kdv_two_soliton(x, 10.0),
         exact=kdv_two_soliton,
     )
     frac_sin = ExperimentSpec(
@@ -193,8 +187,7 @@ def builtin_experiments() -> list[ExperimentSpec]:
         t0=0.0,
         t_final=1.0,
         sweep=(512, 1024, 2048, 4096, 8192, 16384),
-        initial=smooth_sin_data,
-        reference=None,
+        data=smooth_sin_data,
     )
     frac_triangle = ExperimentSpec(
         name="frac-triangle",
@@ -203,8 +196,7 @@ def builtin_experiments() -> list[ExperimentSpec]:
         t0=0.0,
         t_final=0.1,
         sweep=(2048, 4096, 8192, 16384, 32768),
-        initial=triangle_data,
-        reference=None,
+        data=triangle_data,
     )
     return [bo, kdv_one, kdv_two, frac_sin, frac_triangle]
 

@@ -15,8 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["SpectralGrid", "spectral_frac_apply", "spectral_reference_solve",
-           "default_spectral_dt", "REFERENCE_DT_FACTOR", "SpectralBlowup"]
+__all__ = ["SpectralGrid", "spectral_reference_solve", "default_spectral_dt",
+           "REFERENCE_DT_FACTOR", "SpectralBlowup"]
 
 
 class SpectralBlowup(RuntimeError):
@@ -60,15 +60,6 @@ def _check_alpha(alpha: float) -> float:
     if not 0.0 < a <= 2.0:
         raise ValueError(f"spectral backend needs alpha in (0, 2], got {a}")
     return a
-
-
-def spectral_frac_apply(samples: np.ndarray, alpha, grid: SpectralGrid) -> np.ndarray:
-    """Apply D^alpha (symbol |k|^alpha) to sampled values; exact below Nyquist."""
-    a = _check_alpha(alpha)
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape != (grid.m,):
-        raise ValueError(f"expected {grid.m} samples, got {samples.shape}")
-    return np.fft.irfft(grid.wavenumbers ** a * np.fft.rfft(samples), grid.m)
 
 
 def default_spectral_dt(u0_samples: np.ndarray, grid: SpectralGrid) -> float:

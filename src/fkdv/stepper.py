@@ -32,7 +32,6 @@ __all__ = [
     "FixedPointDivergence",
     "choose_dt",
     "nonlinear_load",
-    "fixed_point_step",
     "run",
     "interpolate_in_time",
 ]
@@ -89,13 +88,15 @@ class StepReport:
 
 @dataclass
 class Trajectory:
-    """A completed run: configuration, retained states, per-step reports."""
+    """A completed run: its kept states and per-step reports.
+
+    states holds u^0 ... u^M when the run kept every state, else u^0 and u^M.
+    """
 
     grid: Grid
-    config: SchemeConfig
     dt: float
     t0: float
-    snapshots: list[tuple[int, FemFunction]]
+    states: list[FemFunction]
     reports: list[StepReport]
 
     @property
@@ -108,14 +109,15 @@ class Trajectory:
 
     @property
     def final(self) -> FemFunction:
-        return self.snapshots[-1][1]
+        return self.states[-1]
 
     def state(self, step: int) -> FemFunction:
-        for idx, u in self.snapshots:
-            if idx == step:
-                return u
-        raise ValueError(
-            f"state at step {step} was not retained; rerun with snapshot_stride=1")
+        if len(self.states) <= self.n_steps:
+            raise ValueError(
+                f"state at step {step} was not kept; rerun with keep_states=True")
+        if not 0 <= step <= self.n_steps:
+            raise ValueError(f"step {step} outside 0..{self.n_steps}")
+        return self.states[step]
 
 
 class FixedPointDivergence(RuntimeError):
@@ -127,12 +129,11 @@ class FixedPointDivergence(RuntimeError):
     """
 
     def __init__(self, iters: int, residual: float, tol: float,
-                 contraction: float, step: int | None = None):
-        at = f" at step {step}" if step is not None else ""
+                 contraction: float, step: int):
         super().__init__(
-            f"fixed-point iteration did not converge{at}: residual {residual:.3e} "
-            f"after {iters} iterations (tol {tol:.3e}, observed contraction "
-            f"{contraction:.3g}); reduce dt")
+            f"fixed-point iteration did not converge at step {step}: "
+            f"residual {residual:.3e} after {iters} iterations (tol {tol:.3e}, "
+            f"observed contraction {contraction:.3g}); reduce dt")
         self.iters = iters
         self.residual = residual
         self.tol = tol
@@ -183,7 +184,7 @@ class _StepOperator:
         self.b_symbol = ops.mass_symbol + 0.5 * dt * ops.disp_symbol
 
     def step(self, un: FemFunction, norm_un: float, cfg: SchemeConfig,
-             step_index: int | None = None) -> tuple[FemFunction, StepReport, float]:
+             step_index: int) -> tuple[FemFunction, StepReport, float]:
         """Step from un of M-norm norm_un; returns the state, report and M-norm."""
         grid = un.grid
         tol = cfg.tol_factor * grid.dx * norm_un
@@ -227,49 +228,27 @@ class _StepOperator:
         return FemFunction(grid, w), report, norm_w
 
 
-def fixed_point_step(un: FemFunction, ops: OperatorMatrices, dt: float,
-                     cfg: SchemeConfig) -> tuple[FemFunction, StepReport]:
-    """One Crank-Nicolson step (standalone form; factors the system itself)."""
-    if dt == 0 or not math.isfinite(dt):
-        raise ValueError("dt must be nonzero and finite")
-    norm_un = ops.l2_norm(un.coeffs)
-    return _StepOperator(ops, dt).step(un, norm_un, cfg)[:2]
-
-
-def _snapshot_indices(steps: int, stride: int | None) -> set[int]:
-    if stride is not None:
-        if stride < 1:
-            raise ValueError("snapshot_stride must be >= 1")
-        kept = set(range(0, steps + 1, stride))
-    else:
-        # default policy: initial, final, and 8 evenly spaced intermediates
-        kept = {round(k * steps / 9.0) for k in range(10)}
-    kept.update((0, steps))
-    return kept
-
-
 def run(u0: FemFunction, t0: float, t_final: float, ops: OperatorMatrices,
-        cfg: SchemeConfig, snapshot_stride: int | None = None) -> Trajectory:
-    """March from t0 to t_final; retains snapshots per the stride policy."""
+        cfg: SchemeConfig, keep_states: bool = False) -> Trajectory:
+    """March from t0 to t_final; keeps every state only if keep_states."""
     grid = u0.grid
     if ops.grid != grid:
         raise ValueError("operator matrices assembled on a different grid")
     if t_final == t0:
-        return Trajectory(grid, cfg, 0.0, t0, [(0, u0)], [])
+        return Trajectory(grid, 0.0, t0, [u0], [])
     dt = choose_dt(u0, grid, cfg, t0, t_final)
     steps = round((t_final - t0) / dt)
     operator = _StepOperator(ops, dt)
-    keep = _snapshot_indices(steps, snapshot_stride)
 
-    snapshots = [(0, u0)]
+    states = [u0]
     reports: list[StepReport] = []
     u, norm_u = u0, ops.l2_norm(u0.coeffs)
     for n in range(1, steps + 1):
-        u, report, norm_u = operator.step(u, norm_u, cfg, step_index=n)
+        u, report, norm_u = operator.step(u, norm_u, cfg, n)
         reports.append(report)
-        if n in keep:
-            snapshots.append((n, u))
-    return Trajectory(grid, cfg, dt, t0, snapshots, reports)
+        if keep_states or n == steps:
+            states.append(u)
+    return Trajectory(grid, dt, t0, states, reports)
 
 
 def interpolate_in_time(traj: Trajectory, t: float) -> FemFunction:
@@ -277,8 +256,8 @@ def interpolate_in_time(traj: Trajectory, t: float) -> FemFunction:
 
     On [t_{n-1/2}, t_{n+1/2}) the value is the linear interpolation between
     u^{n-1/2} and u^{n+1/2} with u^{k+1/2} = (u^k + u^{k+1})/2; the first and
-    last half intervals blend toward u^0 and u^M.  Needs consecutive
-    snapshots around t (snapshot_stride=1).
+    last half intervals blend toward u^0 and u^M.  Needs every state
+    (run with keep_states=True).
     """
     dt, M = traj.dt, traj.n_steps
     if M == 0 or dt == 0.0:

@@ -25,7 +25,7 @@ import fkdv.cli
 from fkdv.cli import EXIT_ALL_DIVERGED, EXIT_CONFIG, emit_snapshot, main
 from fkdv.fem import FemFunction, Grid
 from fkdv.solutions import bo_soliton, builtin_experiments
-from fkdv.stepper import SchemeConfig, StepReport, Trajectory
+from fkdv.stepper import StepReport, Trajectory
 
 HEADER = "N,E,C1,C2,C3,rate"
 
@@ -313,6 +313,8 @@ def test_snapshot_bad_ini_exits_two(tmp_path, tmp_path_factory, monkeypatch):
     ["snapshot", "--experiment", "frac-sin", "--elements", "16", "--times", ","],
     ["snapshot", "--experiment", "frac-sin", "--elements", "16",
      "--times", "0.5;1"],
+    ["snapshot", "--experiment", "bo-one", "--elements=2", "--times=0"],
+    ["snapshot", "--experiment", "bo-one", "--elements=3", "--times=0"],
 ])
 def test_snapshot_config_errors_exit_two(argv, tmp_path, monkeypatch):
     # Without --out the files would land in the working directory; a config
@@ -320,7 +322,8 @@ def test_snapshot_config_errors_exit_two(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     rc, _, err = _invoke(argv)
     assert rc == EXIT_CONFIG
-    assert "config error" in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: "), err
     assert not list(tmp_path.iterdir())
 
 
@@ -329,8 +332,7 @@ def test_emit_snapshot_zero_state_and_array_reference(tmp_path):
     zero = FemFunction(grid, np.zeros(grid.n_dofs))
     blank = StepReport(iters=1, final_residual=0.0, l2_drift=0.0,
                        mass_drift=0.0, contraction=0.0)
-    traj = Trajectory(grid, SchemeConfig(), 0.1, 0.0,
-                      [(0, zero), (1, zero)], [blank])
+    traj = Trajectory(grid, 0.1, 0.0, [zero, zero], [blank])
     ref = np.arange(8, dtype=float)
     path = tmp_path / "profile.txt"
     emit_snapshot(traj, 0.05, path, reference=ref)

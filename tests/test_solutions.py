@@ -3,19 +3,18 @@
 from __future__ import annotations
 
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fkdv.solutions import (
-    ExperimentSpec,
     bo_soliton,
     builtin_experiments,
     get_experiment,
     kdv_one_soliton,
     kdv_two_soliton,
-    rebind_closed_forms,
     smooth_sin_data,
     triangle_data,
 )
@@ -277,14 +276,47 @@ def test_spec_validation():
         replace(good, sweep=(1024, 512))
 
 
-def test_rebind_closed_forms_follows_overridden_times():
-    spec = replace(get_experiment("bo-one"), t_final=12.0)
-    rebound = rebind_closed_forms(spec)
-    x = np.linspace(-15.0, 15.0, 7)
-    assert rebound.reference(x) == pytest.approx(bo_soliton(x, 12.0), abs=1e-15)
-    assert rebound.initial(x) == pytest.approx(bo_soliton(x, 0.0), abs=1e-15)
+@pytest.mark.parametrize("name, exact", [
+    ("bo-one", bo_soliton),
+    ("kdv-one", kdv_one_soliton),
+    ("kdv-two", kdv_two_soliton),
+])
+def test_replaced_times_move_initial_and_reference(name, exact):
+    spec = get_experiment(name)
+    lo, hi = spec.domain
+    x = np.linspace(lo, hi, 9)
+    t0, tf = spec.t0 + 0.5, spec.t_final - 0.25
+    moved = replace(spec, t0=t0, t_final=tf)
+    assert np.array_equal(moved.initial(x), exact(x, t0))
+    assert np.array_equal(moved.reference(x), exact(x, tf))
+    assert np.array_equal(spec.initial(x), exact(x, spec.t0))
+    assert np.array_equal(spec.reference(x), exact(x, spec.t_final))
 
 
-def test_rebind_without_closed_form_is_identity():
+def test_data_only_spec_has_no_reference():
     spec = get_experiment("frac-triangle")
-    assert rebind_closed_forms(spec) is spec
+    moved = replace(spec, t0=0.05, t_final=0.3)
+    x = np.linspace(-10.0, 10.0, 9)
+    assert spec.reference is None and moved.reference is None
+    assert np.array_equal(moved.initial(x), triangle_data(x))
+
+
+def test_spec_needs_exactly_one_of_data_and_exact():
+    spec = get_experiment("frac-sin")
+    with pytest.raises(ValueError):
+        replace(spec, data=None)
+    with pytest.raises(ValueError):
+        replace(spec, exact=bo_soliton)
+
+
+@pytest.mark.parametrize("spec", builtin_experiments(), ids=lambda s: s.name)
+def test_builtin_specs_pickle(spec):
+    lo, hi = spec.domain
+    x = np.linspace(lo, hi, 17)
+    again = pickle.loads(pickle.dumps(spec))
+    assert again == spec
+    assert np.array_equal(again.initial(x), spec.initial(x))
+    if spec.reference is None:
+        assert again.reference is None
+    else:
+        assert np.array_equal(again.reference(x), spec.reference(x))

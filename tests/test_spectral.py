@@ -16,7 +16,6 @@ from fkdv.spectral import (
     SpectralBlowup,
     SpectralGrid,
     default_spectral_dt,
-    spectral_frac_apply,
     spectral_reference_solve,
 )
 from fkdv.stepper import SchemeConfig, run
@@ -35,37 +34,13 @@ def test_grid_validation():
     assert grid.points().shape == (16,)
 
 
-def test_multiplier_on_constant_is_zero():
-    grid = SpectralGrid(0.0, 2.0 * np.pi, 64)
-    out = spectral_frac_apply(np.full(64, 2.5), 1.5, grid)
-    assert np.max(np.abs(out)) < 1e-12
-
-
-def test_multiplier_on_pure_mode_is_exact():
-    grid = SpectralGrid(0.0, 2.0 * np.pi, 128)
-    x = grid.points()
-    for k0 in (1, 3, 10):
-        for alpha in (1.0, 1.5, 2.0):
-            got = spectral_frac_apply(np.sin(k0 * x), alpha, grid)
-            assert got == pytest.approx(k0**alpha * np.sin(k0 * x), abs=1e-10)
-
-
-def test_order_two_is_negative_second_derivative():
-    grid = SpectralGrid(0.0, 2.0 * np.pi, 256)
-    x = grid.points()
-    u = np.sin(x) + 0.3 * np.cos(4.0 * x) - 0.1 * np.sin(7.0 * x)
-    minus_uxx = np.sin(x) + 4.8 * np.cos(4.0 * x) - 4.9 * np.sin(7.0 * x)
-    assert spectral_frac_apply(u, 2.0, grid) == pytest.approx(
-        minus_uxx, abs=1e-10)
-
-
-def test_multiplier_alpha_range():
+def test_solve_alpha_range():
     grid = SpectralGrid(0.0, 1.0, 16)
     u = np.zeros(16)
     for bad in (0.0, -1.0, 2.1):
         with pytest.raises(ValueError):
-            spectral_frac_apply(u, bad, grid)
-    spectral_frac_apply(u, 2.0, grid)  # alpha = 2 is allowed here
+            spectral_reference_solve(u, bad, 0.0, 0.1, grid, 0.05)
+    spectral_reference_solve(u, 2.0, 0.0, 0.1, grid, 0.05)  # alpha = 2 is allowed here
 
 
 def test_parseval_between_samples_and_modes():

@@ -19,7 +19,6 @@ from fkdv.stepper import (
     StepReport,
     Trajectory,
     choose_dt,
-    fixed_point_step,
     interpolate_in_time,
     nonlinear_load,
     run,
@@ -29,6 +28,14 @@ from solution_derivatives import bo_soliton_dx, kdv_one_soliton_dx
 
 def _m_norm(coeffs: np.ndarray, mass_symbol: np.ndarray) -> float:
     return math.sqrt(float(coeffs @ apply_symbol(mass_symbol, coeffs)))
+
+
+def _one_step(u: FemFunction, ops, dt: float, **settings):
+    """One explicit step of size dt from t = 0: (state, report)."""
+    cfg = SchemeConfig(dt_rule="explicit", dt_value=dt, **settings)
+    traj = run(u, 0.0, dt, ops, cfg)
+    assert traj.n_steps == 1
+    return traj.final, traj.reports[0]
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +49,11 @@ def test_scheme_config_validation():
         SchemeConfig(dt_rule="adaptive")
     with pytest.raises(ValueError):
         SchemeConfig(dt_rule="explicit")
+    # Only a zero or non-finite step is rejected; dt < 0 steps back in time.
+    for bad in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            SchemeConfig(dt_rule="explicit", dt_value=bad)
+    SchemeConfig(dt_rule="explicit", dt_value=-0.01)
     with pytest.raises(ValueError):
         SchemeConfig(dt_rule="proportional")
     with pytest.raises(ValueError):
@@ -131,30 +143,20 @@ def test_nonlinear_load_grid_mismatch():
 
 def test_zero_state_steps_to_zero_in_one_iteration(grid64, ops64):
     zero = FemFunction(grid64, np.zeros(grid64.n_dofs))
-    cfg = SchemeConfig(dt_rule="explicit", dt_value=0.01)
-    w, report = fixed_point_step(zero, ops64, 0.01, cfg)
+    w, report = _one_step(zero, ops64, 0.01)
     assert np.all(w.coeffs == 0.0)
     assert report.iters == 1
     assert report.contraction == 0.0
-
-
-def test_fixed_point_step_needs_positive_dt(grid64, ops64):
-    u0 = l2_project(grid64, np.sin)
-    cfg = SchemeConfig(dt_rule="explicit", dt_value=0.01)
-    # Only a zero or non-finite step is rejected; dt < 0 steps back in time.
-    for bad in (0.0, math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError):
-            fixed_point_step(u0, ops64, bad, cfg)
 
 
 def test_divergence_reports_context(grid64, ops64):
     # The corrections grow until they overflow; the iteration must stop at
     # the first non-finite residual instead of iterating on NaN.
     big = l2_project(grid64, lambda x: 9.0 * np.sin(x))
-    cfg = SchemeConfig(dt_rule="explicit", dt_value=0.5)
     with pytest.raises(FixedPointDivergence) as exc, warnings.catch_warnings():
         warnings.simplefilter("error")      # the overflow is not reported
-        fixed_point_step(big, ops64, 0.5, cfg)
+        _one_step(big, ops64, 0.5)
+    assert exc.value.step == 1
     assert exc.value.iters < fkdv.stepper.MAX_PICARD_ITERS
     assert not math.isfinite(exc.value.residual)
     # The last finite ratios show the growth.
@@ -167,10 +169,8 @@ def test_divergence_reports_context(grid64, ops64):
 def test_iteration_cap_reports_observed_contraction(grid64, ops64, monkeypatch):
     monkeypatch.setattr(fkdv.stepper, "MAX_PICARD_ITERS", 2)
     u0 = l2_project(grid64, np.sin)
-    cfg = SchemeConfig(dt_rule="explicit", dt_value=0.01,
-                       tol_factor=1e-14)
     with pytest.raises(FixedPointDivergence) as exc:
-        fixed_point_step(u0, ops64, 0.01, cfg)
+        _one_step(u0, ops64, 0.01, tol_factor=1e-14)
     assert exc.value.iters == 2
     assert 0.0 < exc.value.residual < math.inf
     assert 0.0 < exc.value.contraction < 1.0
@@ -179,7 +179,7 @@ def test_iteration_cap_reports_observed_contraction(grid64, ops64, monkeypatch):
 def test_final_residual_below_tolerance(grid64, ops64):
     u0 = l2_project(grid64, np.sin)
     cfg = SchemeConfig(dt_rule="explicit", dt_value=0.02)
-    traj = run(u0, 0.0, 0.1, ops64, cfg, snapshot_stride=1)
+    traj = run(u0, 0.0, 0.1, ops64, cfg, keep_states=True)
     for n, report in enumerate(traj.reports):
         prev = traj.state(n).coeffs
         tol = cfg.tol_factor * grid64.dx * _m_norm(prev, ops64.mass_symbol)
@@ -244,9 +244,9 @@ def test_cayley_map_reverses():
     again = run(there.final, 0.1, 0.0, ops, back)
     err = np.linalg.norm(again.final.coeffs - u0.coeffs)
     assert err / np.linalg.norm(u0.coeffs) < 1e-10
-    # The standalone step accepts dt < 0 and undoes a step of +dt.
-    w, _ = fixed_point_step(u0, ops, 0.01, fwd)
-    w, _ = fixed_point_step(w, ops, -0.01, back)
+    # A single step accepts dt < 0 and undoes a step of +dt.
+    w, _ = _one_step(u0, ops, 0.01, nonlinear=False)
+    w, _ = _one_step(w, ops, -0.01, nonlinear=False)
     assert ops.l2_norm(w.coeffs - u0.coeffs) <= 1e-12
 
 
@@ -273,23 +273,31 @@ def test_l2_drift_compares_successive_states(grid64, ops64):
     # again; the drifts must equal the norms recomputed from the states.
     u0 = l2_project(grid64, lambda x: 1.0 + 0.5 * np.sin(x))
     cfg = SchemeConfig(dt_rule="explicit", dt_value=0.05)
-    traj = run(u0, 0.0, 0.5, ops64, cfg, snapshot_stride=1)
+    traj = run(u0, 0.0, 0.5, ops64, cfg, keep_states=True)
     norms = [ops64.l2_norm(traj.state(n).coeffs) for n in range(traj.n_steps + 1)]
     drifts = [abs(b - a) for a, b in zip(norms, norms[1:])]
     assert [r.l2_drift for r in traj.reports] == drifts
     assert max(drifts) > 0.0
 
 
-def test_default_snapshot_policy_keeps_ten_states(grid64, ops64):
+def test_default_run_keeps_initial_and_final_state_only(grid64, ops64):
     u0 = l2_project(grid64, np.sin)
     cfg = SchemeConfig(dt_rule="explicit", dt_value=0.01)
-    traj = run(u0, 0.0, 0.9, ops64, cfg)
-    indices = [idx for idx, _ in traj.snapshots]
-    assert indices[0] == 0
-    assert indices[-1] == traj.n_steps
-    assert len(indices) == 10
+    traj = run(u0, 0.0, 0.09, ops64, cfg)
+    full = run(u0, 0.0, 0.09, ops64, cfg, keep_states=True)
+    assert traj.n_steps == 9
+    assert len(traj.states) == 2
+    assert traj.states[0] is u0
+    assert traj.states[1] is traj.final
+    assert np.array_equal(traj.final.coeffs, full.final.coeffs)
+    with pytest.raises(ValueError, match="keep_states=True"):
+        traj.state(1)
+    # Kept states are u^0 ... u^M.
+    assert len(full.states) == 10
+    assert full.state(0) is u0
+    assert full.state(9) is full.final
     with pytest.raises(ValueError):
-        traj.state(17)
+        full.state(10)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +311,7 @@ def _toy_trajectory(n_states: int) -> Trajectory:
               for _ in range(n_states)]
     blank = StepReport(iters=1, final_residual=0.0, l2_drift=0.0,
                        mass_drift=0.0, contraction=0.0)
-    return Trajectory(grid, SchemeConfig(), 0.1, 0.0,
-                      list(enumerate(states)), [blank] * (n_states - 1))
+    return Trajectory(grid, 0.1, 0.0, states, [blank] * (n_states - 1))
 
 
 def test_interpolate_at_half_steps():
@@ -328,8 +335,7 @@ def test_interpolate_constant_trajectory():
     u = FemFunction(grid, np.linspace(0.0, 1.0, grid.n_dofs))
     blank = StepReport(iters=1, final_residual=0.0, l2_drift=0.0,
                        mass_drift=0.0, contraction=0.0)
-    traj = Trajectory(grid, SchemeConfig(), 0.1, 0.0,
-                      [(i, u) for i in range(4)], [blank] * 3)
+    traj = Trajectory(grid, 0.1, 0.0, [u] * 4, [blank] * 3)
     for t in (0.0, 0.07, 0.15, 0.3):
         assert interpolate_in_time(traj, t).coeffs == pytest.approx(
             u.coeffs, abs=1e-14)
