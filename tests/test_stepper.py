@@ -49,15 +49,22 @@ def test_scheme_config_validation():
         SchemeConfig(dt_rule="adaptive")
     with pytest.raises(ValueError):
         SchemeConfig(dt_rule="explicit")
-    # Only a zero or non-finite step is rejected; dt < 0 steps back in time.
-    for bad in (0.0, math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError):
-            SchemeConfig(dt_rule="explicit", dt_value=bad)
-    SchemeConfig(dt_rule="explicit", dt_value=-0.01)
     with pytest.raises(ValueError):
         SchemeConfig(dt_rule="proportional")
     with pytest.raises(ValueError):
         SchemeConfig(tol_factor=0.0)
+
+
+def test_fixed_point_step_needs_positive_dt(grid64, ops64):
+    # A step size enters only through SchemeConfig, so the guard sits there.
+    # Only a zero or non-finite step is rejected; dt < 0 steps back in time.
+    for bad in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            SchemeConfig(dt_rule="explicit", dt_value=bad)
+    u0 = l2_project(grid64, np.sin)
+    back, report = _one_step(u0, ops64, -0.01)
+    assert np.all(np.isfinite(back.coeffs))
+    assert report.iters < fkdv.stepper.MAX_PICARD_ITERS
 
 
 def test_courant_dt_from_soliton_peak():
