@@ -21,7 +21,7 @@ from .solutions import (ExperimentSpec, bo_soliton, builtin_experiments,
 from .spectral import SpectralBlowup, SpectralGrid, spectral_reference_solve
 from .stepper import (FixedPointDivergence, SchemeConfig, StepReport,
                       Trajectory, choose_dt, interpolate_in_time,
-                      nonlinear_load, run)
+                      nonlinear_load, run, steps_to_keep)
 
 __version__ = "0.1.0"
 
@@ -61,6 +61,7 @@ __all__ = [
     "run",
     "smooth_sin_data",
     "spectral_reference_solve",
+    "steps_to_keep",
     "trapezoid_on_nodes",
     "triangle_data",
 ]

@@ -450,14 +450,19 @@ class OperatorMatrices:
     """Mass, dispersion and half-order Gram matrices for one (grid, alpha).
 
     Offset blocks are the storage; matrix-vector products run through the
-    FFT block-diagonal form, so no dense matrix is ever built.
+    FFT block-diagonal form, so no dense matrix is ever built.  Only the
+    Hamiltonian diagnostic reads the Gram matrix, so its blocks are
+    assembled on first read.
     """
 
     grid: Grid
     alpha: float
     mass_blocks: np.ndarray
     disp_blocks: np.ndarray
-    gram_blocks: np.ndarray
+
+    @cached_property
+    def gram_blocks(self) -> np.ndarray:
+        return assemble_offset_blocks(self.grid, self.alpha, "gram_half")
 
     @cached_property
     def mass_symbol(self) -> np.ndarray:
@@ -489,11 +494,10 @@ class OperatorMatrices:
 
 
 def assemble_operators(grid: Grid, alpha) -> OperatorMatrices:
-    """Assemble all three operator matrices with the real-space backend."""
+    """Assemble mass and dispersion now; the Gram blocks wait for a read."""
     a = _alpha_value(alpha)
     return OperatorMatrices(grid, a, mass_offset_blocks(grid),
-                            assemble_offset_blocks(grid, a, "disp"),
-                            assemble_offset_blocks(grid, a, "gram_half"))
+                            assemble_offset_blocks(grid, a, "disp"))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .solutions import ExperimentSpec, builtin_experiments, get_experiment
 from .spectral import (REFERENCE_DT_FACTOR, SpectralGrid, default_spectral_dt,
                        spectral_reference_solve)
 from .stepper import (FixedPointDivergence, SchemeConfig, Trajectory,
-                      interpolate_in_time, run)
+                      interpolate_in_time, run, steps_to_keep)
 
 __all__ = ["main", "run_table", "emit_snapshot", "RunConfig"]
 
@@ -151,12 +151,14 @@ def _parse_reference(text: str) -> tuple:
         f"bad reference {text!r}; expected closed, self:<M> or spectral:<M>")
 
 
-def _solve(scheme: SchemeConfig, spec: ExperimentSpec, n: int, keep_states: bool):
-    """Project, assemble and step one N-element run: (u0, ops, trajectory)."""
+def _solve(scheme: SchemeConfig, spec: ExperimentSpec, n: int, times=()):
+    """Project, assemble and step one N-element run: (u0, ops, trajectory),
+    keeping the states that interpolating at times reads."""
     grid = Grid(spec.domain[0], spec.domain[1], n)
     u0 = l2_project(grid, spec.initial)
     ops = assemble_operators(grid, spec.alpha)
-    return u0, ops, run(u0, spec.t0, spec.t_final, ops, scheme, keep_states)
+    keep = steps_to_keep(u0, spec.t0, spec.t_final, scheme, times) if times else ()
+    return u0, ops, run(u0, spec.t0, spec.t_final, ops, scheme, keep)
 
 
 def _reference_values(cfg: RunConfig, spec: ExperimentSpec) -> np.ndarray | None:
@@ -177,7 +179,7 @@ def _reference_values(cfg: RunConfig, spec: ExperimentSpec) -> np.ndarray | None
                 f"reference resolution {m} must be a multiple of each sweep "
                 f"entry (violated by N={n})")
     if kind == "self":
-        _, _, traj = _solve(cfg.scheme, spec, m, False)
+        _, _, traj = _solve(cfg.scheme, spec, m)
         return traj.final.node_values.copy()
     sg = SpectralGrid(spec.domain[0], spec.domain[1], m)
     samples = np.asarray(spec.initial(sg.points()), dtype=float)
@@ -189,7 +191,7 @@ def _reference_values(cfg: RunConfig, spec: ExperimentSpec) -> np.ndarray | None
 def _row_worker(scheme: SchemeConfig, spec: ExperimentSpec, n: int,
                 ref_values: np.ndarray | None) -> RowResult:
     try:
-        u0, ops, traj = _solve(scheme, spec, n, False)
+        u0, ops, traj = _solve(scheme, spec, n)
     except FixedPointDivergence as exc:
         return RowResult(n, None, str(exc))
     u = traj.final
@@ -279,8 +281,7 @@ def emit_snapshot(traj: Trajectory, t: float, path, reference=None) -> None:
     nodes = traj.grid.nodes()
     cols = [nodes, u.node_values]
     if reference is not None:
-        cols.append(np.asarray(reference(nodes) if callable(reference)
-                               else reference, dtype=float))
+        cols.append(np.asarray(reference(nodes), dtype=float))
     rows = (" ".join(f"{v:.12g}" for v in parts) + "\n" for parts in zip(*cols))
     _atomic_write(Path(path), "".join(rows))
 
@@ -428,7 +429,7 @@ def _cmd_snapshot(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    _, _, traj = _solve(SchemeConfig(), spec, args.elements, True)
+    _, _, traj = _solve(SchemeConfig(), spec, args.elements, times)
     out = Path(args.out)
     for t in times:
         ref = None

@@ -175,9 +175,6 @@ class FemFunction:
     def __call__(self, x):
         return self._evaluate(x, 0)
 
-    def deriv(self, x):
-        return self._evaluate(x, 1)
-
     def second_deriv(self, x):
         """Second derivative (piecewise linear, discontinuous at nodes)."""
         return self._evaluate(x, 2)

@@ -17,12 +17,13 @@ iteration actually showed; no a-priori step-size bound is imposed.
 from __future__ import annotations
 
 import math
+from collections.abc import Container, Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import OperatorMatrices
-from .circulant import apply_symbol, invert_symbol
+from .circulant import apply_symbol, block_symbol, invert_symbol
 from .fem import FemFunction, Grid, element_loads, gauss_values, scatter
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
     "choose_dt",
     "nonlinear_load",
     "run",
+    "steps_to_keep",
     "interpolate_in_time",
 ]
 
@@ -88,15 +90,13 @@ class StepReport:
 
 @dataclass
 class Trajectory:
-    """A completed run: its kept states and per-step reports.
-
-    states holds u^0 ... u^M when the run kept every state, else u^0 and u^M.
-    """
+    """A completed run: states maps step n to u^n for the kept steps
+    (always 0 and the last), reports holds one StepReport per step."""
 
     grid: Grid
     dt: float
     t0: float
-    states: list[FemFunction]
+    states: dict[int, FemFunction]
     reports: list[StepReport]
 
     @property
@@ -109,14 +109,12 @@ class Trajectory:
 
     @property
     def final(self) -> FemFunction:
-        return self.states[-1]
+        return self.states[self.n_steps]
 
     def state(self, step: int) -> FemFunction:
-        if len(self.states) <= self.n_steps:
-            raise ValueError(
-                f"state at step {step} was not kept; rerun with keep_states=True")
-        if not 0 <= step <= self.n_steps:
-            raise ValueError(f"step {step} outside 0..{self.n_steps}")
+        if step not in self.states:
+            raise ValueError(f"state at step {step} was not kept; "
+                             f"kept steps: {sorted(self.states)}")
         return self.states[step]
 
 
@@ -174,14 +172,19 @@ def nonlinear_load(w: FemFunction, un: FemFunction, grid: Grid) -> np.ndarray:
 
 
 class _StepOperator:
-    """Factored linear part of the step, shared across iterations and steps."""
+    """Factored linear part of the step, shared across iterations and steps.
+
+    Holds only (M - dt/2 D)^-1 and M + dt/2 D; the symbols of M and D are
+    locals, so ops caches neither.
+    """
 
     def __init__(self, ops: OperatorMatrices, dt: float):
         self.ops = ops
         self.dt = dt
-        a_symbol = ops.mass_symbol - 0.5 * dt * ops.disp_symbol
-        self.a_inv = invert_symbol(a_symbol)
-        self.b_symbol = ops.mass_symbol + 0.5 * dt * ops.disp_symbol
+        mass = block_symbol(ops.mass_blocks)
+        half = 0.5 * dt * block_symbol(ops.disp_blocks)
+        self.a_inv = invert_symbol(mass - half)
+        self.b_symbol = mass + half
 
     def step(self, un: FemFunction, norm_un: float, cfg: SchemeConfig,
              step_index: int) -> tuple[FemFunction, StepReport, float]:
@@ -229,26 +232,54 @@ class _StepOperator:
 
 
 def run(u0: FemFunction, t0: float, t_final: float, ops: OperatorMatrices,
-        cfg: SchemeConfig, keep_states: bool = False) -> Trajectory:
-    """March from t0 to t_final; keeps every state only if keep_states."""
+        cfg: SchemeConfig, keep: Container[int] = ()) -> Trajectory:
+    """March from t0 to t_final; keeps u^0, the final state and u^n for n in keep."""
     grid = u0.grid
     if ops.grid != grid:
         raise ValueError("operator matrices assembled on a different grid")
     if t_final == t0:
-        return Trajectory(grid, 0.0, t0, [u0], [])
+        return Trajectory(grid, 0.0, t0, {0: u0}, [])
     dt = choose_dt(u0, grid, cfg, t0, t_final)
     steps = round((t_final - t0) / dt)
     operator = _StepOperator(ops, dt)
 
-    states = [u0]
+    states = {0: u0}
     reports: list[StepReport] = []
     u, norm_u = u0, ops.l2_norm(u0.coeffs)
     for n in range(1, steps + 1):
         u, report, norm_u = operator.step(u, norm_u, cfg, n)
         reports.append(report)
-        if keep_states or n == steps:
-            states.append(u)
+        if n in keep or n == steps:
+            states[n] = u
     return Trajectory(grid, dt, t0, states, reports)
+
+
+def _blend(t0: float, dt: float, steps: int, t: float):
+    """(theta, lo, hi): u(t) = (1 - theta) u^lo + theta u^hi, where a pair
+    of steps (n, k) stands for (u^n + u^k)/2."""
+    s = (t - t0) / dt
+    if s < -1e-9 or s > steps + 1e-9:
+        raise ValueError(f"t = {t} outside the stored range "
+                         f"[{t0}, {t0 + steps * dt}]")
+    s = min(max(s, 0.0), float(steps))
+    if s <= 0.5:
+        return 2.0 * s, (0, 0), (0, 1)
+    if s >= steps - 0.5:
+        return 2.0 * (s - (steps - 0.5)), (steps - 1, steps), (steps, steps)
+    n = int(math.floor(s + 0.5))
+    return s - (n - 0.5), (n - 1, n), (n, n + 1)
+
+
+def steps_to_keep(u0: FemFunction, t0: float, t_final: float,
+                  cfg: SchemeConfig, times: Iterable[float]) -> set[int]:
+    """Steps whose states interpolate_in_time reads at times (three per time
+    at most), for the run of u0 from t0 to t_final under cfg."""
+    if t_final == t0:
+        return set()
+    dt = choose_dt(u0, u0.grid, cfg, t0, t_final)
+    return {n for t in times
+            for pair in _blend(t0, dt, round((t_final - t0) / dt), t)[1:]
+            for n in pair}
 
 
 def interpolate_in_time(traj: Trajectory, t: float) -> FemFunction:
@@ -256,29 +287,14 @@ def interpolate_in_time(traj: Trajectory, t: float) -> FemFunction:
 
     On [t_{n-1/2}, t_{n+1/2}) the value is the linear interpolation between
     u^{n-1/2} and u^{n+1/2} with u^{k+1/2} = (u^k + u^{k+1})/2; the first and
-    last half intervals blend toward u^0 and u^M.  Needs every state
-    (run with keep_states=True).
+    last half intervals blend toward u^0 and u^M.  It reads at most three
+    states, u^{n-1}, u^n and u^{n+1}, which run keeps when given
+    steps_to_keep for the same times.
     """
     dt, M = traj.dt, traj.n_steps
     if M == 0 or dt == 0.0:
         return traj.state(0)
-    s = (t - traj.t0) / dt
-    if s < -1e-9 or s > M + 1e-9:
-        raise ValueError(f"t = {t} outside the stored range "
-                         f"[{traj.t0}, {traj.t_final}]")
-    s = min(max(s, 0.0), float(M))
-
-    def half_state(n: int) -> FemFunction:
-        return 0.5 * (traj.state(n) + traj.state(n + 1))
-
-    if s <= 0.5:
-        theta = 2.0 * s
-        lo, hi = traj.state(0), half_state(0)
-    elif s >= M - 0.5:
-        theta = 2.0 * (s - (M - 0.5))
-        lo, hi = half_state(M - 1), traj.state(M)
-    else:
-        n = int(math.floor(s + 0.5))
-        theta = s - (n - 0.5)
-        lo, hi = half_state(n - 1), half_state(n)
+    theta, lo, hi = _blend(traj.t0, dt, M, t)
+    # (u^n + u^n)/2 is exactly u^n: doubling and halving are exact.
+    lo, hi = (0.5 * (traj.state(a) + traj.state(b)) for a, b in (lo, hi))
     return (1.0 - theta) * lo + theta * hi

@@ -139,8 +139,7 @@ def test_mass_block_zero_rationals():
 def test_banded_l2_norm_matches_symbol_apply(n: int, seed: int):
     grid = Grid(-1.0, 2.0, n)
     blocks = mass_offset_blocks(grid)
-    ops = OperatorMatrices(grid, 1.5, blocks, np.zeros_like(blocks),
-                           np.zeros_like(blocks))
+    ops = OperatorMatrices(grid, 1.5, blocks, np.zeros_like(blocks))
     c = np.random.default_rng(seed).standard_normal(grid.n_dofs)
     want = math.sqrt(float(c @ apply_symbol(ops.mass_symbol, c)))
     assert ops.l2_norm(c) == pytest.approx(want, rel=1e-13)
@@ -226,6 +225,15 @@ def test_backends_agree_on_gram_blocks():
     spec = spectral_offset_blocks(grid, "gram_half", 1.5, m_modes=3000 * 32)
     rel = np.linalg.norm(real - spec) / np.linalg.norm(spec)
     assert rel < 1e-6
+
+
+def test_gram_blocks_are_assembled_on_first_read():
+    grid = Grid(-1.0, 2.0, 48)
+    ops = assemble_operators(grid, 1.25)
+    assert "gram_blocks" not in ops.__dict__
+    gram = ops.gram_blocks
+    assert ops.__dict__["gram_blocks"] is gram
+    assert np.array_equal(gram, assemble_offset_blocks(grid, 1.25, "gram_half"))
 
 
 def _multipole_inputs(n: int, alpha: float, kind: str):

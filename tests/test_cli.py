@@ -23,9 +23,10 @@ from hypothesis import strategies as st
 import fkdv.assembly
 import fkdv.cli
 from fkdv.cli import EXIT_ALL_DIVERGED, EXIT_CONFIG, emit_snapshot, main
-from fkdv.fem import FemFunction, Grid
-from fkdv.solutions import bo_soliton, builtin_experiments
-from fkdv.stepper import StepReport, Trajectory
+from fkdv.assembly import assemble_operators
+from fkdv.fem import FemFunction, Grid, l2_project
+from fkdv.solutions import bo_soliton, builtin_experiments, get_experiment
+from fkdv.stepper import SchemeConfig, StepReport, Trajectory, choose_dt, run
 
 HEADER = "N,E,C1,C2,C3,rate"
 
@@ -280,6 +281,43 @@ def test_snapshot_writes_profiles(tmp_path):
     assert err.count("wrote") == 3
 
 
+@pytest.mark.parametrize("n", [32, 64, 256])
+def test_snapshot_profiles_match_a_run_that_keeps_every_state(n, tmp_path,
+                                                              monkeypatch):
+    # snapshot keeps only the states its times read, at most three per time
+    # plus u^0 and the final state; its profiles must be the bytes that a
+    # run keeping u^0 ... u^M writes.
+    times = [0.0, 0.01, 33.3, 60.0, 119.99, 120.0]
+    kept = []
+
+    def recording_run(*args):
+        traj = run(*args)
+        kept.append(len(traj.states))
+        return traj
+
+    monkeypatch.setattr(fkdv.cli, "run", recording_run)
+    rc, _, _ = _invoke(["snapshot", "--experiment", "bo-one", "--elements", str(n),
+                        "--times", ",".join(map(str, times)),
+                        "--out", str(tmp_path / "lean")])
+    assert rc == 0
+    assert kept and kept[0] <= 3 * len(times) + 2
+
+    spec = get_experiment("bo-one")
+    grid = Grid(spec.domain[0], spec.domain[1], n)
+    u0 = l2_project(grid, spec.initial)
+    cfg = SchemeConfig()
+    steps = round(spec.t_final / choose_dt(u0, grid, cfg, 0.0, spec.t_final))
+    full = run(u0, 0.0, spec.t_final, assemble_operators(grid, spec.alpha), cfg,
+               range(steps + 1))
+    assert len(full.states) == steps + 1 > kept[0]
+    for t in times:
+        name = f"bo-one-N{n}-t{t:g}.txt"
+        emit_snapshot(full, t, tmp_path / "full" / name,
+                      reference=spec.reference if t == spec.t_final else None)
+        lean = (tmp_path / "lean" / name).read_bytes()
+        assert lean == (tmp_path / "full" / name).read_bytes()
+
+
 def test_snapshot_reads_experiment_ini(tmp_path):
     out = tmp_path / "out"
     rc, _, err = _invoke(["snapshot", "--experiment", _short_bo_ini(tmp_path),
@@ -332,10 +370,11 @@ def test_emit_snapshot_zero_state_and_array_reference(tmp_path):
     zero = FemFunction(grid, np.zeros(grid.n_dofs))
     blank = StepReport(iters=1, final_residual=0.0, l2_drift=0.0,
                        mass_drift=0.0, contraction=0.0)
-    traj = Trajectory(grid, 0.1, 0.0, [zero, zero], [blank])
+    traj = Trajectory(grid, 0.1, 0.0, {0: zero, 1: zero}, [blank])
     ref = np.arange(8, dtype=float)
     path = tmp_path / "profile.txt"
-    emit_snapshot(traj, 0.05, path, reference=ref)
+    # The reference is a callable of x; here it returns an array of node values.
+    emit_snapshot(traj, 0.05, path, reference=lambda x: ref)
     data = np.loadtxt(path)
     np.testing.assert_allclose(data[:, 0], grid.nodes(), atol=1e-12)
     np.testing.assert_allclose(data[:, 1], 0.0, atol=1e-15)

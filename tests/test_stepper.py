@@ -22,6 +22,7 @@ from fkdv.stepper import (
     interpolate_in_time,
     nonlinear_load,
     run,
+    steps_to_keep,
 )
 from solution_derivatives import bo_soliton_dx, kdv_one_soliton_dx
 
@@ -186,7 +187,7 @@ def test_iteration_cap_reports_observed_contraction(grid64, ops64, monkeypatch):
 def test_final_residual_below_tolerance(grid64, ops64):
     u0 = l2_project(grid64, np.sin)
     cfg = SchemeConfig(dt_rule="explicit", dt_value=0.02)
-    traj = run(u0, 0.0, 0.1, ops64, cfg, keep_states=True)
+    traj = run(u0, 0.0, 0.1, ops64, cfg, keep=range(5))
     for n, report in enumerate(traj.reports):
         prev = traj.state(n).coeffs
         tol = cfg.tol_factor * grid64.dx * _m_norm(prev, ops64.mass_symbol)
@@ -280,7 +281,7 @@ def test_l2_drift_compares_successive_states(grid64, ops64):
     # again; the drifts must equal the norms recomputed from the states.
     u0 = l2_project(grid64, lambda x: 1.0 + 0.5 * np.sin(x))
     cfg = SchemeConfig(dt_rule="explicit", dt_value=0.05)
-    traj = run(u0, 0.0, 0.5, ops64, cfg, keep_states=True)
+    traj = run(u0, 0.0, 0.5, ops64, cfg, keep=range(10))
     norms = [ops64.l2_norm(traj.state(n).coeffs) for n in range(traj.n_steps + 1)]
     drifts = [abs(b - a) for a, b in zip(norms, norms[1:])]
     assert [r.l2_drift for r in traj.reports] == drifts
@@ -291,20 +292,61 @@ def test_default_run_keeps_initial_and_final_state_only(grid64, ops64):
     u0 = l2_project(grid64, np.sin)
     cfg = SchemeConfig(dt_rule="explicit", dt_value=0.01)
     traj = run(u0, 0.0, 0.09, ops64, cfg)
-    full = run(u0, 0.0, 0.09, ops64, cfg, keep_states=True)
+    full = run(u0, 0.0, 0.09, ops64, cfg, keep=range(10))
     assert traj.n_steps == 9
-    assert len(traj.states) == 2
+    assert list(traj.states) == [0, 9]
     assert traj.states[0] is u0
-    assert traj.states[1] is traj.final
+    assert traj.states[9] is traj.final
     assert np.array_equal(traj.final.coeffs, full.final.coeffs)
-    with pytest.raises(ValueError, match="keep_states=True"):
+    with pytest.raises(ValueError, match=r"kept steps: \[0, 9\]"):
         traj.state(1)
     # Kept states are u^0 ... u^M.
-    assert len(full.states) == 10
+    assert list(full.states) == list(range(10))
     assert full.state(0) is u0
     assert full.state(9) is full.final
     with pytest.raises(ValueError):
         full.state(10)
+
+
+def test_run_keeps_the_steps_it_is_given(grid64, ops64):
+    u0 = l2_project(grid64, np.sin)
+    cfg = SchemeConfig(dt_rule="explicit", dt_value=0.01)
+    full = run(u0, 0.0, 0.09, ops64, cfg, keep=range(10))
+    traj = run(u0, 0.0, 0.09, ops64, cfg, keep={3, 5})
+    assert list(traj.states) == [0, 3, 5, 9]
+    assert np.array_equal(traj.state(3).coeffs, full.state(3).coeffs)
+    with pytest.raises(ValueError, match=r"step 4 was not kept; "
+                                         r"kept steps: \[0, 3, 5, 9\]"):
+        traj.state(4)
+
+
+def test_steps_to_keep_are_what_interpolation_reads(grid64, ops64):
+    u0 = l2_project(grid64, np.sin)
+    cfg = SchemeConfig(dt_rule="explicit", dt_value=0.01)
+    # The first and last half steps, a half step, a step, and between them.
+    times = [0.0, 0.003, 0.025, 0.037, 0.05, 0.0899, 0.09]
+    for t in times:
+        assert len(steps_to_keep(u0, 0.0, 0.09, cfg, [t])) <= 3
+    keep = steps_to_keep(u0, 0.0, 0.09, cfg, times)
+    lean = run(u0, 0.0, 0.09, ops64, cfg, keep)
+    full = run(u0, 0.0, 0.09, ops64, cfg, keep=range(10))
+    assert len(lean.states) <= 3 * len(times) + 2
+    assert len(lean.states) < len(full.states)
+    for t in times:
+        assert np.array_equal(interpolate_in_time(lean, t).coeffs,
+                              interpolate_in_time(full, t).coeffs)
+    assert steps_to_keep(u0, 1.0, 1.0, cfg, [1.0]) == set()
+    with pytest.raises(ValueError):
+        steps_to_keep(u0, 0.0, 0.09, cfg, [0.1])
+
+
+def test_run_leaves_mass_and_dispersion_symbols_uncached():
+    # The step keeps only its two combined symbols; M and D are not cached.
+    grid = Grid(0.0, 2.0 * np.pi, 32)
+    ops = assemble_operators(grid, 1.5)
+    run(l2_project(grid, np.sin), 0.0, 0.1, ops, SchemeConfig())
+    assert "mass_symbol" not in ops.__dict__
+    assert "disp_symbol" not in ops.__dict__
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +360,8 @@ def _toy_trajectory(n_states: int) -> Trajectory:
               for _ in range(n_states)]
     blank = StepReport(iters=1, final_residual=0.0, l2_drift=0.0,
                        mass_drift=0.0, contraction=0.0)
-    return Trajectory(grid, 0.1, 0.0, states, [blank] * (n_states - 1))
+    return Trajectory(grid, 0.1, 0.0, dict(enumerate(states)),
+                      [blank] * (n_states - 1))
 
 
 def test_interpolate_at_half_steps():
@@ -342,7 +385,7 @@ def test_interpolate_constant_trajectory():
     u = FemFunction(grid, np.linspace(0.0, 1.0, grid.n_dofs))
     blank = StepReport(iters=1, final_residual=0.0, l2_drift=0.0,
                        mass_drift=0.0, contraction=0.0)
-    traj = Trajectory(grid, 0.1, 0.0, [u] * 4, [blank] * 3)
+    traj = Trajectory(grid, 0.1, 0.0, dict.fromkeys(range(4), u), [blank] * 3)
     for t in (0.0, 0.07, 0.15, 0.3):
         assert interpolate_in_time(traj, t).coeffs == pytest.approx(
             u.coeffs, abs=1e-14)
