@@ -22,33 +22,49 @@ __all__ = [
 def block_symbol(blocks: np.ndarray) -> np.ndarray:
     """Frequency symbol B_hat(r) = sum_m B_m exp(+2i pi m r / N).
 
-    ``blocks[m]`` is the 2x2 coupling of test node i to trial node i+m.
+    ``blocks[m]`` is the 2x2 coupling of test node i to trial node i+m.  Each
+    of the four entries is transformed as its own column straight into the
+    result, which is then scaled in place, so no complex copy of the whole
+    block array is made.
     """
     n = blocks.shape[0]
-    return np.fft.ifft(blocks, axis=0) * n
+    symbol = np.empty(blocks.shape, dtype=complex)
+    for a in range(2):
+        for b in range(2):
+            np.fft.ifft(blocks[:, a, b], out=symbol[:, a, b])
+    symbol *= n
+    return symbol
 
 
 def apply_symbol(symbol: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Apply the block-circulant operator with the given symbol to coeffs."""
+    """Apply the block-circulant operator with the given symbol to coeffs.
+
+    The result is a new contiguous real array: it keeps no complex FFT
+    buffer alive.
+    """
     n = symbol.shape[0]
     chat = np.fft.fft(coeffs.reshape(n, 2), axis=0)
     yhat = np.einsum("rab,rb->ra", symbol, chat)
-    return np.fft.ifft(yhat, axis=0).real.reshape(-1)
+    np.fft.ifft(yhat, axis=0, out=chat)
+    return chat.real.reshape(-1).copy()
 
 
 def invert_symbol(symbol: np.ndarray) -> np.ndarray:
-    """Per-frequency inverse of a (N, 2, 2) symbol, by the 2x2 adjugate.
+    """Invert a (N, 2, 2) symbol per frequency, in place, by the 2x2 adjugate.
 
-    Applying the result with apply_symbol solves the block-circulant system.
+    The adjugate quotients overwrite ``symbol``, which is returned; pass a
+    copy to keep the operator.  Applying the result with apply_symbol solves
+    the block-circulant system.
     """
     a = symbol[:, 0, 0]
     b = symbol[:, 0, 1]
     c = symbol[:, 1, 0]
     d = symbol[:, 1, 1]
     det = a * d - b * c
-    inv = np.empty_like(symbol)
-    inv[:, 0, 0] = d / det
-    inv[:, 0, 1] = -b / det
-    inv[:, 1, 0] = -c / det
-    inv[:, 1, 1] = a / det
-    return inv
+    d_quot = d / det
+    np.divide(a, det, out=d)
+    a[...] = d_quot
+    for off in (b, c):
+        np.negative(off, out=off)
+        np.divide(off, det, out=off)
+    return symbol

@@ -32,7 +32,7 @@ from .solutions import ExperimentSpec, builtin_experiments, get_experiment
 from .spectral import (REFERENCE_DT_FACTOR, SpectralGrid, default_spectral_dt,
                        spectral_reference_solve)
 from .stepper import (FixedPointDivergence, SchemeConfig, Trajectory,
-                      interpolate_in_time, run, steps_to_keep)
+                      interpolate_in_time, run, snap_time, steps_to_keep)
 
 __all__ = ["main", "run_table", "emit_snapshot", "RunConfig"]
 
@@ -420,10 +420,10 @@ def _cmd_snapshot(args) -> int:
         raise ConfigError(f"bad --times {args.times!r}") from exc
     if not times:
         raise ConfigError("no output times given")
-    span = spec.t_final - spec.t0
-    for t in times:
-        if not spec.t0 - 1e-9 * span <= t <= spec.t_final + 1e-9 * span:
-            raise ConfigError(f"time {t} outside [{spec.t0}, {spec.t_final}]")
+    try:
+        times = [snap_time(t, spec.t0, spec.t_final) for t in times]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     try:
         Grid(spec.domain[0], spec.domain[1], args.elements)
     except ValueError as exc:
@@ -433,7 +433,7 @@ def _cmd_snapshot(args) -> int:
     out = Path(args.out)
     for t in times:
         ref = None
-        if spec.reference is not None and abs(t - spec.t_final) <= 1e-9 * span:
+        if spec.reference is not None and t == spec.t_final:
             ref = spec.reference
         path = out / f"{spec.name}-N{args.elements}-t{t:g}.txt"
         emit_snapshot(traj, t, path, reference=ref)

@@ -217,9 +217,15 @@ def mass_offset_blocks(grid: Grid) -> np.ndarray:
 
 
 def load_vector(grid: Grid, func: Callable) -> np.ndarray:
-    """Loads <func, v_i> by the element Gauss rule."""
-    x = grid.nodes()[:, None] + GAUSS_POINTS[None, :] * grid.dx
-    fvals = np.asarray(func(x), dtype=float) * grid.dx
+    """Loads <func, v_i> by the element Gauss rule.
+
+    func is sampled one Gauss point at a time, so its temporaries are N long,
+    not N x 8.
+    """
+    nodes = grid.nodes()
+    fvals = np.empty((grid.n_elems, GAUSS_POINTS.size))
+    for k, xi in enumerate(GAUSS_POINTS):
+        fvals[:, k] = np.asarray(func(nodes + xi * grid.dx), dtype=float) * grid.dx
     return scatter(element_loads(fvals, 0))
 
 

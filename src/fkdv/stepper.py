@@ -35,11 +35,16 @@ __all__ = [
     "nonlinear_load",
     "run",
     "steps_to_keep",
+    "snap_time",
     "interpolate_in_time",
 ]
 
 # Picard iterations allowed per step before FixedPointDivergence.
 MAX_PICARD_ITERS = 100
+
+# A requested time within this fraction of the span of either end of a run
+# is taken as that end; one further outside the span is rejected.
+TIME_WINDOW = 1e-9
 
 _DT_RULES = ("courant", "explicit", "proportional")
 
@@ -167,7 +172,8 @@ def nonlinear_load(w: FemFunction, un: FemFunction, grid: Grid) -> np.ndarray:
     """
     if w.grid != grid or un.grid != grid:
         raise ValueError("operands live on a different grid")
-    squares = gauss_values(0.5 * (w.coeffs + un.coeffs)) ** 2
+    squares = gauss_values(0.5 * (w.coeffs + un.coeffs))
+    np.square(squares, out=squares)
     return scatter(element_loads(squares, order=1))
 
 
@@ -175,16 +181,21 @@ class _StepOperator:
     """Factored linear part of the step, shared across iterations and steps.
 
     Holds only (M - dt/2 D)^-1 and M + dt/2 D; the symbols of M and D are
-    locals, so ops caches neither.
+    locals, so ops caches neither.  M + dt/2 D is formed in the mass
+    symbol's own buffer and M - dt/2 D in one more, so at most three
+    complex (N, 2, 2) arrays are alive at once.
     """
 
     def __init__(self, ops: OperatorMatrices, dt: float):
         self.ops = ops
         self.dt = dt
         mass = block_symbol(ops.mass_blocks)
-        half = 0.5 * dt * block_symbol(ops.disp_blocks)
-        self.a_inv = invert_symbol(mass - half)
-        self.b_symbol = mass + half
+        half = block_symbol(ops.disp_blocks)
+        half *= 0.5 * dt
+        minus = np.subtract(mass, half)
+        self.b_symbol = np.add(mass, half, out=mass)
+        del half    # freed before the inversion makes its temporaries
+        self.a_inv = invert_symbol(minus)
 
     def step(self, un: FemFunction, norm_un: float, cfg: SchemeConfig,
              step_index: int) -> tuple[FemFunction, StepReport, float]:
@@ -204,7 +215,9 @@ class _StepOperator:
             with np.errstate(over="ignore", invalid="ignore"):
                 for iters in range(1, MAX_PICARD_ITERS + 1):
                     q = nonlinear_load(w_fn, un, grid)
-                    w_new = apply_symbol(self.a_inv, b0 + 0.5 * self.dt * q)
+                    q *= 0.5 * self.dt
+                    q += b0
+                    w_new = apply_symbol(self.a_inv, q)
                     prev, res = res, self.ops.l2_norm(w_new - w)
                     # A non-finite correction can never recover; stop at once.
                     if not math.isfinite(res):
@@ -254,13 +267,25 @@ def run(u0: FemFunction, t0: float, t_final: float, ops: OperatorMatrices,
     return Trajectory(grid, dt, t0, states, reports)
 
 
+def snap_time(t: float, t0: float, t_final: float) -> float:
+    """t, moved onto t0 or t_final if within TIME_WINDOW times the span of it.
+
+    The window absorbs the round-off of a time given as text.  A time
+    further outside the span raises ValueError.
+    """
+    slack = TIME_WINDOW * abs(t_final - t0)
+    for end in (t0, t_final):
+        if abs(t - end) <= slack:
+            return end
+    if not min(t0, t_final) < t < max(t0, t_final):
+        raise ValueError(f"t = {t} outside [{t0}, {t_final}]")
+    return t
+
+
 def _blend(t0: float, dt: float, steps: int, t: float):
     """(theta, lo, hi): u(t) = (1 - theta) u^lo + theta u^hi, where a pair
     of steps (n, k) stands for (u^n + u^k)/2."""
-    s = (t - t0) / dt
-    if s < -1e-9 or s > steps + 1e-9:
-        raise ValueError(f"t = {t} outside the stored range "
-                         f"[{t0}, {t0 + steps * dt}]")
+    s = (snap_time(t, t0, t0 + steps * dt) - t0) / dt
     s = min(max(s, 0.0), float(steps))
     if s <= 0.5:
         return 2.0 * s, (0, 0), (0, 1)

@@ -279,6 +279,12 @@ def test_snapshot_writes_profiles(tmp_path):
     assert abs(final[:, 2].max() - crest) < 1e-9
     assert (tmp_path / "bo-one-N64-t60.txt").exists()
     assert err.count("wrote") == 3
+    # A time past the end by less than 1e-9 of the span is the end itself.
+    rc, _, _ = _invoke(["snapshot", "--experiment", "bo-one", "--elements", "64",
+                        "--times", "120.00000001", "--out", str(tmp_path / "past")])
+    assert rc == 0
+    assert ((tmp_path / "past" / "bo-one-N64-t120.txt").read_bytes()
+            == (tmp_path / "bo-one-N64-t120.txt").read_bytes())
 
 
 @pytest.mark.parametrize("n", [32, 64, 256])
@@ -353,10 +359,12 @@ def test_snapshot_bad_ini_exits_two(tmp_path, tmp_path_factory, monkeypatch):
      "--times", "0.5;1"],
     ["snapshot", "--experiment", "bo-one", "--elements=2", "--times=0"],
     ["snapshot", "--experiment", "bo-one", "--elements=3", "--times=0"],
+    ["snapshot", "--experiment", "bo-one", "--elements", "16",
+     "--times", "120.001"],
 ])
-def test_snapshot_config_errors_exit_two(argv, tmp_path, monkeypatch):
+def test_snapshot_config_errors_exit_two(argv, tmp_path, monkeypatch, no_solve):
     # Without --out the files would land in the working directory; a config
-    # error must leave nothing there.
+    # error must leave nothing there, and must come before any solve.
     monkeypatch.chdir(tmp_path)
     rc, _, err = _invoke(argv)
     assert rc == EXIT_CONFIG

@@ -10,8 +10,10 @@ import pytest
 
 from fkdv.assembly import assemble_operators
 from fkdv.circulant import apply_symbol
-from fkdv.fem import FemFunction, Grid, hermite_interpolate, l2_project
-from fkdv.solutions import bo_soliton, kdv_one_soliton
+from fkdv.fem import (GAUSS_POINTS, FemFunction, Grid, element_loads,
+                      hermite_interpolate, l2_project, mass_offset_blocks,
+                      scatter)
+from fkdv.solutions import bo_soliton, get_experiment, kdv_one_soliton
 import fkdv.stepper
 from fkdv.stepper import (
     FixedPointDivergence,
@@ -338,6 +340,49 @@ def test_steps_to_keep_are_what_interpolation_reads(grid64, ops64):
     assert steps_to_keep(u0, 1.0, 1.0, cfg, [1.0]) == set()
     with pytest.raises(ValueError):
         steps_to_keep(u0, 0.0, 0.09, cfg, [0.1])
+
+
+def _plain_symbol(blocks: np.ndarray) -> np.ndarray:
+    return np.fft.ifft(blocks, axis=0) * blocks.shape[0]
+
+
+def _plain_inverse(symbol: np.ndarray) -> np.ndarray:
+    a, b = symbol[:, 0, 0], symbol[:, 0, 1]
+    c, d = symbol[:, 1, 0], symbol[:, 1, 1]
+    det = a * d - b * c
+    inv = np.empty_like(symbol)
+    inv[:, 0, 0] = d / det
+    inv[:, 0, 1] = -b / det
+    inv[:, 1, 0] = -c / det
+    inv[:, 1, 1] = a / det
+    return inv
+
+
+def _plain_projection(grid: Grid, func) -> np.ndarray:
+    x = grid.nodes()[:, None] + GAUSS_POINTS[None, :] * grid.dx
+    loads = scatter(element_loads(np.asarray(func(x), dtype=float) * grid.dx, 0))
+    inverse = _plain_inverse(_plain_symbol(mass_offset_blocks(grid)))
+    chat = np.fft.fft(loads.reshape(-1, 2), axis=0)
+    yhat = np.einsum("rab,rb->ra", inverse, chat)
+    return np.fft.ifft(yhat, axis=0).real.reshape(-1)
+
+
+@pytest.mark.parametrize("name", ["bo-one", "frac-triangle"])   # alpha 1, 1.5
+@pytest.mark.parametrize("n", [64, 1024])
+def test_step_symbols_and_projection_keep_their_arithmetic(name, n):
+    # The in-place forms must round exactly as the plain formulas do: a
+    # 1-ulp change here can move the benchmark tables past their gates.
+    spec = get_experiment(name)
+    grid = Grid(spec.domain[0], spec.domain[1], n)
+    ops = assemble_operators(grid, spec.alpha)
+    dt = 0.5 * grid.dx
+    mass = _plain_symbol(ops.mass_blocks)
+    half = 0.5 * dt * _plain_symbol(ops.disp_blocks)
+    operator = fkdv.stepper._StepOperator(ops, dt)
+    assert np.array_equal(operator.a_inv, _plain_inverse(mass - half))
+    assert np.array_equal(operator.b_symbol, mass + half)
+    assert np.array_equal(l2_project(grid, spec.initial).coeffs,
+                          _plain_projection(grid, spec.initial))
 
 
 def test_run_leaves_mass_and_dispersion_symbols_uncached():
