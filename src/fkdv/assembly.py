@@ -325,23 +325,15 @@ def _image_tail_blocks(n: int, beta: float, h: float,
 
 
 def _enforce_structure(blocks: np.ndarray, kind: str) -> np.ndarray:
-    """Project onto exact (skew-)symmetry; the raw defect is quadrature noise.
-
-    The mirrored copy of blocks becomes the result in place, and one more
-    array of that size holds |blocks| and then the defect.
-    """
+    """Project onto exact (skew-)symmetry; the raw defect is quadrature noise."""
     n = blocks.shape[0]
-    sym = np.take(blocks.transpose(0, 2, 1), (-np.arange(n)) % n, axis=0)
+    mirror = np.transpose(blocks[(-np.arange(n)) % n], (0, 2, 1))
     if kind == "disp":
-        np.subtract(blocks, sym, out=sym)
+        sym = 0.5 * (blocks - mirror)
     else:
-        np.add(blocks, sym, out=sym)
-    sym *= 0.5
-    dev = np.abs(blocks)
-    scale = np.max(dev) or 1.0
-    np.subtract(blocks, sym, out=dev)
-    np.abs(dev, out=dev)
-    defect = np.max(dev) / scale
+        sym = 0.5 * (blocks + mirror)
+    scale = np.max(np.abs(blocks)) or 1.0
+    defect = np.max(np.abs(blocks - sym)) / scale
     if defect > 1e-6:
         raise RuntimeError(
             f"{kind} assembly lost its algebraic structure (defect {defect:.2e})")

@@ -50,11 +50,17 @@ def apply_symbol(symbol: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 
 def invert_symbol(symbol: np.ndarray) -> np.ndarray:
-    """Invert a (N, 2, 2) symbol per frequency, in place, by the 2x2 adjugate.
+    """Per-frequency inverse of a (N, 2, 2) symbol, by the 2x2 adjugate.
 
-    The adjugate quotients overwrite ``symbol``, which is returned; pass a
-    copy to keep the operator.  Applying the result with apply_symbol solves
-    the block-circulant system.
+    Applying the result with apply_symbol solves the block-circulant system.
+    """
+    return _invert_symbol_inplace(symbol.copy())
+
+
+def _invert_symbol_inplace(symbol: np.ndarray) -> np.ndarray:
+    """invert_symbol, writing the adjugate quotients over ``symbol``.
+
+    For a symbol formed as a temporary: no second (N, 2, 2) array is made.
     """
     a = symbol[:, 0, 0]
     b = symbol[:, 0, 1]

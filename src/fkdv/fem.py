@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
 
-from .circulant import apply_symbol, block_symbol, invert_symbol
+from .circulant import _invert_symbol_inplace, apply_symbol, block_symbol
 from .quad import gauss_rule
 
 __all__ = [
@@ -231,5 +231,5 @@ def load_vector(grid: Grid, func: Callable) -> np.ndarray:
 
 def l2_project(grid: Grid, func: Callable) -> FemFunction:
     """L2 projection of ``func`` onto the Hermite space."""
-    inverse = invert_symbol(block_symbol(mass_offset_blocks(grid)))
+    inverse = _invert_symbol_inplace(block_symbol(mass_offset_blocks(grid)))
     return FemFunction(grid, apply_symbol(inverse, load_vector(grid, func)))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import OperatorMatrices
-from .circulant import apply_symbol, block_symbol, invert_symbol
+from .circulant import _invert_symbol_inplace, apply_symbol, block_symbol
 from .fem import FemFunction, Grid, element_loads, gauss_values, scatter
 
 __all__ = [
@@ -172,8 +172,7 @@ def nonlinear_load(w: FemFunction, un: FemFunction, grid: Grid) -> np.ndarray:
     """
     if w.grid != grid or un.grid != grid:
         raise ValueError("operands live on a different grid")
-    squares = gauss_values(0.5 * (w.coeffs + un.coeffs))
-    np.square(squares, out=squares)
+    squares = gauss_values(0.5 * (w.coeffs + un.coeffs)) ** 2
     return scatter(element_loads(squares, order=1))
 
 
@@ -195,7 +194,7 @@ class _StepOperator:
         minus = np.subtract(mass, half)
         self.b_symbol = np.add(mass, half, out=mass)
         del half    # freed before the inversion makes its temporaries
-        self.a_inv = invert_symbol(minus)
+        self.a_inv = _invert_symbol_inplace(minus)
 
     def step(self, un: FemFunction, norm_un: float, cfg: SchemeConfig,
              step_index: int) -> tuple[FemFunction, StepReport, float]:

@@ -1,8 +1,11 @@
 """What a large solve holds: owned iterates and traced peaks per layer.
 
 Sizes are counted in symbols: one complex (N, 2, 2) array, 64 * N bytes.
-tracemalloc sees numpy's allocations the same way on any machine, so these
-bounds are deterministic where a resident-set size is not.
+tracemalloc counts the allocations themselves, so these bounds do not move
+with the machine as a resident-set size does; they do follow the temporaries
+that numpy's einsum, FFT and casts make.  They were measured with numpy
+2.4.6, where the tightest, l2_project at 3.12 against 3.25, has a margin of
+0.13 symbol.
 """
 
 from __future__ import annotations
