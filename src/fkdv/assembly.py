@@ -282,7 +282,8 @@ def _add_far_field(blocks: np.ndarray, beta: float, h: float,
     sum_k binom[k] sign^k dist^(-1-beta-k) pair_mom[k], which is
     dist^(-1-beta) times a Vandermonde row of sign/dist applied to one
     (K+1, 4) table.  A batch holds at most _FAR_CHUNK offsets of one shell,
-    so its residues m differ.
+    so its residues m differ.  The near offsets of a shell sit at one end of
+    its residues, so a batch's far residues form one contiguous run.
     """
     n = blocks.shape[0]
     table = -frac_constant(beta) * binom[:, None] * pair_mom.reshape(len(binom), 4)
@@ -290,10 +291,18 @@ def _add_far_field(blocks: np.ndarray, beta: float, h: float,
         for lo in range(0, n, _FAR_CHUNK):
             j = np.arange(lo, min(lo + _FAR_CHUNK, n)) + s * n
             j = j[np.abs(j) > _NEAR_OFFSET]
+            if not j.size:
+                continue
             dist = np.abs(j) * h
-            powers = np.vander(np.sign(j) / dist, len(binom), increasing=True)
+            # Column k is x^k, formed as np.vander forms it: x^(k-1) * x.
+            powers = np.empty((j.size, len(binom)))
+            powers[:, 0] = 1.0
+            np.divide(np.sign(j), dist, out=powers[:, 1])
+            for k in range(2, len(binom)):
+                np.multiply(powers[:, k - 1], powers[:, 1], out=powers[:, k])
             far = (powers @ table) * (dist ** (-1.0 - beta))[:, None]
-            blocks[j - s * n] += far.reshape(-1, 2, 2)
+            start = j[0] - s * n
+            blocks[start:start + j.size] += far.reshape(-1, 2, 2)
 
 
 def _image_tail_blocks(n: int, beta: float, h: float,
@@ -479,17 +488,21 @@ class OperatorMatrices:
     def apply_gram(self, coeffs: np.ndarray) -> np.ndarray:
         return apply_symbol(self.gram_symbol, coeffs)
 
-    def l2_norm(self, coeffs: np.ndarray) -> float:
+    def l2_norm(self, coeffs: np.ndarray,
+                scratch: np.ndarray | None = None) -> float:
         """True L2 norm of the expanded function, sqrt(c^T M c), without FFTs.
 
         M couples only neighbouring nodes (mass_offset_blocks), so with node
         pairs c_j, c^T M c = sum_j c_j.B_0 c_j + 2 sum_j c_j.B_1 c_{j+1}.
+        The two banded products take turns in ``scratch``, a contiguous real
+        array of coeffs' size that is not coeffs; without it one is made.
         """
         nodal = coeffs.reshape(-1, 2)
-        diag = nodal @ self.mass_blocks[0]
-        right = nodal @ self.mass_blocks[1]
-        square = np.vdot(diag, nodal) + 2.0 * (
-            np.vdot(right[:-1], nodal[1:]) + right[-1] @ nodal[0])
+        product = (np.empty(nodal.shape) if scratch is None
+                   else scratch.reshape(nodal.shape))
+        diag = np.vdot(np.matmul(nodal, self.mass_blocks[0], out=product), nodal)
+        right = np.matmul(nodal, self.mass_blocks[1], out=product)
+        square = diag + 2.0 * (np.vdot(right[:-1], nodal[1:]) + right[-1] @ nodal[0])
         return math.sqrt(max(float(square), 0.0))
 
 

@@ -36,17 +36,30 @@ def block_symbol(blocks: np.ndarray) -> np.ndarray:
     return symbol
 
 
-def apply_symbol(symbol: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def apply_symbol(symbol: np.ndarray, coeffs: np.ndarray,
+                 out: np.ndarray | None = None,
+                 buffers: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Apply the block-circulant operator with the given symbol to coeffs.
 
-    The result is a new contiguous real array: it keeps no complex FFT
-    buffer alive.
+    The result goes into ``out``, a contiguous real array of coeffs' size
+    that may be coeffs itself, or into a new one, so it keeps no complex FFT
+    buffer alive.  ``buffers``
+    are two complex (N, 2) arrays for the transforms; without them two are
+    made.  coeffs is cast into the first and transformed in place, the
+    product goes into the second, which is inverted in place.
     """
     n = symbol.shape[0]
-    chat = np.fft.fft(coeffs.reshape(n, 2), axis=0)
-    yhat = np.einsum("rab,rb->ra", symbol, chat)
-    np.fft.ifft(yhat, axis=0, out=chat)
-    return chat.real.reshape(-1).copy()
+    if buffers is None:
+        buffers = (np.empty((n, 2), dtype=complex), np.empty((n, 2), dtype=complex))
+    if out is None:
+        out = np.empty(2 * n)
+    chat, yhat = buffers
+    chat[...] = coeffs.reshape(n, 2)
+    np.fft.fft(chat, axis=0, out=chat)
+    np.einsum("rab,rb->ra", symbol, chat, out=yhat)
+    np.fft.ifft(yhat, axis=0, out=yhat)
+    out.reshape(n, 2)[...] = yhat.real
+    return out
 
 
 def invert_symbol(symbol: np.ndarray) -> np.ndarray:

@@ -36,6 +36,7 @@ __all__ = [
     "ELEMENT_MASS",
     "gauss_values",
     "element_loads",
+    "square_loads",
     "hermite_interpolate",
     "l2_project",
     "mass_offset_blocks",
@@ -66,20 +67,38 @@ def node_shape_tables(order: int) -> np.ndarray:
     return polyder(_HERMITE, order, axis=1)[[[2, 0], [3, 1]]]
 
 
+def _node_pairs(array: np.ndarray) -> np.ndarray:
+    """array viewed as complex128 items, one (value, slope) pair each.
+
+    The last axis pairs up floats, so it must be contiguous: a strided
+    input is copied first.  A contiguous view at any float offset works,
+    since complex128 needs only float alignment.
+    """
+    return np.ascontiguousarray(array, dtype=float).view(complex)
+
+
 def element_dofs(coeffs: np.ndarray) -> np.ndarray:
-    """Per-element dofs (E, 4): value and slope at the left, then right node."""
-    nodal = coeffs.reshape(-1, 2)
-    out = np.empty((nodal.shape[0], 4), dtype=nodal.dtype)
-    out[:, :2], out[:-1, 2:], out[-1, 2:] = nodal, nodal[1:], nodal[0]
-    return out
+    """Per-element dofs (E, 4): value and slope at the left, then right node.
+
+    Node pairs move as single complex128 items, so each copy is one loop of
+    length E over 16-byte items.
+    """
+    nodal = _node_pairs(coeffs)
+    out = np.empty((nodal.shape[0], 2), dtype=complex)
+    out[:, 0], out[:-1, 1], out[-1, 1] = nodal, nodal[1:], nodal[0]
+    return out.view(float)
 
 
 def scatter(contrib: np.ndarray) -> np.ndarray:
-    """Adjoint of element_dofs: sum (E, 4) element contributions onto nodes."""
-    out = np.empty((contrib.shape[0], 2), dtype=contrib.dtype)
-    np.add(contrib[1:, :2], contrib[:-1, 2:], out=out[1:])
-    np.add(contrib[0, :2], contrib[-1, 2:], out=out[0])
-    return out.reshape(-1)
+    """Adjoint of element_dofs: sum (E, 4) element contributions onto nodes.
+
+    A complex add is the two float adds of a node's value and slope.
+    """
+    pairs = _node_pairs(contrib)
+    out = np.empty(pairs.shape[0], dtype=complex)
+    np.add(pairs[1:, 0], pairs[:-1, 1], out=out[1:])
+    np.add(pairs[0, 0], pairs[-1, 1], out=out[:1])
+    return out.view(float)
 
 
 # The element integral rule on [0, 1]: 8 Gauss points integrate every product
@@ -88,8 +107,11 @@ GAUSS_POINTS, GAUSS_WEIGHTS = gauss_rule(8)
 _GAUSS_SHAPES = element_shapes(GAUSS_POINTS, 0)                   # (4, 8)
 # The shapes and their xi-derivatives times the weights, (8, 4) each: a row of
 # integrand samples times one of these integrates it against every shape.
-_GAUSS_TESTS = tuple((element_shapes(GAUSS_POINTS, order) * GAUSS_WEIGHTS).T
-                     for order in (0, 1))
+# Stored C-contiguous: BLAS forms the same products and sums either way, and
+# a transposed operand takes a slower kernel for short products.
+_GAUSS_TESTS = tuple(
+    np.ascontiguousarray((element_shapes(GAUSS_POINTS, order) * GAUSS_WEIGHTS).T)
+    for order in (0, 1))
 ELEMENT_MASS = _GAUSS_SHAPES @ _GAUSS_TESTS[0]                   # int H_p H_q
 
 
@@ -104,6 +126,58 @@ def element_loads(values: np.ndarray, order: int) -> np.ndarray:
     values (E, 8) samples the integrand at each element's Gauss points.
     """
     return values @ _GAUSS_TESTS[order]
+
+
+# Elements per block of square_loads, whose buffers then stay in cache.  A
+# tail of fewer than _MIN_BLOCK elements joins the block before it: BLAS
+# may take another kernel for a product of a few rows, which rounds
+# otherwise than the whole product does.
+_BLOCK = 4096
+_MIN_BLOCK = 16
+
+
+def square_loads(a: np.ndarray, b: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Loads of ((a + b)/2)^2 against the test slopes, summed onto nodes.
+
+    Equals scatter(element_loads(gauss_values(0.5 * (a + b)) ** 2, 1)) bit
+    for bit, but runs gather, Gauss values, square, loads and scatter in
+    blocks of elements through small buffers, so no (E, 8) array is formed.
+    The result goes into ``out`` (a contiguous float array) if given.
+    """
+    a_pairs, b_pairs = _node_pairs(a), _node_pairs(b)
+    n = a_pairs.shape[0]
+    if out is None:
+        out = np.empty(2 * n)
+    nodal = out.view(complex)
+    starts = list(range(0, n, _BLOCK))
+    if len(starts) > 1 and n - starts[-1] < _MIN_BLOCK:
+        starts.pop()
+    blocks = list(zip(starts, starts[1:] + [n]))
+    rows = max(hi - lo for lo, hi in blocks)
+    half = np.empty(rows + 1, dtype=complex)
+    pairs = np.empty((rows, 2), dtype=complex)
+    values = np.empty((rows, GAUSS_POINTS.size))
+    for lo, hi in blocks:
+        m = hi - lo
+        h, p, v = half[:m + 1], pairs[:m], values[:m]
+        # Half-sums at nodes lo..hi, where node n is node 0.
+        np.add(a_pairs[lo:hi], b_pairs[lo:hi], out=h[:m])
+        h[m] = a_pairs[hi % n] + b_pairs[hi % n]
+        h *= 0.5
+        # p holds the element dofs, then the element loads.
+        p[:, 0], p[:, 1] = h[:m], h[1:]
+        np.matmul(p.view(float), _GAUSS_SHAPES, out=v)
+        np.square(v, out=v)
+        np.matmul(v, _GAUSS_TESTS[1], out=p.view(float))
+        np.add(p[1:, 0], p[:-1, 1], out=nodal[lo + 1:hi])
+        if lo:
+            nodal[lo] = p[0, 0] + right
+        else:
+            first = p[0, 0]
+        right = p[-1, 1]
+    nodal[0] = first + right
+    return out
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .assembly import OperatorMatrices
 from .circulant import _invert_symbol_inplace, apply_symbol, block_symbol
-from .fem import FemFunction, Grid, element_loads, gauss_values, scatter
+from .fem import FemFunction, Grid, square_loads
 
 __all__ = [
     "SchemeConfig",
@@ -165,15 +165,35 @@ def choose_dt(u0: FemFunction, grid: Grid, cfg: SchemeConfig,
     return dt
 
 
-def nonlinear_load(w: FemFunction, un: FemFunction, grid: Grid) -> np.ndarray:
+def nonlinear_load(w: FemFunction, un: FemFunction, grid: Grid,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """q_i = <((w + un)/2)^2, d/dx v_i>; exact for the degree-6 integrand.
 
-    The 1/dx of the test derivative cancels the element jacobian.
+    The 1/dx of the test derivative cancels the element jacobian.  The loads
+    go into ``out`` if given.
     """
     if w.grid != grid or un.grid != grid:
         raise ValueError("operands live on a different grid")
-    squares = gauss_values(0.5 * (w.coeffs + un.coeffs)) ** 2
-    return scatter(element_loads(squares, order=1))
+    return square_loads(w.coeffs, un.coeffs, out)
+
+
+class _Workspace:
+    """The arrays a step writes, made once per run.
+
+    Two complex (N, 2) FFT buffers for apply_symbol, the right-hand side
+    M u_n + dt/2 D u_n, and two iterates that take turns: each Picard
+    iteration writes the load into the one the previous iterate is not in
+    and solves for the new iterate in place.  Between applies the first FFT
+    buffer is dead, and its floats serve as two real scratch vectors, for
+    the correction and for the M-norm's products.
+    """
+
+    def __init__(self, grid: Grid):
+        n = grid.n_elems
+        self.fft = (np.empty((n, 2), dtype=complex), np.empty((n, 2), dtype=complex))
+        self.spare = self.fft[0].view(float).reshape(2, 2 * n)
+        self.b0 = np.empty(2 * n)
+        self.iterates = (np.empty(2 * n), np.empty(2 * n))
 
 
 class _StepOperator:
@@ -197,14 +217,22 @@ class _StepOperator:
         self.a_inv = _invert_symbol_inplace(minus)
 
     def step(self, un: FemFunction, norm_un: float, cfg: SchemeConfig,
-             step_index: int) -> tuple[FemFunction, StepReport, float]:
-        """Step from un of M-norm norm_un; returns the state, report and M-norm."""
+             step_index: int, work: _Workspace | None = None
+             ) -> tuple[FemFunction, StepReport, float]:
+        """Step from un of M-norm norm_un; returns the state, report and M-norm.
+
+        Apart from the returned state and the load's block buffers, every
+        array the step writes is in ``work``, made here when not given.
+        """
         grid = un.grid
+        if work is None:
+            work = _Workspace(grid)
         tol = cfg.tol_factor * grid.dx * norm_un
-        b0 = apply_symbol(self.b_symbol, un.coeffs)
+        b0 = apply_symbol(self.b_symbol, un.coeffs, work.b0, work.fft)
+        correction, scratch = work.spare
 
         if not cfg.nonlinear:
-            w = apply_symbol(self.a_inv, b0)
+            w = apply_symbol(self.a_inv, b0, work.iterates[0], work.fft)
             iters, res, contraction = 1, 0.0, 0.0
         else:
             w = un.coeffs
@@ -213,11 +241,12 @@ class _StepOperator:
             # Overflow only leads to a non-finite residual, which ends the step.
             with np.errstate(over="ignore", invalid="ignore"):
                 for iters in range(1, MAX_PICARD_ITERS + 1):
-                    q = nonlinear_load(w_fn, un, grid)
-                    q *= 0.5 * self.dt
-                    q += b0
-                    w_new = apply_symbol(self.a_inv, q)
-                    prev, res = res, self.ops.l2_norm(w_new - w)
+                    w_new = nonlinear_load(w_fn, un, grid, work.iterates[iters % 2])
+                    w_new *= 0.5 * self.dt
+                    w_new += b0
+                    apply_symbol(self.a_inv, w_new, w_new, work.fft)
+                    prev, res = res, self.ops.l2_norm(
+                        np.subtract(w_new, w, out=correction), scratch)
                     # A non-finite correction can never recover; stop at once.
                     if not math.isfinite(res):
                         raise FixedPointDivergence(iters, res, tol, contraction,
@@ -232,20 +261,25 @@ class _StepOperator:
                     raise FixedPointDivergence(MAX_PICARD_ITERS, res, tol,
                                                contraction, step_index)
 
-        norm_w = self.ops.l2_norm(w)
+        norm_w = self.ops.l2_norm(w, scratch)
+        moved = np.subtract(w[0::2], un.coeffs[0::2], out=correction[:grid.n_elems])
         report = StepReport(
             iters=iters,
             final_residual=res,
             l2_drift=abs(norm_w - norm_un),
-            mass_drift=abs(grid.dx * float(np.sum(w[0::2] - un.coeffs[0::2]))),
+            mass_drift=abs(grid.dx * float(np.sum(moved))),
             contraction=contraction,
         )
-        return FemFunction(grid, w), report, norm_w
+        return FemFunction(grid, w.copy()), report, norm_w
 
 
 def run(u0: FemFunction, t0: float, t_final: float, ops: OperatorMatrices,
         cfg: SchemeConfig, keep: Container[int] = ()) -> Trajectory:
-    """March from t0 to t_final; keeps u^0, the final state and u^n for n in keep."""
+    """March from t0 to t_final; keeps u^0, the final state and u^n for n in keep.
+
+    One workspace serves every step, so the only new array of size N a step
+    makes is the state it returns.
+    """
     grid = u0.grid
     if ops.grid != grid:
         raise ValueError("operator matrices assembled on a different grid")
@@ -254,12 +288,13 @@ def run(u0: FemFunction, t0: float, t_final: float, ops: OperatorMatrices,
     dt = choose_dt(u0, grid, cfg, t0, t_final)
     steps = round((t_final - t0) / dt)
     operator = _StepOperator(ops, dt)
+    work = _Workspace(grid)
 
     states = {0: u0}
     reports: list[StepReport] = []
     u, norm_u = u0, ops.l2_norm(u0.coeffs)
     for n in range(1, steps + 1):
-        u, report, norm_u = operator.step(u, norm_u, cfg, n)
+        u, report, norm_u = operator.step(u, norm_u, cfg, n, work)
         reports.append(report)
         if n in keep or n == steps:
             states[n] = u

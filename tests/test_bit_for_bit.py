@@ -1,0 +1,148 @@
+"""The hot paths against the plain formulas they replaced, bit for bit.
+
+The element gather and scatter, the nonlinear load, the circulant apply and
+the far-field multipoles are written out below as they were first written:
+reshaped float gathers, one (E, 8) array of Gauss values, an FFT that
+allocates its output and np.vander.  The fast forms must round exactly as
+these do, since a 1-ulp change can move the benchmark tables past their
+gates.  The element counts 4097, 4099 and 8195 leave a 1- or 3-element tail
+after the 4096-element blocks of the load; a product of one row takes
+another BLAS kernel and rounds otherwise, unless the tail joins the block
+before it.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from fkdv.assembly import (_DERIV_TABLES, _EXPLICIT_IMAGE_SHELLS, _MULTIPOLE_ORDER,
+                           _NEAR_OFFSET, _VALUE_TABLES, _add_far_field, _kernel_binom,
+                           _pair_moments, assemble_operators, frac_constant)
+from fkdv.circulant import apply_symbol
+from fkdv.fem import (GAUSS_POINTS, GAUSS_WEIGHTS, FemFunction, Grid, element_dofs,
+                      element_shapes, l2_project, scatter)
+from fkdv.solutions import get_experiment
+from fkdv.stepper import MAX_PICARD_ITERS, SchemeConfig, _StepOperator, nonlinear_load, run
+
+SIZES = [4, 7, 1000, 4097, 4099, 8195]
+
+_SHAPES = element_shapes(GAUSS_POINTS, 0)                       # (4, 8)
+_SLOPE_TESTS = (element_shapes(GAUSS_POINTS, 1) * GAUSS_WEIGHTS).T   # (8, 4)
+
+
+def _plain_element_dofs(coeffs: np.ndarray) -> np.ndarray:
+    nodal = coeffs.reshape(-1, 2)
+    out = np.empty((nodal.shape[0], 4))
+    out[:, :2], out[:-1, 2:], out[-1, 2:] = nodal, nodal[1:], nodal[0]
+    return out
+
+
+def _plain_scatter(contrib: np.ndarray) -> np.ndarray:
+    out = np.empty((contrib.shape[0], 2))
+    np.add(contrib[1:, :2], contrib[:-1, 2:], out=out[1:])
+    np.add(contrib[0, :2], contrib[-1, 2:], out=out[0])
+    return out.reshape(-1)
+
+
+def _plain_load(w: np.ndarray, un: np.ndarray) -> np.ndarray:
+    values = _plain_element_dofs(0.5 * (w + un)) @ _SHAPES
+    return _plain_scatter((values ** 2) @ _SLOPE_TESTS)
+
+
+def _plain_apply(symbol: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    n = symbol.shape[0]
+    chat = np.fft.fft(coeffs.reshape(n, 2), axis=0)
+    yhat = np.einsum("rab,rb->ra", symbol, chat)
+    np.fft.ifft(yhat, axis=0, out=chat)
+    return chat.real.reshape(-1).copy()
+
+
+def _plain_far_field(blocks, beta, h, pair_mom, binom, shells, chunk=1 << 14):
+    n = blocks.shape[0]
+    table = -frac_constant(beta) * binom[:, None] * pair_mom.reshape(len(binom), 4)
+    for s in range(-shells, shells):
+        for lo in range(0, n, chunk):
+            j = np.arange(lo, min(lo + chunk, n)) + s * n
+            j = j[np.abs(j) > _NEAR_OFFSET]
+            dist = np.abs(j) * h
+            powers = np.vander(np.sign(j) / dist, len(binom), increasing=True)
+            far = (powers @ table) * (dist ** (-1.0 - beta))[:, None]
+            blocks[j - s * n] += far.reshape(-1, 2, 2)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_gather_scatter_and_load_match_plain_formulas(n: int):
+    grid = Grid(-1.0, 2.0, n)
+    rng = np.random.default_rng(n)
+    w, un = rng.standard_normal((2, grid.n_dofs))
+    contrib = rng.standard_normal((n, 4))
+    assert np.array_equal(element_dofs(w), _plain_element_dofs(w))
+    assert np.array_equal(scatter(contrib), _plain_scatter(contrib))
+    got = nonlinear_load(FemFunction(grid, w), FemFunction(grid, un), grid)
+    assert np.array_equal(got, _plain_load(w, un))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_apply_matches_allocating_apply(n: int):
+    rng = np.random.default_rng(n)
+    symbol = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+    coeffs = rng.standard_normal(2 * n)
+    want = _plain_apply(symbol, coeffs)
+    assert np.array_equal(apply_symbol(symbol, coeffs), want)
+    out = np.empty(2 * n)
+    buffers = (np.empty((n, 2), dtype=complex), np.empty((n, 2), dtype=complex))
+    assert apply_symbol(symbol, coeffs, out, buffers) is out
+    assert np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("n", SIZES + [(1 << 14) + 5])   # the last spans two batches
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+def test_far_field_matches_vander(n: int, alpha: float):
+    h = 20.0 / n
+    binom = _kernel_binom(alpha, _MULTIPOLE_ORDER)
+    pair_mom = _pair_moments(_VALUE_TABLES, _DERIV_TABLES / h, h, _MULTIPOLE_ORDER)
+    base = np.random.default_rng(n).standard_normal((n, 2, 2))
+    got, want = base.copy(), base.copy()
+    _add_far_field(got, alpha, h, pair_mom, binom, _EXPLICIT_IMAGE_SHELLS)
+    _plain_far_field(want, alpha, h, pair_mom, binom, _EXPLICIT_IMAGE_SHELLS)
+    assert np.array_equal(got, want)
+
+
+def _plain_run(u0: FemFunction, ops, dt: float, steps: int, tol_factor: float):
+    """The Picard loop with the plain load and apply: (states, iterations)."""
+    operator = _StepOperator(ops, dt)
+    u, norm_u = u0.coeffs, ops.l2_norm(u0.coeffs)
+    states, iters = [u], []
+    for _ in range(steps):
+        tol = tol_factor * u0.grid.dx * norm_u
+        b0 = _plain_apply(operator.b_symbol, u)
+        w = u
+        for k in range(1, MAX_PICARD_ITERS + 1):
+            q = _plain_load(w, u)
+            q *= 0.5 * dt
+            q += b0
+            w_new = _plain_apply(operator.a_inv, q)
+            res = ops.l2_norm(w_new - w)
+            w = w_new
+            if res <= tol:
+                break
+        u, norm_u = w, ops.l2_norm(w)
+        states.append(u)
+        iters.append(k)
+    return states, iters
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_three_step_run_matches_plain_loop(n: int):
+    spec = get_experiment("frac-triangle")
+    grid = Grid(spec.domain[0], spec.domain[1], n)
+    ops = assemble_operators(grid, spec.alpha)
+    u0 = l2_project(grid, spec.initial)
+    cfg = SchemeConfig(dt_rule="explicit", dt_value=0.01)
+    traj = run(u0, 0.0, 0.03, ops, cfg, keep=range(4))
+    assert traj.n_steps == 3
+    states, iters = _plain_run(u0, ops, traj.dt, 3, cfg.tol_factor)
+    assert [r.iters for r in traj.reports] == iters
+    for k, want in enumerate(states):
+        assert np.array_equal(traj.state(k).coeffs, want)

@@ -14,6 +14,7 @@ from fkdv.fem import (
     Grid,
     element_dofs,
     element_shapes,
+    gauss_values,
     hermite_interpolate,
     l2_project,
     node_shape_tables,
@@ -285,3 +286,28 @@ def test_nonlinear_load_matches_index_array_formula(n: int):
     want = _index_array_load(w, un, grid)
     got = nonlinear_load(w, un, grid)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_strided_and_offset_coefficients_gather_as_contiguous():
+    # Node pairs move as complex128 items, which need a contiguous last axis:
+    # a strided vector is copied first, and a view at an odd float offset
+    # (aligned for complex128, which needs only float alignment) is read as is.
+    grid = Grid(-1.0, 2.0, 64)
+    rng = np.random.default_rng(7)
+    c, d = rng.standard_normal((2, grid.n_dofs))
+    big = np.zeros(2 * grid.n_dofs)
+    big[::2] = c
+    buf = np.zeros(grid.n_dofs + 2)
+    buf[1:1 + grid.n_dofs] = c
+    plain = FemFunction(grid, c)
+    other = FemFunction(grid, d)
+    for view in (big[::2], buf[1:1 + grid.n_dofs]):
+        u = FemFunction(grid, view)
+        assert np.array_equal(gauss_values(u.coeffs), gauss_values(c))
+        assert np.array_equal(nonlinear_load(u, other, grid),
+                              nonlinear_load(plain, other, grid))
+        assert np.array_equal(nonlinear_load(other, u, grid),
+                              nonlinear_load(other, plain, grid))
+    contrib = rng.standard_normal((grid.n_elems, 8))
+    assert np.array_equal(scatter(contrib[:, ::2]),
+                          scatter(np.ascontiguousarray(contrib[:, ::2])))

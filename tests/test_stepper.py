@@ -385,6 +385,32 @@ def test_step_symbols_and_projection_keep_their_arithmetic(name, n):
                           _plain_projection(grid, spec.initial))
 
 
+def test_step_calls_load_and_apply_through_module_names(monkeypatch):
+    # The benchmark trace wraps fkdv.stepper.nonlinear_load and
+    # fkdv.stepper.apply_symbol: a step must call both through those names,
+    # one load per Picard iteration and one apply more than that.
+    calls = {"load": 0, "apply": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fkdv.stepper, "nonlinear_load",
+                        counted("load", fkdv.stepper.nonlinear_load))
+    monkeypatch.setattr(fkdv.stepper, "apply_symbol",
+                        counted("apply", fkdv.stepper.apply_symbol))
+    spec = get_experiment("bo-one")
+    grid = Grid(spec.domain[0], spec.domain[1], 32)
+    ops = assemble_operators(grid, spec.alpha)
+    traj = run(l2_project(grid, spec.initial), spec.t0, spec.t0 + 6.0, ops,
+               SchemeConfig())
+    iters = sum(r.iters for r in traj.reports)
+    assert traj.n_steps > 1 and iters > traj.n_steps
+    assert calls == {"load": iters, "apply": iters + traj.n_steps}
+
+
 def test_run_leaves_mass_and_dispersion_symbols_uncached():
     # The step keeps only its two combined symbols; M and D are not cached.
     grid = Grid(0.0, 2.0 * np.pi, 32)
