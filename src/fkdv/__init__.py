@@ -14,14 +14,14 @@ from .assembly import (FractionalOrder, OperatorMatrices, assemble_offset_blocks
 from .diagnostics import (DiagnosticsRow, convergence_rate, hamiltonian_ratio,
                           mass_ratio, momentum_ratio, relative_error,
                           trapezoid_on_nodes)
-from .fem import FemFunction, Grid, hermite_interpolate, l2_project
+from .fem import FemFunction, Grid, hermite_interpolate, l2_project, nonlinear_load
 from .solutions import (ExperimentSpec, bo_soliton, builtin_experiments,
                         get_experiment, kdv_one_soliton, kdv_two_soliton,
                         smooth_sin_data, triangle_data)
 from .spectral import SpectralBlowup, SpectralGrid, spectral_reference_solve
 from .stepper import (FixedPointDivergence, SchemeConfig, StepReport,
-                      Trajectory, choose_dt, interpolate_in_time,
-                      nonlinear_load, run, steps_to_keep)
+                      Trajectory, choose_dt, interpolate_in_time, run,
+                      steps_to_keep)
 
 __version__ = "0.1.0"
 

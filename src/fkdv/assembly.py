@@ -412,15 +412,15 @@ def spectral_offset_blocks(grid: Grid, kind: str, alpha,
 
     Sums sigma(k) vhat_b(k) conj(vhat_a(k)) over the modes k = 2 pi l / width,
     0 < |l| <= m_modes (at least the number of elements), folded onto node
-    offsets by the FFT.  alpha is ignored for kind 'mass'.  Independent of
-    the real-space backend in every ingredient.
+    offsets by the FFT.  Independent of the real-space backend in every
+    ingredient.
     """
-    if kind not in ("mass", "disp", "gram_half"):
+    if kind not in ("disp", "gram_half"):
         raise ValueError(f"unknown kind {kind!r}")
     n, h, width = grid.n_elems, grid.dx, grid.width
     if m_modes < n:
         raise ValueError("m_modes must be at least the number of elements")
-    a = None if kind == "mass" else _alpha_value(alpha)
+    a = _alpha_value(alpha)
 
     accum = np.zeros((n, 2, 2), dtype=complex)
     prefactor = h * h / width
@@ -433,17 +433,13 @@ def spectral_offset_blocks(grid: Grid, kind: str, alpha,
         k = 2.0 * np.pi * ell / width
         basis = np.stack([_shape_fourier_f(theta),
                           _shape_fourier_g(theta)])          # (2, L)
-        if kind == "mass":
-            sigma = np.ones_like(k)
-        elif kind == "gram_half":
+        if kind == "gram_half":
             sigma = np.abs(k) ** a
         else:
             sigma = 1j * k * np.abs(k) ** a
         outer = np.einsum("l,bl,al->lab", prefactor * sigma,
                           basis, basis.conj())
         np.add.at(accum, ell % n, outer)
-    if kind == "mass":         # the l = 0 mode carries the mean of f
-        accum[0] += prefactor * np.array([[1.0, 0.0], [0.0, 0.0]])
     blocks = np.fft.fft(accum, axis=0)
     imag = np.max(np.abs(blocks.imag)) / max(np.max(np.abs(blocks.real)), 1e-300)
     if imag > 1e-8:
@@ -472,14 +468,6 @@ class OperatorMatrices:
     @cached_property
     def gram_blocks(self) -> np.ndarray:
         return assemble_offset_blocks(self.grid, self.alpha, "gram_half")
-
-    @cached_property
-    def mass_symbol(self) -> np.ndarray:
-        return block_symbol(self.mass_blocks)
-
-    @cached_property
-    def disp_symbol(self) -> np.ndarray:
-        return block_symbol(self.disp_blocks)
 
     @cached_property
     def gram_symbol(self) -> np.ndarray:
@@ -595,10 +583,10 @@ def operator_identity_report(alpha, n_elems: int = 64) -> dict:
     # symbols, and its transpose to theirs conjugate-transposed; so Frobenius
     # norms (Parseval) and eigenvalues come from the symbols, at any N.
     norm = np.linalg.norm
-    disp, gram = ops.disp_symbol, ops.gram_symbol
+    disp, gram = block_symbol(ops.disp_blocks), ops.gram_symbol
     disp_t, gram_t = (s.conj().transpose(0, 2, 1) for s in (disp, gram))
     record("disp_skew_symmetry", norm(disp + disp_t) / norm(disp), 1e-10)
-    mass_eigs = np.linalg.eigvalsh(ops.mass_symbol)
+    mass_eigs = np.linalg.eigvalsh(block_symbol(ops.mass_blocks))
     record("mass_spd_min_eig_negative_part", max(0.0, -mass_eigs.min()), 0.0)
     record("gram_symmetry", norm(gram - gram_t) / norm(gram), 1e-12)
     gram_eigs = np.linalg.eigvalsh(gram)

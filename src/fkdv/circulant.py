@@ -5,7 +5,7 @@ Every Galerkin matrix in this package couples the two degrees of freedom
 depends only on the offset (j - i) mod N.  Such matrices are stored as an
 ``(N, 2, 2)`` array of offset blocks; the FFT over the node index
 block-diagonalises them into N independent 2x2 complex systems, applied
-by apply_symbol and inverted by invert_symbol.
+by apply_symbol and inverted by _invert_symbol_inplace.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "block_symbol",
     "apply_symbol",
-    "invert_symbol",
 ]
 
 
@@ -62,18 +61,12 @@ def apply_symbol(symbol: np.ndarray, coeffs: np.ndarray,
     return out
 
 
-def invert_symbol(symbol: np.ndarray) -> np.ndarray:
+def _invert_symbol_inplace(symbol: np.ndarray) -> np.ndarray:
     """Per-frequency inverse of a (N, 2, 2) symbol, by the 2x2 adjugate.
 
-    Applying the result with apply_symbol solves the block-circulant system.
-    """
-    return _invert_symbol_inplace(symbol.copy())
-
-
-def _invert_symbol_inplace(symbol: np.ndarray) -> np.ndarray:
-    """invert_symbol, writing the adjugate quotients over ``symbol``.
-
-    For a symbol formed as a temporary: no second (N, 2, 2) array is made.
+    The quotients are written over ``symbol``, which is returned, so no
+    second (N, 2, 2) array is made.  Applying the result with apply_symbol
+    solves the block-circulant system.
     """
     a = symbol[:, 0, 0]
     b = symbol[:, 0, 1]

@@ -178,6 +178,8 @@ def _reference_values(cfg: RunConfig, spec: ExperimentSpec) -> np.ndarray | None
             raise ConfigError(
                 f"reference resolution {m} must be a multiple of each sweep "
                 f"entry (violated by N={n})")
+    if kind == "spectral" and m & (m - 1):
+        raise ConfigError(f"spectral reference resolution {m} must be a power of two")
     if kind == "self":
         _, _, traj = _solve(cfg.scheme, spec, m)
         return traj.final.node_values.copy()

@@ -36,7 +36,7 @@ __all__ = [
     "ELEMENT_MASS",
     "gauss_values",
     "element_loads",
-    "square_loads",
+    "nonlinear_load",
     "hermite_interpolate",
     "l2_project",
     "mass_offset_blocks",
@@ -128,7 +128,7 @@ def element_loads(values: np.ndarray, order: int) -> np.ndarray:
     return values @ _GAUSS_TESTS[order]
 
 
-# Elements per block of square_loads, whose buffers then stay in cache.  A
+# Elements per block of nonlinear_load, whose buffers then stay in cache.  A
 # tail of fewer than _MIN_BLOCK elements joins the block before it: BLAS
 # may take another kernel for a product of a few rows, which rounds
 # otherwise than the whole product does.
@@ -136,15 +136,19 @@ _BLOCK = 4096
 _MIN_BLOCK = 16
 
 
-def square_loads(a: np.ndarray, b: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """Loads of ((a + b)/2)^2 against the test slopes, summed onto nodes.
+def nonlinear_load(a: np.ndarray, b: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """q_i = <((a + b)/2)^2, d/dx v_i> for coefficient vectors a and b.
 
-    Equals scatter(element_loads(gauss_values(0.5 * (a + b)) ** 2, 1)) bit
-    for bit, but runs gather, Gauss values, square, loads and scatter in
-    blocks of elements through small buffers, so no (E, 8) array is formed.
-    The result goes into ``out`` (a contiguous float array) if given.
+    Exact for the degree-6 integrand; the 1/dx of the test derivative cancels
+    the element jacobian.  Equals
+    scatter(element_loads(gauss_values(0.5 * (a + b)) ** 2, 1)) bit for bit,
+    but runs gather, Gauss values, square, loads and scatter in blocks of
+    elements through small buffers, so no (E, 8) array is formed.  The
+    result goes into ``out`` (a contiguous float array) if given.
     """
+    if a.shape != b.shape:
+        raise ValueError(f"coefficient vectors differ in shape: {a.shape}, {b.shape}")
     a_pairs, b_pairs = _node_pairs(a), _node_pairs(b)
     n = a_pairs.shape[0]
     if out is None:
@@ -261,9 +265,6 @@ class FemFunction:
 
     def __add__(self, other: "FemFunction") -> "FemFunction":
         return FemFunction(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "FemFunction") -> "FemFunction":
-        return FemFunction(self.grid, self.coeffs - other.coeffs)
 
     def __rmul__(self, scalar: float) -> "FemFunction":
         return FemFunction(self.grid, float(scalar) * self.coeffs)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .assembly import OperatorMatrices
 from .circulant import _invert_symbol_inplace, apply_symbol, block_symbol
-from .fem import FemFunction, Grid, square_loads
+from .fem import FemFunction, Grid, nonlinear_load
 
 __all__ = [
     "SchemeConfig",
@@ -32,7 +32,6 @@ __all__ = [
     "Trajectory",
     "FixedPointDivergence",
     "choose_dt",
-    "nonlinear_load",
     "run",
     "steps_to_keep",
     "snap_time",
@@ -55,16 +54,13 @@ class SchemeConfig:
 
     dt_rule: 'courant' (dt = dx/||u0||_inf), 'explicit' (dt = dt_value), or
     'proportional' (dt = dt_factor * dx).  The Picard iteration stops once
-    a correction falls to tol_factor * dx * ||u_n||_L2.  nonlinear=False
-    freezes the quadratic term, leaving the linear Crank-Nicolson (Cayley)
-    map — used by the isometry/reversibility checks.
+    a correction falls to tol_factor * dx * ||u_n||_L2.
     """
 
     dt_rule: str = "courant"
     dt_value: float | None = None
     dt_factor: float | None = None
     tol_factor: float = 0.002
-    nonlinear: bool = True
 
     def __post_init__(self) -> None:
         if self.dt_rule not in _DT_RULES:
@@ -107,10 +103,6 @@ class Trajectory:
     @property
     def n_steps(self) -> int:
         return len(self.reports)
-
-    @property
-    def t_final(self) -> float:
-        return self.t0 + self.n_steps * self.dt
 
     @property
     def final(self) -> FemFunction:
@@ -165,18 +157,6 @@ def choose_dt(u0: FemFunction, grid: Grid, cfg: SchemeConfig,
     return dt
 
 
-def nonlinear_load(w: FemFunction, un: FemFunction, grid: Grid,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """q_i = <((w + un)/2)^2, d/dx v_i>; exact for the degree-6 integrand.
-
-    The 1/dx of the test derivative cancels the element jacobian.  The loads
-    go into ``out`` if given.
-    """
-    if w.grid != grid or un.grid != grid:
-        raise ValueError("operands live on a different grid")
-    return square_loads(w.coeffs, un.coeffs, out)
-
-
 class _Workspace:
     """The arrays a step writes, made once per run.
 
@@ -200,9 +180,9 @@ class _StepOperator:
     """Factored linear part of the step, shared across iterations and steps.
 
     Holds only (M - dt/2 D)^-1 and M + dt/2 D; the symbols of M and D are
-    locals, so ops caches neither.  M + dt/2 D is formed in the mass
-    symbol's own buffer and M - dt/2 D in one more, so at most three
-    complex (N, 2, 2) arrays are alive at once.
+    locals.  M + dt/2 D is formed in the mass symbol's own buffer and
+    M - dt/2 D in one more, so at most three complex (N, 2, 2) arrays are
+    alive at once.
     """
 
     def __init__(self, ops: OperatorMatrices, dt: float):
@@ -231,35 +211,29 @@ class _StepOperator:
         b0 = apply_symbol(self.b_symbol, un.coeffs, work.b0, work.fft)
         correction, scratch = work.spare
 
-        if not cfg.nonlinear:
-            w = apply_symbol(self.a_inv, b0, work.iterates[0], work.fft)
-            iters, res, contraction = 1, 0.0, 0.0
-        else:
-            w = un.coeffs
-            w_fn = un
-            res = contraction = 0.0
-            # Overflow only leads to a non-finite residual, which ends the step.
-            with np.errstate(over="ignore", invalid="ignore"):
-                for iters in range(1, MAX_PICARD_ITERS + 1):
-                    w_new = nonlinear_load(w_fn, un, grid, work.iterates[iters % 2])
-                    w_new *= 0.5 * self.dt
-                    w_new += b0
-                    apply_symbol(self.a_inv, w_new, w_new, work.fft)
-                    prev, res = res, self.ops.l2_norm(
-                        np.subtract(w_new, w, out=correction), scratch)
-                    # A non-finite correction can never recover; stop at once.
-                    if not math.isfinite(res):
-                        raise FixedPointDivergence(iters, res, tol, contraction,
-                                                   step_index)
-                    if iters > 1:
-                        contraction = max(contraction, res / prev)
-                    w = w_new
-                    w_fn = FemFunction(grid, w)
-                    if res <= tol:
-                        break
-                else:
-                    raise FixedPointDivergence(MAX_PICARD_ITERS, res, tol,
-                                               contraction, step_index)
+        w = un.coeffs
+        res = contraction = 0.0
+        # Overflow only leads to a non-finite residual, which ends the step.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for iters in range(1, MAX_PICARD_ITERS + 1):
+                w_new = nonlinear_load(w, un.coeffs, work.iterates[iters % 2])
+                w_new *= 0.5 * self.dt
+                w_new += b0
+                apply_symbol(self.a_inv, w_new, w_new, work.fft)
+                prev, res = res, self.ops.l2_norm(
+                    np.subtract(w_new, w, out=correction), scratch)
+                # A non-finite correction can never recover; stop at once.
+                if not math.isfinite(res):
+                    raise FixedPointDivergence(iters, res, tol, contraction,
+                                               step_index)
+                if iters > 1:
+                    contraction = max(contraction, res / prev)
+                w = w_new
+                if res <= tol:
+                    break
+            else:
+                raise FixedPointDivergence(MAX_PICARD_ITERS, res, tol,
+                                           contraction, step_index)
 
         norm_w = self.ops.l2_norm(w, scratch)
         moved = np.subtract(w[0::2], un.coeffs[0::2], out=correction[:grid.n_elems])

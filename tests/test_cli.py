@@ -511,6 +511,9 @@ _BAD_REFERENCE = st.one_of(
         st.integers(max_value=3).map(str),
         # bo-one sweeps up to N=1024, so M must be a multiple of it.
         st.integers(4, 10**6).filter(lambda m: m % 1024).map(str))).map("".join),
+    # A multiple of every sweep entry that no spectral grid can take.
+    st.integers(1, 10**3).map(lambda k: 1024 * k).filter(lambda m: m & (m - 1))
+    .map(lambda m: f"spectral:{m}"),
 )
 _BAD_RUN_FLAGS = {
     "--sweep": _BAD_SWEEP,

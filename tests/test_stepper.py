@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from fkdv.assembly import assemble_operators
-from fkdv.circulant import apply_symbol
+from fkdv.circulant import apply_symbol, block_symbol
 from fkdv.fem import (GAUSS_POINTS, FemFunction, Grid, element_loads,
                       hermite_interpolate, l2_project, mass_offset_blocks,
-                      scatter)
+                      nonlinear_load, scatter)
 from fkdv.solutions import bo_soliton, get_experiment, kdv_one_soliton
 import fkdv.stepper
 from fkdv.stepper import (
@@ -22,15 +22,25 @@ from fkdv.stepper import (
     Trajectory,
     choose_dt,
     interpolate_in_time,
-    nonlinear_load,
     run,
     steps_to_keep,
 )
 from solution_derivatives import bo_soliton_dx, kdv_one_soliton_dx
 
 
-def _m_norm(coeffs: np.ndarray, mass_symbol: np.ndarray) -> float:
-    return math.sqrt(float(coeffs @ apply_symbol(mass_symbol, coeffs)))
+def _m_norm(coeffs: np.ndarray, ops) -> float:
+    """sqrt(c^T M c) through the mass symbol, apart from ops.l2_norm."""
+    mass = block_symbol(ops.mass_blocks)
+    return math.sqrt(float(coeffs @ apply_symbol(mass, coeffs)))
+
+
+def _cayley_steps(coeffs: np.ndarray, ops, dt: float, steps: int) -> np.ndarray:
+    """steps linear Crank-Nicolson (Cayley) steps: the step's two symbols
+    without the quadratic load, c <- (M - dt/2 D)^-1 (M + dt/2 D) c."""
+    operator = fkdv.stepper._StepOperator(ops, dt)
+    for _ in range(steps):
+        coeffs = apply_symbol(operator.a_inv, apply_symbol(operator.b_symbol, coeffs))
+    return coeffs
 
 
 def _one_step(u: FemFunction, ops, dt: float, **settings):
@@ -85,7 +95,7 @@ def test_explicit_dt_step_count(grid64, ops64):
     traj = run(u0, 0.0, 1.0, ops64, cfg)
     assert traj.n_steps == 100
     assert traj.dt == pytest.approx(0.01)
-    assert traj.t_final == pytest.approx(1.0)
+    assert traj.t0 + traj.n_steps * traj.dt == pytest.approx(1.0)
 
 
 def test_proportional_dt_rule(grid64):
@@ -117,18 +127,17 @@ def test_choose_dt_sign_mismatch_raises(grid64):
 
 
 def test_nonlinear_load_zero_and_constant(grid64):
-    zero = FemFunction(grid64, np.zeros(grid64.n_dofs))
-    assert np.all(nonlinear_load(zero, zero, grid64) == 0.0)
-    coeffs = np.zeros(grid64.n_dofs)
-    coeffs[0::2] = 3.0
-    const = FemFunction(grid64, coeffs)
-    q = nonlinear_load(const, const, grid64)
+    zero = np.zeros(grid64.n_dofs)
+    assert np.all(nonlinear_load(zero, zero) == 0.0)
+    const = np.zeros(grid64.n_dofs)
+    const[0::2] = 3.0
+    q = nonlinear_load(const, const)
     assert np.max(np.abs(q)) < 1e-13
 
 
 def test_nonlinear_load_conservation_orthogonality(grid64):
     u = l2_project(grid64, np.sin)
-    q = nonlinear_load(u, u, grid64)
+    q = nonlinear_load(u.coeffs, u.coeffs)
     scale = np.linalg.norm(q)
     ones = np.zeros(grid64.n_dofs)
     ones[0::2] = 1.0
@@ -138,13 +147,11 @@ def test_nonlinear_load_conservation_orthogonality(grid64):
     assert abs(float(u.coeffs @ q)) < 1e-8 * scale
 
 
-def test_nonlinear_load_grid_mismatch():
-    g1 = Grid(0.0, 1.0, 8)
-    g2 = Grid(0.0, 1.0, 16)
-    u = FemFunction(g1, np.zeros(g1.n_dofs))
-    v = FemFunction(g2, np.zeros(g2.n_dofs))
+def test_nonlinear_load_length_mismatch():
     with pytest.raises(ValueError):
-        nonlinear_load(u, v, g1)
+        nonlinear_load(np.zeros(16), np.zeros(32))
+    with pytest.raises(ValueError):
+        nonlinear_load(np.zeros(32), np.zeros(16))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +199,7 @@ def test_final_residual_below_tolerance(grid64, ops64):
     traj = run(u0, 0.0, 0.1, ops64, cfg, keep=range(5))
     for n, report in enumerate(traj.reports):
         prev = traj.state(n).coeffs
-        tol = cfg.tol_factor * grid64.dx * _m_norm(prev, ops64.mass_symbol)
+        tol = cfg.tol_factor * grid64.dx * _m_norm(prev, ops64)
         assert report.final_residual <= tol
 
 
@@ -219,7 +226,7 @@ def test_run_with_zero_span_returns_initial(grid64, ops64):
     traj = run(u0, 3.0, 3.0, ops64, cfg)
     assert traj.n_steps == 0
     assert traj.final is u0
-    assert traj.t_final == 3.0
+    assert traj.t0 == 3.0 and traj.n_steps == 0
 
 
 def test_run_rejects_foreign_operators(grid64):
@@ -234,11 +241,9 @@ def test_cayley_map_is_isometry():
     grid = Grid(0.0, 2.0 * np.pi, 32)
     ops = assemble_operators(grid, 1.5)
     u0 = l2_project(grid, np.sin)
-    cfg = SchemeConfig(dt_rule="explicit", dt_value=0.01,
-                       nonlinear=False)
-    traj = run(u0, 0.0, 0.2, ops, cfg)
-    n0 = _m_norm(u0.coeffs, ops.mass_symbol)
-    nf = _m_norm(traj.final.coeffs, ops.mass_symbol)
+    final = _cayley_steps(u0.coeffs, ops, 0.01, 20)
+    n0 = _m_norm(u0.coeffs, ops)
+    nf = _m_norm(final, ops)
     assert abs(nf - n0) / n0 < 1e-12
 
 
@@ -246,18 +251,13 @@ def test_cayley_map_reverses():
     grid = Grid(0.0, 2.0 * np.pi, 32)
     ops = assemble_operators(grid, 1.5)
     u0 = l2_project(grid, np.sin)
-    fwd = SchemeConfig(dt_rule="explicit", dt_value=0.01,
-                       nonlinear=False)
-    back = SchemeConfig(dt_rule="explicit", dt_value=-0.01,
-                        nonlinear=False)
-    there = run(u0, 0.0, 0.1, ops, fwd)
-    again = run(there.final, 0.1, 0.0, ops, back)
-    err = np.linalg.norm(again.final.coeffs - u0.coeffs)
+    there = _cayley_steps(u0.coeffs, ops, 0.01, 10)
+    again = _cayley_steps(there, ops, -0.01, 10)
+    err = np.linalg.norm(again - u0.coeffs)
     assert err / np.linalg.norm(u0.coeffs) < 1e-10
-    # A single step accepts dt < 0 and undoes a step of +dt.
-    w, _ = _one_step(u0, ops, 0.01, nonlinear=False)
-    w, _ = _one_step(w, ops, -0.01, nonlinear=False)
-    assert ops.l2_norm(w.coeffs - u0.coeffs) <= 1e-12
+    # A single step of -dt undoes a step of +dt.
+    w = _cayley_steps(_cayley_steps(u0.coeffs, ops, 0.01, 1), ops, -0.01, 1)
+    assert ops.l2_norm(w - u0.coeffs) <= 1e-12
 
 
 def test_soliton_run_iteration_budget():
@@ -409,15 +409,6 @@ def test_step_calls_load_and_apply_through_module_names(monkeypatch):
     iters = sum(r.iters for r in traj.reports)
     assert traj.n_steps > 1 and iters > traj.n_steps
     assert calls == {"load": iters, "apply": iters + traj.n_steps}
-
-
-def test_run_leaves_mass_and_dispersion_symbols_uncached():
-    # The step keeps only its two combined symbols; M and D are not cached.
-    grid = Grid(0.0, 2.0 * np.pi, 32)
-    ops = assemble_operators(grid, 1.5)
-    run(l2_project(grid, np.sin), 0.0, 0.1, ops, SchemeConfig())
-    assert "mass_symbol" not in ops.__dict__
-    assert "disp_symbol" not in ops.__dict__
 
 
 # ---------------------------------------------------------------------------
