@@ -47,7 +47,10 @@ class ConfigError(Exception):
 
 
 # INI keys that go to SchemeConfig under the same names.
-_STEP_SETTINGS = ("dt_rule", "dt_value", "dt_factor", "tol_factor")
+_STEP_SETTINGS = ("dt_value", "dt_factor", "tol_factor")
+# Every key an [experiment] section may hold; any other is a config error.
+_INI_KEYS = ("base", "alpha", "t0", "t_final", "domain", "sweep", "reference",
+             *_STEP_SETTINGS)
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,10 @@ def _load_ini(path: Path) -> tuple[str, dict, dict]:
     if not parser.has_section("experiment"):
         raise ConfigError(f"{path}: missing [experiment] section")
     section = parser["experiment"]
+    unknown = [key for key in section if key not in _INI_KEYS]
+    if unknown:
+        raise ConfigError(f"{path}: unknown [experiment] key(s) {', '.join(unknown)}; "
+                          f"known keys: {', '.join(_INI_KEYS)}")
     if "base" not in section:
         raise ConfigError(f"{path}: 'base' (a built-in experiment name) is required")
     base = section["base"]
@@ -112,9 +119,7 @@ def _load_ini(path: Path) -> tuple[str, dict, dict]:
             overrides["domain"] = (lo, hi)
         if "sweep" in section:
             settings["sweep"] = _parse_sweep(section["sweep"])
-        if "dt_rule" in section:
-            settings["dt_rule"] = section["dt_rule"]
-        for key in ("dt_value", "dt_factor", "tol_factor"):
+        for key in _STEP_SETTINGS:
             if key in section:
                 settings[key] = section.getfloat(key)
         if "reference" in section:
@@ -354,16 +359,16 @@ def _resolve_run_config(args) -> RunConfig:
         sweep = _parse_sweep(args.sweep)
 
     step = {key: settings[key] for key in _STEP_SETTINGS if key in settings}
+    # --dt and --dt-rule each replace any step size the INI file gives.
+    if args.dt is not None or args.dt_rule is not None:
+        step = {key: value for key, value in step.items() if key == "tol_factor"}
     if args.dt is not None:
-        step.update(dt_rule="explicit", dt_value=args.dt)
-    elif args.dt_rule == "courant":
-        step["dt_rule"] = "courant"
-    elif args.dt_rule is not None:
+        step["dt_value"] = args.dt
+    elif args.dt_rule is not None and args.dt_rule != "courant":
         if not args.dt_rule.startswith("prop:"):
             raise ConfigError(f"bad --dt-rule {args.dt_rule!r}")
         try:
-            step.update(dt_rule="proportional",
-                        dt_factor=float(args.dt_rule[5:]))
+            step["dt_factor"] = float(args.dt_rule[5:])
         except ValueError as exc:
             raise ConfigError(f"bad --dt-rule {args.dt_rule!r}") from exc
     if args.tol_factor is not None:

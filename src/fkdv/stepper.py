@@ -45,31 +45,29 @@ MAX_PICARD_ITERS = 100
 # is taken as that end; one further outside the span is rejected.
 TIME_WINDOW = 1e-9
 
-_DT_RULES = ("courant", "explicit", "proportional")
-
 
 @dataclass(frozen=True)
 class SchemeConfig:
     """Time-stepping parameters; the order alpha comes with the operators.
 
-    dt_rule: 'courant' (dt = dx/||u0||_inf), 'explicit' (dt = dt_value), or
-    'proportional' (dt = dt_factor * dx).  The Picard iteration stops once
-    a correction falls to tol_factor * dx * ||u_n||_L2.
+    The step is dt_value when given, dt_factor * dx when dt_factor is given,
+    and the Courant step dx/||u0||_inf when neither is; giving both is an
+    error.  The Picard iteration stops once a correction falls to
+    tol_factor * dx * ||u_n||_L2.
     """
 
-    dt_rule: str = "courant"
     dt_value: float | None = None
     dt_factor: float | None = None
     tol_factor: float = 0.002
 
     def __post_init__(self) -> None:
-        if self.dt_rule not in _DT_RULES:
-            raise ValueError(f"dt_rule must be one of {_DT_RULES}")
+        if self.dt_value is not None and self.dt_factor is not None:
+            raise ValueError("give dt_value or dt_factor, not both")
         # Negative dt is allowed: the Cayley map is time reversible.
-        if self.dt_rule == "explicit" and not math.isfinite(self.dt_value or math.nan):
-            raise ValueError("explicit dt_rule needs a finite nonzero dt_value")
-        if self.dt_rule == "proportional" and not 0 < (self.dt_factor or 0) < math.inf:
-            raise ValueError("proportional dt_rule needs a finite positive dt_factor")
+        if self.dt_value is not None and not math.isfinite(self.dt_value or math.nan):
+            raise ValueError("dt_value must be finite and nonzero")
+        if self.dt_factor is not None and not 0 < self.dt_factor < math.inf:
+            raise ValueError("dt_factor must be finite and positive")
         if not 0 < self.tol_factor < math.inf:
             raise ValueError("tol_factor must be finite and positive")
 
@@ -139,15 +137,15 @@ class FixedPointDivergence(RuntimeError):
 def choose_dt(u0: FemFunction, grid: Grid, cfg: SchemeConfig,
               t0: float = 0.0, t_final: float | None = None) -> float:
     """Step size per the configured rule, snapped down to divide the span."""
-    if cfg.dt_rule == "courant":
+    if cfg.dt_value is not None:
+        dt = float(cfg.dt_value)
+    elif cfg.dt_factor is not None:
+        dt = cfg.dt_factor * grid.dx
+    else:
         sup = u0.sup_norm()
         if sup == 0.0:
             raise ValueError("courant dt rule undefined for zero initial data")
         dt = grid.dx / sup
-    elif cfg.dt_rule == "explicit":
-        dt = float(cfg.dt_value)
-    else:
-        dt = cfg.dt_factor * grid.dx
     if t_final is not None:
         span = t_final - t0
         if span == 0.0 or (span > 0) != (dt > 0):

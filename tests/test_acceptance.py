@@ -313,8 +313,7 @@ def test_acceptance_7_temporal_order(capsys):
     dt0 = choose_dt(u0, grid, SchemeConfig(), spec.t0, spec.t_final)
     finals = []
     for k in range(4):
-        cfg = SchemeConfig(dt_rule="explicit",
-                           dt_value=dt0 / 2 ** k,
+        cfg = SchemeConfig(dt_value=dt0 / 2 ** k,
                            tol_factor=CONVERGED_TOL_FACTOR)
         finals.append(run(u0, spec.t0, spec.t_final, ops, cfg).final)
     ref = finals[3].node_values

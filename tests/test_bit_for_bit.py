@@ -138,7 +138,7 @@ def test_three_step_run_matches_plain_loop(n: int):
     grid = Grid(spec.domain[0], spec.domain[1], n)
     ops = assemble_operators(grid, spec.alpha)
     u0 = l2_project(grid, spec.initial)
-    cfg = SchemeConfig(dt_rule="explicit", dt_value=0.01)
+    cfg = SchemeConfig(dt_value=0.01)
     traj = run(u0, 0.0, 0.03, ops, cfg, keep=range(4))
     assert traj.n_steps == 3
     states, iters = _plain_run(u0, ops, traj.dt, 3, cfg.tol_factor)

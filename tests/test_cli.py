@@ -218,9 +218,12 @@ def test_run_config_errors_exit_two(argv):
 @pytest.mark.parametrize("flags, ini", [
     (["--tol-factor", "0"], None),
     ([], "dt_rule = bogus\n"),
-    ([], "dt_rule = explicit\n"),      # no dt_value
+    ([], "dt_rule = explicit\n"),      # a key that no longer exists
     (["--jobs", "0"], None),
     (["--jobs", "-3"], None),
+    ([], "dt_value = 0.5\ndt_factor = 0.5\n"),
+    ([], "tol-factor = 1e-9\n"),       # the flag's spelling, not the key's
+    ([], "t_end = 3\n"),
 ])
 def test_bad_step_settings_exit_two_before_any_solve(
         flags, ini, tmp_path, tmp_path_factory, monkeypatch):
@@ -241,6 +244,34 @@ def test_bad_step_settings_exit_two_before_any_solve(
     assert "config error" in err
     assert out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def _step_ini(tmp_path, name: str, lines: str = "") -> str:
+    path = tmp_path / f"{name}.ini"
+    path.write_text(f"[experiment]\nbase = bo-one\nt_final = 6\nsweep = 16, 32\n{lines}")
+    return str(path)
+
+
+@pytest.mark.parametrize("lines, ini_flags, flags", [
+    ("dt_value = 0.5\n", [], ["--dt", "0.5"]),
+    ("dt_factor = 0.25\n", [], ["--dt-rule", "prop:0.25"]),
+    ("dt_factor = 0.25\n", ["--dt", "0.5"], ["--dt", "0.5"]),
+    ("dt_value = 0.5\n", ["--dt-rule", "prop:0.25"], ["--dt-rule", "prop:0.25"]),
+    ("dt_value = 0.5\n", ["--dt-rule", "courant"], []),
+    ("dt_factor = 0.25\n", ["--dt-rule", "courant"], []),
+])
+def test_ini_step_size_runs_as_its_flag(lines, ini_flags, flags, tmp_path):
+    # An INI step size prints the table of the flag that spells it, and a
+    # step flag replaces whichever step size the INI file gives.
+    rc, from_ini, _ = _invoke(["run", "--experiment", _step_ini(tmp_path, "steps", lines),
+                               *ini_flags])
+    plain = _step_ini(tmp_path, "plain")
+    _, from_flags, _ = _invoke(["run", "--experiment", plain, *flags])
+    assert rc == 0
+    assert from_ini == from_flags
+    if flags:       # not vacuous: the step size changes the table
+        _, courant, _ = _invoke(["run", "--experiment", plain])
+        assert from_ini != courant
 
 
 def test_run_ini_without_experiment_section(tmp_path):
@@ -530,9 +561,9 @@ _BAD_TIMES = st.one_of(
 )
 
 
-def _ini(key: str, values, needs: str = ""):
-    """INI lines setting key to each value, after the lines it needs."""
-    return values.map(lambda v: f"{needs}{key} = {v}")
+def _ini(key: str, values):
+    """INI lines setting key to each value."""
+    return values.map(lambda v: f"{key} = {v}")
 
 
 # One bad [experiment] key each, besides base = bo-one.
@@ -549,15 +580,17 @@ _BAD_INI = {
         _TEXT, st.tuples(st.floats(allow_nan=True), st.floats(allow_nan=True))
         .map(lambda d: f"{d[0]!r}, {d[1]!r}")).filter(lambda t: not _finite_interval(t))),
     "sweep": _ini("sweep", _BAD_SWEEP),
-    "dt_rule": _ini("dt_rule", st.one_of(
-        _TEXT.filter(lambda t: t not in ("courant", "explicit", "proportional")),
-        st.sampled_from(["explicit", "proportional"]))),    # without their value
     "dt_value": _ini("dt_value", st.one_of(
-        _NOT_FLOAT, st.sampled_from(["0", "-0.0", "nan", "inf", "-inf"])),
-        needs="dt_rule = explicit\n"),
-    "dt_factor": _ini("dt_factor", _NOT_POSITIVE, needs="dt_rule = proportional\n"),
+        _NOT_FLOAT, st.sampled_from(["0", "-0.0", "nan", "inf", "-inf"]))),
+    "dt_factor": _ini("dt_factor", _NOT_POSITIVE),
     "tol_factor": _ini("tol_factor", _NOT_POSITIVE),
     "reference": _ini("reference", _BAD_REFERENCE),
+    # Any other key, whatever its value: old and misspelt keys among them.
+    "unknown": st.tuples(
+        st.one_of(st.sampled_from(["dt_rule", "tol-factor", "t_end", "dt"]),
+                  st.from_regex(r"[a-z_][a-z0-9_-]{0,11}", fullmatch=True)
+                  .filter(lambda k: k not in fkdv.cli._INI_KEYS)),
+        _TEXT).map(lambda kv: f"{kv[0]} = {kv[1]}"),
 }
 _GENERATED = settings(max_examples=50, deadline=None,
                       suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -35,7 +35,7 @@ def test_iterates_own_their_coefficients(grid64, ops64):
     u0 = l2_project(grid64, np.sin)
     op = _StepOperator(ops64, 0.01)
     assert _owns(apply_symbol(op.a_inv, apply_symbol(op.b_symbol, u0.coeffs)))
-    cfg = SchemeConfig(dt_rule="explicit", dt_value=0.01)
+    cfg = SchemeConfig(dt_value=0.01)
     traj = run(u0, 0.0, 0.05, ops64, cfg, keep=range(6))
     assert len(traj.states) == 6
     assert all(_owns(state.coeffs) for state in traj.states.values())
@@ -63,7 +63,7 @@ def test_traced_peaks_per_layer():
     symbol = 64 * n
     grid = Grid(-10.0, 10.0, n)
     ops = assemble_operators(grid, 1.5)
-    cfg = SchemeConfig(dt_rule="explicit", dt_value=0.01)
+    cfg = SchemeConfig(dt_value=0.01)
 
     u0, peak, _ = _traced(lambda: l2_project(grid, triangle_data), symbol)
     assert peak <= 3.25

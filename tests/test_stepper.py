@@ -45,7 +45,7 @@ def _cayley_steps(coeffs: np.ndarray, ops, dt: float, steps: int) -> np.ndarray:
 
 def _one_step(u: FemFunction, ops, dt: float, **settings):
     """One explicit step of size dt from t = 0: (state, report)."""
-    cfg = SchemeConfig(dt_rule="explicit", dt_value=dt, **settings)
+    cfg = SchemeConfig(dt_value=dt, **settings)
     traj = run(u, 0.0, dt, ops, cfg)
     assert traj.n_steps == 1
     return traj.final, traj.reports[0]
@@ -58,12 +58,13 @@ def _one_step(u: FemFunction, ops, dt: float, **settings):
 def test_scheme_config_validation():
     with pytest.raises(TypeError):      # the order comes with the operators
         SchemeConfig(alpha=1.5)
-    with pytest.raises(ValueError):
-        SchemeConfig(dt_rule="adaptive")
-    with pytest.raises(ValueError):
-        SchemeConfig(dt_rule="explicit")
-    with pytest.raises(ValueError):
-        SchemeConfig(dt_rule="proportional")
+    with pytest.raises(TypeError):      # the step rule follows the value given
+        SchemeConfig(dt_rule="explicit", dt_value=0.1)
+    with pytest.raises(ValueError):     # a step size and a factor of dx
+        SchemeConfig(dt_value=0.1, dt_factor=0.5)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SchemeConfig(dt_factor=bad)
     with pytest.raises(ValueError):
         SchemeConfig(tol_factor=0.0)
 
@@ -73,7 +74,7 @@ def test_fixed_point_step_needs_positive_dt(grid64, ops64):
     # Only a zero or non-finite step is rejected; dt < 0 steps back in time.
     for bad in (0.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
-            SchemeConfig(dt_rule="explicit", dt_value=bad)
+            SchemeConfig(dt_value=bad)
     u0 = l2_project(grid64, np.sin)
     back, report = _one_step(u0, ops64, -0.01)
     assert np.all(np.isfinite(back.coeffs))
@@ -91,7 +92,7 @@ def test_courant_dt_from_soliton_peak():
 
 def test_explicit_dt_step_count(grid64, ops64):
     u0 = l2_project(grid64, np.sin)
-    cfg = SchemeConfig(dt_rule="explicit", dt_value=0.01)
+    cfg = SchemeConfig(dt_value=0.01)
     traj = run(u0, 0.0, 1.0, ops64, cfg)
     assert traj.n_steps == 100
     assert traj.dt == pytest.approx(0.01)
@@ -100,21 +101,21 @@ def test_explicit_dt_step_count(grid64, ops64):
 
 def test_proportional_dt_rule(grid64):
     u0 = l2_project(grid64, np.sin)
-    cfg = SchemeConfig(dt_rule="proportional", dt_factor=0.5)
+    cfg = SchemeConfig(dt_factor=0.5)
     dt = choose_dt(u0, grid64, cfg)
     assert dt == pytest.approx(0.5 * grid64.dx)
 
 
 def test_choose_dt_snaps_down_to_divide_span(grid64):
     u0 = l2_project(grid64, np.sin)
-    cfg = SchemeConfig(dt_rule="explicit", dt_value=0.3)
+    cfg = SchemeConfig(dt_value=0.3)
     dt = choose_dt(u0, grid64, cfg, 0.0, 1.0)
     assert dt == pytest.approx(0.25)
 
 
 def test_choose_dt_sign_mismatch_raises(grid64):
     u0 = l2_project(grid64, np.sin)
-    cfg = SchemeConfig(dt_rule="explicit", dt_value=0.1)
+    cfg = SchemeConfig(dt_value=0.1)
     with pytest.raises(ValueError):
         choose_dt(u0, grid64, cfg, 0.0, -1.0)
     zero = l2_project(grid64, lambda x: np.zeros_like(x))
@@ -195,7 +196,7 @@ def test_iteration_cap_reports_observed_contraction(grid64, ops64, monkeypatch):
 
 def test_final_residual_below_tolerance(grid64, ops64):
     u0 = l2_project(grid64, np.sin)
-    cfg = SchemeConfig(dt_rule="explicit", dt_value=0.02)
+    cfg = SchemeConfig(dt_value=0.02)
     traj = run(u0, 0.0, 0.1, ops64, cfg, keep=range(5))
     for n, report in enumerate(traj.reports):
         prev = traj.state(n).coeffs
@@ -208,7 +209,7 @@ def test_residuals_decrease_within_contraction_regime(grid64, ops64):
     # several iterations; each must shrink the residual.
     dt = 0.003 * grid64.dx**1.5
     u0 = l2_project(grid64, lambda x: 0.5 * np.sin(x))
-    cfg = SchemeConfig(dt_rule="explicit", dt_value=dt,
+    cfg = SchemeConfig(dt_value=dt,
                        tol_factor=1e-8)
     traj = run(u0, 0.0, 5 * dt, ops64, cfg)
     for report in traj.reports:
@@ -271,7 +272,7 @@ def test_soliton_run_iteration_budget():
 
 def test_mass_drift_is_roundoff(grid64, ops64):
     u0 = l2_project(grid64, lambda x: 1.0 + 0.5 * np.sin(x))
-    cfg = SchemeConfig(dt_rule="explicit", dt_value=0.02)
+    cfg = SchemeConfig(dt_value=0.02)
     traj = run(u0, 0.0, 0.2, ops64, cfg)
     scale = grid64.dx * float(np.sum(np.abs(u0.node_values)))
     for report in traj.reports:
@@ -282,7 +283,7 @@ def test_l2_drift_compares_successive_states(grid64, ops64):
     # run hands each state's M-norm on to the next step instead of taking it
     # again; the drifts must equal the norms recomputed from the states.
     u0 = l2_project(grid64, lambda x: 1.0 + 0.5 * np.sin(x))
-    cfg = SchemeConfig(dt_rule="explicit", dt_value=0.05)
+    cfg = SchemeConfig(dt_value=0.05)
     traj = run(u0, 0.0, 0.5, ops64, cfg, keep=range(10))
     norms = [ops64.l2_norm(traj.state(n).coeffs) for n in range(traj.n_steps + 1)]
     drifts = [abs(b - a) for a, b in zip(norms, norms[1:])]
@@ -292,7 +293,7 @@ def test_l2_drift_compares_successive_states(grid64, ops64):
 
 def test_default_run_keeps_initial_and_final_state_only(grid64, ops64):
     u0 = l2_project(grid64, np.sin)
-    cfg = SchemeConfig(dt_rule="explicit", dt_value=0.01)
+    cfg = SchemeConfig(dt_value=0.01)
     traj = run(u0, 0.0, 0.09, ops64, cfg)
     full = run(u0, 0.0, 0.09, ops64, cfg, keep=range(10))
     assert traj.n_steps == 9
@@ -312,7 +313,7 @@ def test_default_run_keeps_initial_and_final_state_only(grid64, ops64):
 
 def test_run_keeps_the_steps_it_is_given(grid64, ops64):
     u0 = l2_project(grid64, np.sin)
-    cfg = SchemeConfig(dt_rule="explicit", dt_value=0.01)
+    cfg = SchemeConfig(dt_value=0.01)
     full = run(u0, 0.0, 0.09, ops64, cfg, keep=range(10))
     traj = run(u0, 0.0, 0.09, ops64, cfg, keep={3, 5})
     assert list(traj.states) == [0, 3, 5, 9]
@@ -324,7 +325,7 @@ def test_run_keeps_the_steps_it_is_given(grid64, ops64):
 
 def test_steps_to_keep_are_what_interpolation_reads(grid64, ops64):
     u0 = l2_project(grid64, np.sin)
-    cfg = SchemeConfig(dt_rule="explicit", dt_value=0.01)
+    cfg = SchemeConfig(dt_value=0.01)
     # The first and last half steps, a half step, a step, and between them.
     times = [0.0, 0.003, 0.025, 0.037, 0.05, 0.0899, 0.09]
     for t in times:
