@@ -41,7 +41,7 @@ from .fem import FemFunction, Grid, mass_offset_blocks, node_shape_tables
 from .quad import gauss_rule, geometric_edges
 
 __all__ = [
-    "FractionalOrder",
+    "fractional_order",
     "OperatorMatrices",
     "frac_constant",
     "assemble_offset_blocks",
@@ -78,22 +78,13 @@ _ZETA_EM = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.892437580318379160
             -4.5979787224074726105e15, 1.8152105401943546773e17, -7.1661652561756670113e18)
 
 
-@dataclass(frozen=True)
-class FractionalOrder:
-    """Order alpha of the dispersion operator, restricted to [1, 2)."""
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if not 1.0 <= self.alpha < 2.0:
-            raise ValueError(f"alpha must lie in [1, 2), got {self.alpha}")
-
-    def __float__(self) -> float:
-        return self.alpha
-
-
-def _alpha_value(alpha) -> float:
-    return FractionalOrder(float(alpha)).alpha
+def fractional_order(alpha) -> float:
+    """alpha as a float, checked to lie in [1, 2), the orders of the
+    dispersion operator that the Galerkin operators support."""
+    a = float(alpha)
+    if not 1.0 <= a < 2.0:
+        raise ValueError(f"alpha must lie in [1, 2), got {a}")
+    return a
 
 
 def frac_constant(alpha: float) -> float:
@@ -358,7 +349,7 @@ def assemble_offset_blocks(grid: Grid, alpha, kind: str = "disp") -> np.ndarray:
     """
     if kind not in ("disp", "gram_half"):
         raise ValueError(f"unknown kind {kind!r}")
-    a = _alpha_value(alpha)
+    a = fractional_order(alpha)
     n, h = grid.n_elems, grid.dx
 
     test_tables = _VALUE_TABLES
@@ -420,7 +411,7 @@ def spectral_offset_blocks(grid: Grid, kind: str, alpha,
     n, h, width = grid.n_elems, grid.dx, grid.width
     if m_modes < n:
         raise ValueError("m_modes must be at least the number of elements")
-    a = _alpha_value(alpha)
+    a = fractional_order(alpha)
 
     accum = np.zeros((n, 2, 2), dtype=complex)
     prefactor = h * h / width
@@ -496,7 +487,7 @@ class OperatorMatrices:
 
 def assemble_operators(grid: Grid, alpha) -> OperatorMatrices:
     """Assemble mass and dispersion now; the Gram blocks wait for a read."""
-    a = _alpha_value(alpha)
+    a = fractional_order(alpha)
     return OperatorMatrices(grid, a, mass_offset_blocks(grid),
                             assemble_offset_blocks(grid, a, "disp"))
 
@@ -517,7 +508,7 @@ def frac_laplacian_pointwise(u: FemFunction, x, alpha):
     last image.  Not defined at nodes themselves for alpha > 1, where the
     curvature jump makes the value infinite; nodes are rejected.
     """
-    a = _alpha_value(alpha)
+    a = fractional_order(alpha)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.array([_pointwise_single(u, xi, a) for xi in xs])
     return out if np.ndim(x) else float(out[0])
@@ -569,7 +560,7 @@ def operator_identity_report(alpha, n_elems: int = 64) -> dict:
 
     Returns {"checks": [{name, value, tol, passed}, ...], "passed": bool}.
     """
-    a = _alpha_value(alpha)
+    a = fractional_order(alpha)
     grid = Grid(0.0, 2.0 * np.pi, n_elems)
     m_modes = 3000 * n_elems
     ops = assemble_operators(grid, a)

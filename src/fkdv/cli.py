@@ -23,16 +23,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import (FractionalOrder, assemble_operators,
+from .assembly import (assemble_operators, fractional_order,
                        operator_identity_report)
 from .diagnostics import (DiagnosticsRow, convergence_rate, hamiltonian_ratio,
                           mass_ratio, momentum_ratio, relative_error)
-from .fem import Grid, l2_project
+from .fem import FemFunction, Grid, l2_project
 from .solutions import ExperimentSpec, builtin_experiments, get_experiment
 from .spectral import (REFERENCE_DT_FACTOR, SpectralGrid, default_spectral_dt,
                        spectral_reference_solve)
-from .stepper import (FixedPointDivergence, SchemeConfig, Trajectory,
-                      interpolate_in_time, run, snap_time, steps_to_keep)
+from .stepper import FixedPointDivergence, SchemeConfig, run, snap_time
 
 __all__ = ["main", "run_table", "emit_snapshot", "RunConfig"]
 
@@ -81,7 +80,7 @@ def _resolve_spec(base_name: str, overrides: dict) -> ExperimentSpec:
         spec = get_experiment(base_name)
         if overrides:
             spec = replace(spec, **overrides)
-        FractionalOrder(spec.alpha)
+        fractional_order(spec.alpha)
     except (KeyError, ValueError) as exc:
         raise ConfigError(exc.args[0]) from exc
     return spec
@@ -158,12 +157,11 @@ def _parse_reference(text: str) -> tuple:
 
 def _solve(scheme: SchemeConfig, spec: ExperimentSpec, n: int, times=()):
     """Project, assemble and step one N-element run: (u0, ops, trajectory),
-    keeping the states that interpolating at times reads."""
+    with the trajectory's profiles at times."""
     grid = Grid(spec.domain[0], spec.domain[1], n)
     u0 = l2_project(grid, spec.initial)
     ops = assemble_operators(grid, spec.alpha)
-    keep = steps_to_keep(u0, spec.t0, spec.t_final, scheme, times) if times else ()
-    return u0, ops, run(u0, spec.t0, spec.t_final, ops, scheme, keep)
+    return u0, ops, run(u0, spec.t0, spec.t_final, ops, scheme, times)
 
 
 def _reference_values(cfg: RunConfig, spec: ExperimentSpec) -> np.ndarray | None:
@@ -282,10 +280,9 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def emit_snapshot(traj: Trajectory, t: float, path, reference=None) -> None:
-    """Write node profiles at time t: columns x, u(x, t)[, reference(x)]."""
-    u = interpolate_in_time(traj, t)
-    nodes = traj.grid.nodes()
+def emit_snapshot(u: FemFunction, path, reference=None) -> None:
+    """Write the node profile of u: columns x, u(x)[, reference(x)]."""
+    nodes = u.grid.nodes()
     cols = [nodes, u.node_values]
     if reference is not None:
         cols.append(np.asarray(reference(nodes), dtype=float))
@@ -309,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--alpha", type=float)
     p_run.add_argument("--sweep", help="comma-separated element counts")
     dt_group = p_run.add_mutually_exclusive_group()
-    dt_group.add_argument("--dt", type=float, help="explicit time step")
+    dt_group.add_argument("--dt", help="explicit time step")
     dt_group.add_argument("--dt-rule",
                           help="'courant' or 'prop:<c>' (dt = c*dx)")
     p_run.add_argument("--tol-factor", type=float)
@@ -321,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_snap = sub.add_parser("snapshot", help="write solution profiles")
     p_snap.add_argument("--experiment", required=True,
                         help=f"built-in name ({known}) or path to an INI file; "
-                             "its sweep, dt and reference keys apply to run only")
+                             "its sweep and reference keys apply to run only")
     p_snap.add_argument("--elements", type=int, required=True)
     p_snap.add_argument("--times", required=True,
                         help="comma-separated output times")
@@ -350,6 +347,40 @@ def _resolve_experiment(args) -> tuple[str, dict, dict]:
     return base, overrides, settings
 
 
+def _scheme(settings: dict, dt: str | None = None, dt_rule: str | None = None,
+            tol_factor: float | None = None) -> SchemeConfig:
+    """The step settings of an experiment file, then of the flags given.
+
+    --dt and --dt-rule each replace any step size the file gives.  Bad
+    settings raise ConfigError, so they stop a command before any solve.
+    """
+    step = {key: settings[key] for key in _STEP_SETTINGS if key in settings}
+    if dt is not None or dt_rule is not None:
+        step = {key: value for key, value in step.items() if key == "tol_factor"}
+    if dt is not None:
+        try:
+            step["dt_value"] = float(dt)
+        except ValueError as exc:
+            raise ConfigError(f"bad --dt {dt!r}") from exc
+    elif dt_rule is not None and dt_rule != "courant":
+        if not dt_rule.startswith("prop:"):
+            raise ConfigError(f"bad --dt-rule {dt_rule!r}")
+        try:
+            step["dt_factor"] = float(dt_rule[5:])
+        except ValueError as exc:
+            raise ConfigError(f"bad --dt-rule {dt_rule!r}") from exc
+    if tol_factor is not None:
+        step["tol_factor"] = tol_factor
+    try:
+        scheme = SchemeConfig(**step)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    # SchemeConfig admits a negative step, but every experiment runs forward.
+    if scheme.dt_value is not None and scheme.dt_value < 0:
+        raise ConfigError(f"dt_value must be positive, got {scheme.dt_value}")
+    return scheme
+
+
 def _resolve_run_config(args) -> RunConfig:
     base, overrides, settings = _resolve_experiment(args)
     spec = _resolve_spec(base, overrides)
@@ -358,26 +389,8 @@ def _resolve_run_config(args) -> RunConfig:
     if args.sweep is not None:
         sweep = _parse_sweep(args.sweep)
 
-    step = {key: settings[key] for key in _STEP_SETTINGS if key in settings}
-    # --dt and --dt-rule each replace any step size the INI file gives.
-    if args.dt is not None or args.dt_rule is not None:
-        step = {key: value for key, value in step.items() if key == "tol_factor"}
-    if args.dt is not None:
-        step["dt_value"] = args.dt
-    elif args.dt_rule is not None and args.dt_rule != "courant":
-        if not args.dt_rule.startswith("prop:"):
-            raise ConfigError(f"bad --dt-rule {args.dt_rule!r}")
-        try:
-            step["dt_factor"] = float(args.dt_rule[5:])
-        except ValueError as exc:
-            raise ConfigError(f"bad --dt-rule {args.dt_rule!r}") from exc
-    if args.tol_factor is not None:
-        step["tol_factor"] = args.tol_factor
     # Check the step settings and --jobs now, before any solve or output.
-    try:
-        scheme = SchemeConfig(**step)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    scheme = _scheme(settings, args.dt, args.dt_rule, args.tol_factor)
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
 
@@ -419,8 +432,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_snapshot(args) -> int:
-    base, overrides, _ = _resolve_experiment(args)
+    base, overrides, settings = _resolve_experiment(args)
     spec = _resolve_spec(base, overrides)
+    scheme = _scheme(settings)
     try:
         times = [float(v) for v in args.times.split(",") if v]
     except ValueError as exc:
@@ -436,14 +450,14 @@ def _cmd_snapshot(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    _, _, traj = _solve(SchemeConfig(), spec, args.elements, times)
+    _, _, traj = _solve(scheme, spec, args.elements, times)
     out = Path(args.out)
     for t in times:
         ref = None
         if spec.reference is not None and t == spec.t_final:
             ref = spec.reference
         path = out / f"{spec.name}-N{args.elements}-t{t:g}.txt"
-        emit_snapshot(traj, t, path, reference=ref)
+        emit_snapshot(traj.profiles[t], path, reference=ref)
         print(f"wrote {path}", file=sys.stderr)
     return EXIT_OK
 
@@ -452,7 +466,7 @@ def _cmd_verify(args) -> int:
     # Only the arguments map to a config error; a ValueError raised inside
     # the report is a defect and keeps its traceback.
     try:
-        FractionalOrder(args.alpha)
+        fractional_order(args.alpha)
         Grid(0.0, 2.0 * np.pi, args.elements)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -263,12 +263,6 @@ class FemFunction:
         x = (self.grid.nodes()[:, None] + xi[None, :] * self.grid.dx).ravel()
         return float(np.max(np.abs(self(x))))
 
-    def __add__(self, other: "FemFunction") -> "FemFunction":
-        return FemFunction(self.grid, self.coeffs + other.coeffs)
-
-    def __rmul__(self, scalar: float) -> "FemFunction":
-        return FemFunction(self.grid, float(scalar) * self.coeffs)
-
 
 def hermite_interpolate(grid: Grid,
                         func: Callable,

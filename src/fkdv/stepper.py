@@ -17,7 +17,7 @@ iteration actually showed; no a-priori step-size bound is imposed.
 from __future__ import annotations
 
 import math
-from collections.abc import Container, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +33,7 @@ __all__ = [
     "FixedPointDivergence",
     "choose_dt",
     "run",
-    "steps_to_keep",
     "snap_time",
-    "interpolate_in_time",
 ]
 
 # Picard iterations allowed per step before FixedPointDivergence.
@@ -89,28 +87,17 @@ class StepReport:
 
 @dataclass
 class Trajectory:
-    """A completed run: states maps step n to u^n for the kept steps
-    (always 0 and the last), reports holds one StepReport per step."""
+    """A completed run: the step size, the final state, profiles[t] = u(t)
+    for each requested time t, and one StepReport per step."""
 
-    grid: Grid
     dt: float
-    t0: float
-    states: dict[int, FemFunction]
+    final: FemFunction
+    profiles: dict[float, FemFunction]
     reports: list[StepReport]
 
     @property
     def n_steps(self) -> int:
         return len(self.reports)
-
-    @property
-    def final(self) -> FemFunction:
-        return self.states[self.n_steps]
-
-    def state(self, step: int) -> FemFunction:
-        if step not in self.states:
-            raise ValueError(f"state at step {step} was not kept; "
-                             f"kept steps: {sorted(self.states)}")
-        return self.states[step]
 
 
 class FixedPointDivergence(RuntimeError):
@@ -195,16 +182,14 @@ class _StepOperator:
         self.a_inv = _invert_symbol_inplace(minus)
 
     def step(self, un: FemFunction, norm_un: float, cfg: SchemeConfig,
-             step_index: int, work: _Workspace | None = None
+             step_index: int, work: _Workspace
              ) -> tuple[FemFunction, StepReport, float]:
         """Step from un of M-norm norm_un; returns the state, report and M-norm.
 
         Apart from the returned state and the load's block buffers, every
-        array the step writes is in ``work``, made here when not given.
+        array the step writes is in ``work``.
         """
         grid = un.grid
-        if work is None:
-            work = _Workspace(grid)
         tol = cfg.tol_factor * grid.dx * norm_un
         b0 = apply_symbol(self.b_symbol, un.coeffs, work.b0, work.fft)
         correction, scratch = work.spare
@@ -246,8 +231,14 @@ class _StepOperator:
 
 
 def run(u0: FemFunction, t0: float, t_final: float, ops: OperatorMatrices,
-        cfg: SchemeConfig, keep: Container[int] = ()) -> Trajectory:
-    """March from t0 to t_final; keeps u^0, the final state and u^n for n in keep.
+        cfg: SchemeConfig, times: Iterable[float] = ()) -> Trajectory:
+    """March from t0 to t_final; profiles[t] is the state at each t in times.
+
+    u(t) is piecewise linear between the half-step averages
+    u^{n+1/2} = (u^n + u^{n+1})/2, and the first and last half steps blend
+    toward u^0 and the final state.  So a time reads at most three states,
+    u^{n-1}, u^n and u^{n+1}, and the run keeps only those.  A time outside
+    [t0, t_final] raises ValueError before the first step.
 
     One workspace serves every step, so the only new array of size N a step
     makes is the state it returns.
@@ -256,9 +247,12 @@ def run(u0: FemFunction, t0: float, t_final: float, ops: OperatorMatrices,
     if ops.grid != grid:
         raise ValueError("operator matrices assembled on a different grid")
     if t_final == t0:
-        return Trajectory(grid, 0.0, t0, {0: u0}, [])
+        # snap_time admits only t0 itself into an empty span.
+        return Trajectory(0.0, u0, {snap_time(t, t0, t0): u0 for t in times}, [])
     dt = choose_dt(u0, grid, cfg, t0, t_final)
     steps = round((t_final - t0) / dt)
+    blends = {t: _blend(t0, dt, steps, t) for t in times}
+    keep = {n for _, lo, hi in blends.values() for n in (*lo, *hi)}
     operator = _StepOperator(ops, dt)
     work = _Workspace(grid)
 
@@ -268,9 +262,14 @@ def run(u0: FemFunction, t0: float, t_final: float, ops: OperatorMatrices,
     for n in range(1, steps + 1):
         u, report, norm_u = operator.step(u, norm_u, cfg, n, work)
         reports.append(report)
-        if n in keep or n == steps:
+        if n in keep:
             states[n] = u
-    return Trajectory(grid, dt, t0, states, reports)
+    profiles = {}
+    for t, (theta, lo, hi) in blends.items():
+        # (u^n + u^n)/2 is exactly u^n: doubling and halving are exact.
+        lo, hi = (0.5 * (states[a].coeffs + states[b].coeffs) for a, b in (lo, hi))
+        profiles[t] = FemFunction(grid, (1.0 - theta) * lo + theta * hi)
+    return Trajectory(dt, u, profiles, reports)
 
 
 def snap_time(t: float, t0: float, t_final: float) -> float:
@@ -299,33 +298,3 @@ def _blend(t0: float, dt: float, steps: int, t: float):
         return 2.0 * (s - (steps - 0.5)), (steps - 1, steps), (steps, steps)
     n = int(math.floor(s + 0.5))
     return s - (n - 0.5), (n - 1, n), (n, n + 1)
-
-
-def steps_to_keep(u0: FemFunction, t0: float, t_final: float,
-                  cfg: SchemeConfig, times: Iterable[float]) -> set[int]:
-    """Steps whose states interpolate_in_time reads at times (three per time
-    at most), for the run of u0 from t0 to t_final under cfg."""
-    if t_final == t0:
-        return set()
-    dt = choose_dt(u0, u0.grid, cfg, t0, t_final)
-    return {n for t in times
-            for pair in _blend(t0, dt, round((t_final - t0) / dt), t)[1:]
-            for n in pair}
-
-
-def interpolate_in_time(traj: Trajectory, t: float) -> FemFunction:
-    """Piecewise-linear blend between half-step averages u^{n+1/2}.
-
-    On [t_{n-1/2}, t_{n+1/2}) the value is the linear interpolation between
-    u^{n-1/2} and u^{n+1/2} with u^{k+1/2} = (u^k + u^{k+1})/2; the first and
-    last half intervals blend toward u^0 and u^M.  It reads at most three
-    states, u^{n-1}, u^n and u^{n+1}, which run keeps when given
-    steps_to_keep for the same times.
-    """
-    dt, M = traj.dt, traj.n_steps
-    if M == 0 or dt == 0.0:
-        return traj.state(0)
-    theta, lo, hi = _blend(traj.t0, dt, M, t)
-    # (u^n + u^n)/2 is exactly u^n: doubling and halving are exact.
-    lo, hi = (0.5 * (traj.state(a) + traj.state(b)) for a, b in (lo, hi))
-    return (1.0 - theta) * lo + theta * hi

@@ -161,7 +161,7 @@ def test_acceptance_1_bo_soliton_error_band(capsys):
 def test_acceptance_2_kdv_soliton_error_band(capsys):
     """Converged alpha = 1.999 table against the alpha = 1.999 equation.
 
-    ``FractionalOrder`` admits alpha in [1, 2), so kdv-one runs at 1.999,
+    ``fractional_order`` admits alpha in [1, 2), so kdv-one runs at 1.999,
     and the KdV closed form is not its solution: a spectral solve at
     alpha = 1.999 differs from it by 1.009e-3 relative at m = 512 and at
     m = 1024.  The reference is therefore that spectral solve.  The

@@ -21,12 +21,12 @@ from scipy.special import zeta
 
 from fkdv import assembly, circulant
 from fkdv.assembly import (
-    FractionalOrder,
     OperatorMatrices,
     assemble_offset_blocks,
     assemble_operators,
     frac_constant,
     frac_laplacian_pointwise,
+    fractional_order,
     spectral_offset_blocks,
 )
 from fkdv.assembly import (
@@ -426,11 +426,11 @@ def test_pointwise_rejects_nodes_above_order_one():
 
 
 def test_fractional_order_bounds():
-    assert float(FractionalOrder(1.0)) == 1.0
-    assert float(FractionalOrder(1.999)) == 1.999
-    for bad in (0.9, 2.0, 2.5):
+    assert fractional_order(1.0) == 1.0
+    assert fractional_order(1.999) == 1.999
+    for bad in (0.9, 2.0, 2.5, math.nan):
         with pytest.raises(ValueError):
-            FractionalOrder(bad)
+            fractional_order(bad)
 
 
 def test_spectral_blocks_validation():
@@ -443,8 +443,8 @@ def test_spectral_blocks_validation():
 
 def test_assemble_accepts_wrapped_order():
     grid = Grid(0.0, 1.0, 8)
-    ops = assemble_operators(grid, FractionalOrder(1.25))
-    assert ops.alpha == 1.25
+    ops = assemble_operators(grid, np.float64(1.25))
+    assert ops.alpha == 1.25 and type(ops.alpha) is float
 
 
 def test_identity_report_builds_no_dense_matrix(monkeypatch):

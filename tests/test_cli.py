@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from fkdv.cli import EXIT_ALL_DIVERGED, EXIT_CONFIG, emit_snapshot, main
 from fkdv.assembly import assemble_operators
 from fkdv.fem import FemFunction, Grid, l2_project
 from fkdv.solutions import bo_soliton, builtin_experiments, get_experiment
-from fkdv.stepper import SchemeConfig, StepReport, Trajectory, choose_dt, run
+from fkdv.stepper import SchemeConfig, _blend, run
 
 HEADER = "N,E,C1,C2,C3,rate"
 
@@ -224,6 +225,8 @@ def test_run_config_errors_exit_two(argv):
     ([], "dt_value = 0.5\ndt_factor = 0.5\n"),
     ([], "tol-factor = 1e-9\n"),       # the flag's spelling, not the key's
     ([], "t_end = 3\n"),
+    (["--dt=-0.5"], None),
+    ([], "dt_value = -0.5\n"),        # every experiment runs forward
 ])
 def test_bad_step_settings_exit_two_before_any_solve(
         flags, ini, tmp_path, tmp_path_factory, monkeypatch):
@@ -238,12 +241,16 @@ def test_bad_step_settings_exit_two_before_any_solve(
 
     monkeypatch.setattr(fkdv.cli, "assemble_operators", no_assembly)
     monkeypatch.chdir(tmp_path)
-    rc, out, err = _invoke(["run", "--experiment", experiment, "--sweep", "8",
-                            "--out", str(tmp_path / "out"), *flags])
-    assert rc == EXIT_CONFIG
-    assert "config error" in err
-    assert out == ""
-    assert list(tmp_path.iterdir()) == []
+    commands = [["run", "--sweep", "8", *flags]]
+    if ini is not None:         # snapshot reads the file's step keys too
+        commands.append(["snapshot", "--elements", "16", "--times", "0"])
+    for command in commands:
+        rc, out, err = _invoke([*command, "--experiment", experiment,
+                                "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert "config error" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 def _step_ini(tmp_path, name: str, lines: str = "") -> str:
@@ -319,40 +326,63 @@ def test_snapshot_writes_profiles(tmp_path):
 
 
 @pytest.mark.parametrize("n", [32, 64, 256])
-def test_snapshot_profiles_match_a_run_that_keeps_every_state(n, tmp_path,
-                                                              monkeypatch):
-    # snapshot keeps only the states its times read, at most three per time
-    # plus u^0 and the final state; its profiles must be the bytes that a
-    # run keeping u^0 ... u^M writes.
+def test_snapshot_profiles_match_a_run_that_keeps_every_state(n, tmp_path):
+    # snapshot keeps only the states its times read; its profiles must be
+    # the bytes that blending u^0 ... u^M from single-step runs writes.
     times = [0.0, 0.01, 33.3, 60.0, 119.99, 120.0]
-    kept = []
-
-    def recording_run(*args):
-        traj = run(*args)
-        kept.append(len(traj.states))
-        return traj
-
-    monkeypatch.setattr(fkdv.cli, "run", recording_run)
     rc, _, _ = _invoke(["snapshot", "--experiment", "bo-one", "--elements", str(n),
                         "--times", ",".join(map(str, times)),
                         "--out", str(tmp_path / "lean")])
     assert rc == 0
-    assert kept and kept[0] <= 3 * len(times) + 2
 
     spec = get_experiment("bo-one")
     grid = Grid(spec.domain[0], spec.domain[1], n)
+    ops = assemble_operators(grid, spec.alpha)
     u0 = l2_project(grid, spec.initial)
-    cfg = SchemeConfig()
-    steps = round(spec.t_final / choose_dt(u0, grid, cfg, 0.0, spec.t_final))
-    full = run(u0, 0.0, spec.t_final, assemble_operators(grid, spec.alpha), cfg,
-               range(steps + 1))
-    assert len(full.states) == steps + 1 > kept[0]
+    traj = run(u0, 0.0, spec.t_final, ops, SchemeConfig())
+    states = [u0.coeffs]
+    for _ in range(traj.n_steps):
+        u = FemFunction(grid, states[-1])
+        states.append(run(u, 0.0, traj.dt, ops, SchemeConfig(dt_value=traj.dt))
+                      .final.coeffs)
+    assert np.array_equal(states[-1], traj.final.coeffs)
     for t in times:
+        theta, lo, hi = _blend(0.0, traj.dt, traj.n_steps, t)
+        lo, hi = (0.5 * (states[a] + states[b]) for a, b in (lo, hi))
         name = f"bo-one-N{n}-t{t:g}.txt"
-        emit_snapshot(full, t, tmp_path / "full" / name,
+        emit_snapshot(FemFunction(grid, (1.0 - theta) * lo + theta * hi),
+                      tmp_path / "full" / name,
                       reference=spec.reference if t == spec.t_final else None)
         lean = (tmp_path / "lean" / name).read_bytes()
         assert lean == (tmp_path / "full" / name).read_bytes()
+
+
+def test_snapshot_follows_the_files_step_size(tmp_path):
+    # The profiles of a dt_value = 0.5 file are those of a run at that step,
+    # not the Courant step's.
+    times = [0.0, 1.3, 6.0]
+    rc, _, _ = _invoke(["snapshot", "--experiment",
+                        _step_ini(tmp_path, "steps", "dt_value = 0.5\n"),
+                        "--elements", "16", "--times", "0,1.3,6",
+                        "--out", str(tmp_path / "ini")])
+    assert rc == 0
+    rc, _, _ = _invoke(["snapshot", "--experiment", _step_ini(tmp_path, "plain"),
+                        "--elements", "16", "--times", "0,1.3,6",
+                        "--out", str(tmp_path / "courant")])
+    assert rc == 0
+
+    spec = replace(get_experiment("bo-one"), t_final=6.0)
+    grid = Grid(spec.domain[0], spec.domain[1], 16)
+    traj = run(l2_project(grid, spec.initial), spec.t0, spec.t_final,
+               assemble_operators(grid, spec.alpha), SchemeConfig(dt_value=0.5), times)
+    for t in times:
+        name = f"bo-one-N16-t{t:g}.txt"
+        emit_snapshot(traj.profiles[t], tmp_path / "run" / name,
+                      reference=spec.reference if t == spec.t_final else None)
+        assert ((tmp_path / "ini" / name).read_bytes()
+                == (tmp_path / "run" / name).read_bytes())
+    assert ((tmp_path / "ini" / "bo-one-N16-t1.3.txt").read_bytes()
+            != (tmp_path / "courant" / "bo-one-N16-t1.3.txt").read_bytes())
 
 
 def test_snapshot_reads_experiment_ini(tmp_path):
@@ -407,13 +437,10 @@ def test_snapshot_config_errors_exit_two(argv, tmp_path, monkeypatch, no_solve):
 def test_emit_snapshot_zero_state_and_array_reference(tmp_path):
     grid = Grid(0.0, 1.0, 8)
     zero = FemFunction(grid, np.zeros(grid.n_dofs))
-    blank = StepReport(iters=1, final_residual=0.0, l2_drift=0.0,
-                       mass_drift=0.0, contraction=0.0)
-    traj = Trajectory(grid, 0.1, 0.0, {0: zero, 1: zero}, [blank])
     ref = np.arange(8, dtype=float)
     path = tmp_path / "profile.txt"
     # The reference is a callable of x; here it returns an array of node values.
-    emit_snapshot(traj, 0.05, path, reference=lambda x: ref)
+    emit_snapshot(zero, path, reference=lambda x: ref)
     data = np.loadtxt(path)
     np.testing.assert_allclose(data[:, 0], grid.nodes(), atol=1e-12)
     np.testing.assert_allclose(data[:, 1], 0.0, atol=1e-15)
@@ -553,6 +580,7 @@ _BAD_RUN_FLAGS = {
         _TEXT.filter(lambda t: t != "courant" and not t.startswith("prop:")),
         _NOT_POSITIVE.map(lambda t: "prop:" + t)),
     "--jobs": st.integers(max_value=0).map(str),
+    "--dt": _NOT_POSITIVE,
 }
 _BAD_TIMES = st.one_of(
     st.text(st.sampled_from(", "), max_size=4),
@@ -580,8 +608,7 @@ _BAD_INI = {
         _TEXT, st.tuples(st.floats(allow_nan=True), st.floats(allow_nan=True))
         .map(lambda d: f"{d[0]!r}, {d[1]!r}")).filter(lambda t: not _finite_interval(t))),
     "sweep": _ini("sweep", _BAD_SWEEP),
-    "dt_value": _ini("dt_value", st.one_of(
-        _NOT_FLOAT, st.sampled_from(["0", "-0.0", "nan", "inf", "-inf"]))),
+    "dt_value": _ini("dt_value", _NOT_POSITIVE),
     "dt_factor": _ini("dt_factor", _NOT_POSITIVE),
     "tol_factor": _ini("tol_factor", _NOT_POSITIVE),
     "reference": _ini("reference", _BAD_REFERENCE),
@@ -643,3 +670,8 @@ def test_generated_bad_ini_keys_exit_two(key, data, ini_path, tmp_path, no_solve
     base = "" if key == "base" else "base = bo-one\n"
     ini_path.write_text(f"[experiment]\n{base}{lines}\n")
     _assert_config_error(["run", "--experiment", str(ini_path)], tmp_path)
+    # A reference that bo-one's sweep cannot use is no error for snapshot,
+    # which reads no reference.
+    if key != "reference":
+        _assert_config_error(["snapshot", "--experiment", str(ini_path),
+                              "--elements", "16", "--times", "0"], tmp_path)

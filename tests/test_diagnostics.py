@@ -79,11 +79,12 @@ def test_scale_invariance_of_linear_ratios(grid64, ops64):
     u = l2_project(grid64, lambda x: 1.2 + 0.3 * np.sin(2.0 * x))
     c1, c2 = mass_ratio(u, u0), momentum_ratio(u, u0)
     c3 = hamiltonian_ratio(u, u0, ops64)
-    assert mass_ratio(3.0 * u, 3.0 * u0) == pytest.approx(c1, rel=1e-12)
-    assert momentum_ratio(3.0 * u, 3.0 * u0) == pytest.approx(c2, rel=1e-12)
+    u3, u03 = (FemFunction(grid64, 3.0 * v.coeffs) for v in (u, u0))
+    assert mass_ratio(u3, u03) == pytest.approx(c1, rel=1e-12)
+    assert momentum_ratio(u3, u03) == pytest.approx(c2, rel=1e-12)
     # The Hamiltonian mixes quadratic and cubic terms, so its ratio is not
     # homogeneous in the amplitude.
-    assert hamiltonian_ratio(3.0 * u, 3.0 * u0, ops64) != pytest.approx(
+    assert hamiltonian_ratio(u3, u03, ops64) != pytest.approx(
         c3, rel=1e-6)
 
 

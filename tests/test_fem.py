@@ -177,14 +177,6 @@ def test_sup_norm_close_upper_bound():
     assert u.sup_norm() == pytest.approx(1.0, abs=1e-3)
 
 
-def test_arithmetic_operators():
-    grid = Grid(0.0, 1.0, 4)
-    u = _random_function(grid, seed=2)
-    v = _random_function(grid, seed=4)
-    assert (u + v).coeffs == pytest.approx(u.coeffs + v.coeffs)
-    assert (2.5 * u).coeffs == pytest.approx(2.5 * u.coeffs)
-
-
 def test_grid_validation():
     with pytest.raises(ValueError):
         Grid(0.0, 1.0, 3)

@@ -20,7 +20,7 @@ from fkdv.assembly import assemble_operators
 from fkdv.circulant import apply_symbol, block_symbol
 from fkdv.fem import Grid, l2_project
 from fkdv.solutions import triangle_data
-from fkdv.stepper import SchemeConfig, _StepOperator, run
+from fkdv.stepper import SchemeConfig, _StepOperator, _Workspace, run
 
 
 def _owns(coeffs: np.ndarray) -> bool:
@@ -36,9 +36,9 @@ def test_iterates_own_their_coefficients(grid64, ops64):
     op = _StepOperator(ops64, 0.01)
     assert _owns(apply_symbol(op.a_inv, apply_symbol(op.b_symbol, u0.coeffs)))
     cfg = SchemeConfig(dt_value=0.01)
-    traj = run(u0, 0.0, 0.05, ops64, cfg, keep=range(6))
-    assert len(traj.states) == 6
-    assert all(_owns(state.coeffs) for state in traj.states.values())
+    traj = run(u0, 0.0, 0.05, ops64, cfg, times=[0.0, 0.02, 0.05])
+    assert len(traj.profiles) == 3
+    assert all(_owns(u.coeffs) for u in [traj.final, *traj.profiles.values()])
 
 
 def _traced(fn, symbol_bytes: int):
@@ -73,7 +73,7 @@ def test_traced_peaks_per_layer():
     assert held == pytest.approx(2.0, abs=0.01)
     norm = ops.l2_norm(u0.coeffs)
     (u1, report, _), peak, held = _traced(
-        lambda: operator.step(u0, norm, cfg, 1), symbol)
+        lambda: operator.step(u0, norm, cfg, 1, _Workspace(grid)), symbol)
     assert report.iters > 1
     assert peak <= 2.75
     # The new state holds its own 16 * N bytes, a quarter symbol.

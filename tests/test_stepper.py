@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -18,12 +19,8 @@ import fkdv.stepper
 from fkdv.stepper import (
     FixedPointDivergence,
     SchemeConfig,
-    StepReport,
-    Trajectory,
     choose_dt,
-    interpolate_in_time,
     run,
-    steps_to_keep,
 )
 from solution_derivatives import bo_soliton_dx, kdv_one_soliton_dx
 
@@ -49,6 +46,38 @@ def _one_step(u: FemFunction, ops, dt: float, **settings):
     traj = run(u, 0.0, dt, ops, cfg)
     assert traj.n_steps == 1
     return traj.final, traj.reports[0]
+
+
+def _chain(u0: FemFunction, ops, dt: float, steps: int) -> list[FemFunction]:
+    """u^0 ... u^steps from single-step runs of size dt.  With the dt of a
+    run under the default tolerance, these are that run's states bit for bit."""
+    states = [u0]
+    for _ in range(steps):
+        states.append(_one_step(states[-1], ops, dt)[0])
+    return states
+
+
+@pytest.fixture
+def held_steps(monkeypatch):
+    """For each run, the steps n whose state u^n it still held as it built
+    its Trajectory."""
+    made: dict[int, weakref.ref] = {}
+    held: list[set[int]] = []
+    step, trajectory = fkdv.stepper._StepOperator.step, fkdv.stepper.Trajectory
+
+    def tracked(self, un, norm_un, cfg, n, work):
+        out = step(self, un, norm_un, cfg, n, work)
+        made[n] = weakref.ref(out[0])
+        return out
+
+    def built(*args):
+        held.append({n for n, ref in made.items() if ref() is not None})
+        made.clear()
+        return trajectory(*args)
+
+    monkeypatch.setattr(fkdv.stepper._StepOperator, "step", tracked)
+    monkeypatch.setattr(fkdv.stepper, "Trajectory", built)
+    return held
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +125,7 @@ def test_explicit_dt_step_count(grid64, ops64):
     traj = run(u0, 0.0, 1.0, ops64, cfg)
     assert traj.n_steps == 100
     assert traj.dt == pytest.approx(0.01)
-    assert traj.t0 + traj.n_steps * traj.dt == pytest.approx(1.0)
+    assert traj.n_steps * traj.dt == pytest.approx(1.0)
 
 
 def test_proportional_dt_rule(grid64):
@@ -197,10 +226,10 @@ def test_iteration_cap_reports_observed_contraction(grid64, ops64, monkeypatch):
 def test_final_residual_below_tolerance(grid64, ops64):
     u0 = l2_project(grid64, np.sin)
     cfg = SchemeConfig(dt_value=0.02)
-    traj = run(u0, 0.0, 0.1, ops64, cfg, keep=range(5))
-    for n, report in enumerate(traj.reports):
-        prev = traj.state(n).coeffs
-        tol = cfg.tol_factor * grid64.dx * _m_norm(prev, ops64)
+    traj = run(u0, 0.0, 0.1, ops64, cfg)
+    states = _chain(u0, ops64, traj.dt, traj.n_steps)
+    for prev, report in zip(states[:-1], traj.reports, strict=True):
+        tol = cfg.tol_factor * grid64.dx * _m_norm(prev.coeffs, ops64)
         assert report.final_residual <= tol
 
 
@@ -224,10 +253,12 @@ def test_residuals_decrease_within_contraction_regime(grid64, ops64):
 def test_run_with_zero_span_returns_initial(grid64, ops64):
     u0 = l2_project(grid64, np.sin)
     cfg = SchemeConfig()
-    traj = run(u0, 3.0, 3.0, ops64, cfg)
-    assert traj.n_steps == 0
+    traj = run(u0, 3.0, 3.0, ops64, cfg, times=[3.0])
+    assert traj.n_steps == 0 and traj.dt == 0.0
     assert traj.final is u0
-    assert traj.t0 == 3.0 and traj.n_steps == 0
+    assert traj.profiles == {3.0: u0}
+    with pytest.raises(ValueError, match="outside"):
+        run(u0, 3.0, 3.0, ops64, cfg, times=[3.0 + 1e-12])
 
 
 def test_run_rejects_foreign_operators(grid64):
@@ -284,63 +315,44 @@ def test_l2_drift_compares_successive_states(grid64, ops64):
     # again; the drifts must equal the norms recomputed from the states.
     u0 = l2_project(grid64, lambda x: 1.0 + 0.5 * np.sin(x))
     cfg = SchemeConfig(dt_value=0.05)
-    traj = run(u0, 0.0, 0.5, ops64, cfg, keep=range(10))
-    norms = [ops64.l2_norm(traj.state(n).coeffs) for n in range(traj.n_steps + 1)]
+    traj = run(u0, 0.0, 0.5, ops64, cfg)
+    states = _chain(u0, ops64, traj.dt, traj.n_steps)
+    assert np.array_equal(states[-1].coeffs, traj.final.coeffs)
+    norms = [ops64.l2_norm(u.coeffs) for u in states]
     drifts = [abs(b - a) for a, b in zip(norms, norms[1:])]
     assert [r.l2_drift for r in traj.reports] == drifts
     assert max(drifts) > 0.0
 
 
-def test_default_run_keeps_initial_and_final_state_only(grid64, ops64):
+def test_default_run_keeps_initial_and_final_state_only(grid64, ops64, held_steps):
     u0 = l2_project(grid64, np.sin)
-    cfg = SchemeConfig(dt_value=0.01)
-    traj = run(u0, 0.0, 0.09, ops64, cfg)
-    full = run(u0, 0.0, 0.09, ops64, cfg, keep=range(10))
+    traj = run(u0, 0.0, 0.09, ops64, SchemeConfig(dt_value=0.01))
     assert traj.n_steps == 9
-    assert list(traj.states) == [0, 9]
-    assert traj.states[0] is u0
-    assert traj.states[9] is traj.final
-    assert np.array_equal(traj.final.coeffs, full.final.coeffs)
-    with pytest.raises(ValueError, match=r"kept steps: \[0, 9\]"):
-        traj.state(1)
-    # Kept states are u^0 ... u^M.
-    assert list(full.states) == list(range(10))
-    assert full.state(0) is u0
-    assert full.state(9) is full.final
-    with pytest.raises(ValueError):
-        full.state(10)
+    assert traj.profiles == {}
+    assert held_steps == [{9}]
+    assert np.array_equal(traj.final.coeffs,
+                          _chain(u0, ops64, traj.dt, 9)[-1].coeffs)
 
 
-def test_run_keeps_the_steps_it_is_given(grid64, ops64):
+def test_run_keeps_the_steps_it_is_given(grid64, ops64, held_steps):
+    # The steps that the blends at 0.023 and 0.052 read, and the final state.
     u0 = l2_project(grid64, np.sin)
-    cfg = SchemeConfig(dt_value=0.01)
-    full = run(u0, 0.0, 0.09, ops64, cfg, keep=range(10))
-    traj = run(u0, 0.0, 0.09, ops64, cfg, keep={3, 5})
-    assert list(traj.states) == [0, 3, 5, 9]
-    assert np.array_equal(traj.state(3).coeffs, full.state(3).coeffs)
-    with pytest.raises(ValueError, match=r"step 4 was not kept; "
-                                         r"kept steps: \[0, 3, 5, 9\]"):
-        traj.state(4)
+    traj = run(u0, 0.0, 0.09, ops64, SchemeConfig(dt_value=0.01), [0.023, 0.052])
+    assert held_steps == [{1, 2, 3, 4, 5, 6, 9}]
+    assert sorted(traj.profiles) == [0.023, 0.052]
 
 
-def test_steps_to_keep_are_what_interpolation_reads(grid64, ops64):
+def test_profiles_read_at_most_three_states_per_time(grid64, ops64, held_steps):
     u0 = l2_project(grid64, np.sin)
     cfg = SchemeConfig(dt_value=0.01)
     # The first and last half steps, a half step, a step, and between them.
     times = [0.0, 0.003, 0.025, 0.037, 0.05, 0.0899, 0.09]
+    together = run(u0, 0.0, 0.09, ops64, cfg, times)
+    assert len(held_steps.pop()) < together.n_steps
     for t in times:
-        assert len(steps_to_keep(u0, 0.0, 0.09, cfg, [t])) <= 3
-    keep = steps_to_keep(u0, 0.0, 0.09, cfg, times)
-    lean = run(u0, 0.0, 0.09, ops64, cfg, keep)
-    full = run(u0, 0.0, 0.09, ops64, cfg, keep=range(10))
-    assert len(lean.states) <= 3 * len(times) + 2
-    assert len(lean.states) < len(full.states)
-    for t in times:
-        assert np.array_equal(interpolate_in_time(lean, t).coeffs,
-                              interpolate_in_time(full, t).coeffs)
-    assert steps_to_keep(u0, 1.0, 1.0, cfg, [1.0]) == set()
-    with pytest.raises(ValueError):
-        steps_to_keep(u0, 0.0, 0.09, cfg, [0.1])
+        alone = run(u0, 0.0, 0.09, ops64, cfg, [t])
+        assert len(held_steps.pop() - {alone.n_steps}) <= 3
+        assert np.array_equal(alone.profiles[t].coeffs, together.profiles[t].coeffs)
 
 
 def _plain_symbol(blocks: np.ndarray) -> np.ndarray:
@@ -416,51 +428,41 @@ def test_step_calls_load_and_apply_through_module_names(monkeypatch):
 # time interpolation
 
 
-def _toy_trajectory(n_states: int) -> Trajectory:
-    grid = Grid(0.0, 1.0, 8)
-    rng = np.random.default_rng(42)
-    states = [FemFunction(grid, rng.standard_normal(grid.n_dofs))
-              for _ in range(n_states)]
-    blank = StepReport(iters=1, final_residual=0.0, l2_drift=0.0,
-                       mass_drift=0.0, contraction=0.0)
-    return Trajectory(grid, 0.1, 0.0, dict(enumerate(states)),
-                      [blank] * (n_states - 1))
+def _profiles(grid64, ops64, t_final: float, times):
+    """A dt = 0.1 run's profiles at times, and its states u^0 ... u^M."""
+    u0 = l2_project(grid64, lambda x: 1.0 + 0.5 * np.sin(x))
+    traj = run(u0, 0.0, t_final, ops64, SchemeConfig(dt_value=0.1), times)
+    return traj.profiles, _chain(u0, ops64, traj.dt, traj.n_steps)
 
 
-def test_interpolate_at_half_steps():
-    traj = _toy_trajectory(5)
-    u2, u3 = traj.state(2), traj.state(3)
-    got = interpolate_in_time(traj, 0.25)  # t_{2+1/2}
-    want = 0.5 * (u2.coeffs + u3.coeffs)
-    assert got.coeffs == pytest.approx(want, abs=1e-14)
+def test_interpolate_at_half_steps(grid64, ops64):
+    profiles, u = _profiles(grid64, ops64, 0.4, [0.25])  # t_{2+1/2}
+    want = 0.5 * (u[2].coeffs + u[3].coeffs)
+    assert profiles[0.25].coeffs == pytest.approx(want, abs=1e-14)
 
 
-def test_interpolate_at_interior_step():
-    traj = _toy_trajectory(5)
-    got = interpolate_in_time(traj, 0.2)  # t_2
-    want = (traj.state(1).coeffs + 2.0 * traj.state(2).coeffs
-            + traj.state(3).coeffs) / 4.0
-    assert got.coeffs == pytest.approx(want, abs=1e-14)
+def test_interpolate_at_interior_step(grid64, ops64):
+    profiles, u = _profiles(grid64, ops64, 0.4, [0.2])  # t_2
+    want = (u[1].coeffs + 2.0 * u[2].coeffs + u[3].coeffs) / 4.0
+    assert profiles[0.2].coeffs == pytest.approx(want, abs=1e-14)
 
 
-def test_interpolate_constant_trajectory():
-    grid = Grid(0.0, 1.0, 8)
-    u = FemFunction(grid, np.linspace(0.0, 1.0, grid.n_dofs))
-    blank = StepReport(iters=1, final_residual=0.0, l2_drift=0.0,
-                       mass_drift=0.0, contraction=0.0)
-    traj = Trajectory(grid, 0.1, 0.0, dict.fromkeys(range(4), u), [blank] * 3)
-    for t in (0.0, 0.07, 0.15, 0.3):
-        assert interpolate_in_time(traj, t).coeffs == pytest.approx(
-            u.coeffs, abs=1e-14)
+def test_interpolate_constant_trajectory(grid64, ops64):
+    # The steps move a constant's slopes by at most 1.5e-10 here, and the
+    # blend weights sum to one.
+    u0 = l2_project(grid64, lambda x: np.full_like(x, 0.7))
+    times = (0.0, 0.07, 0.15, 0.3)
+    traj = run(u0, 0.0, 0.3, ops64, SchemeConfig(dt_value=0.1), times)
+    for t in times:
+        assert traj.profiles[t].coeffs == pytest.approx(u0.coeffs, abs=1e-9)
 
 
-def test_interpolate_endpoints_and_range():
-    traj = _toy_trajectory(4)
-    assert interpolate_in_time(traj, 0.0).coeffs == pytest.approx(
-        traj.state(0).coeffs, abs=1e-14)
-    assert interpolate_in_time(traj, 0.3).coeffs == pytest.approx(
-        traj.state(3).coeffs, abs=1e-14)
-    with pytest.raises(ValueError):
-        interpolate_in_time(traj, 0.31)
-    with pytest.raises(ValueError):
-        interpolate_in_time(traj, -0.01)
+def test_interpolate_endpoints_and_range(grid64, ops64, monkeypatch):
+    profiles, u = _profiles(grid64, ops64, 0.3, [0.0, 0.3])
+    assert np.array_equal(profiles[0.0].coeffs, u[0].coeffs)
+    assert np.array_equal(profiles[0.3].coeffs, u[3].coeffs)
+    # A time outside the run is rejected before the first step.
+    monkeypatch.setattr(fkdv.stepper, "_StepOperator", None)
+    for t in (0.31, -0.01):
+        with pytest.raises(ValueError, match="outside"):
+            run(u[0], 0.0, 0.3, ops64, SchemeConfig(dt_value=0.1), [0.0, t])
