@@ -37,7 +37,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .circulant import apply_symbol, block_symbol
-from .fem import FemFunction, Grid, mass_offset_blocks, node_shape_tables
+from .fem import FemFunction, Grid, mass_bands, mass_offset_blocks, node_shape_tables
 from .quad import gauss_rule, geometric_edges
 
 __all__ = [
@@ -446,15 +446,27 @@ class OperatorMatrices:
     """Mass, dispersion and half-order Gram matrices for one (grid, alpha).
 
     Offset blocks are the storage; matrix-vector products run through the
-    FFT block-diagonal form, so no dense matrix is ever built.  Only the
-    Hamiltonian diagnostic reads the Gram matrix, so its blocks are
-    assembled on first read.
+    FFT block-diagonal form, so no dense matrix is ever built.  The mass is
+    kept as the two bands the M-norm reads; each read of ``mass_blocks``
+    forms the full (N, 2, 2) array anew.  The dispersion and Gram blocks are
+    cached on first read; deleting one frees it, and the next read assembles
+    it again, to the same bits.
     """
 
     grid: Grid
     alpha: float
-    mass_blocks: np.ndarray
-    disp_blocks: np.ndarray
+
+    @cached_property
+    def mass_bands(self) -> np.ndarray:
+        return mass_bands(self.grid)
+
+    @property
+    def mass_blocks(self) -> np.ndarray:
+        return mass_offset_blocks(self.grid)
+
+    @cached_property
+    def disp_blocks(self) -> np.ndarray:
+        return assemble_offset_blocks(self.grid, self.alpha, "disp")
 
     @cached_property
     def gram_blocks(self) -> np.ndarray:
@@ -471,25 +483,25 @@ class OperatorMatrices:
                 scratch: np.ndarray | None = None) -> float:
         """True L2 norm of the expanded function, sqrt(c^T M c), without FFTs.
 
-        M couples only neighbouring nodes (mass_offset_blocks), so with node
-        pairs c_j, c^T M c = sum_j c_j.B_0 c_j + 2 sum_j c_j.B_1 c_{j+1}.
+        M couples only neighbouring nodes (mass_bands), so with node pairs
+        c_j, c^T M c = sum_j c_j.B_0 c_j + 2 sum_j c_j.B_1 c_{j+1}.
         The two banded products take turns in ``scratch``, a contiguous real
         array of coeffs' size that is not coeffs; without it one is made.
         """
         nodal = coeffs.reshape(-1, 2)
         product = (np.empty(nodal.shape) if scratch is None
                    else scratch.reshape(nodal.shape))
-        diag = np.vdot(np.matmul(nodal, self.mass_blocks[0], out=product), nodal)
-        right = np.matmul(nodal, self.mass_blocks[1], out=product)
+        diag = np.vdot(np.matmul(nodal, self.mass_bands[0], out=product), nodal)
+        right = np.matmul(nodal, self.mass_bands[1], out=product)
         square = diag + 2.0 * (np.vdot(right[:-1], nodal[1:]) + right[-1] @ nodal[0])
         return math.sqrt(max(float(square), 0.0))
 
 
 def assemble_operators(grid: Grid, alpha) -> OperatorMatrices:
-    """Assemble mass and dispersion now; the Gram blocks wait for a read."""
-    a = fractional_order(alpha)
-    return OperatorMatrices(grid, a, mass_offset_blocks(grid),
-                            assemble_offset_blocks(grid, a, "disp"))
+    """Assemble the dispersion blocks now; the Gram blocks wait for a read."""
+    ops = OperatorMatrices(grid, fractional_order(alpha))
+    ops.disp_blocks     # the read assembles and caches them
+    return ops
 
 
 # ---------------------------------------------------------------------------

@@ -107,12 +107,9 @@ def _load_ini(path: Path) -> tuple[str, dict, dict]:
     overrides: dict = {}
     settings: dict = {}
     try:
-        if "alpha" in section:
-            overrides["alpha"] = section.getfloat("alpha")
-        if "t0" in section:
-            overrides["t0"] = section.getfloat("t0")
-        if "t_final" in section:
-            overrides["t_final"] = section.getfloat("t_final")
+        for key in ("alpha", "t0", "t_final"):
+            if key in section:
+                overrides[key] = section.getfloat(key)
         if "domain" in section:
             lo, hi = (float(v) for v in section["domain"].split(","))
             overrides["domain"] = (lo, hi)
@@ -128,12 +125,18 @@ def _load_ini(path: Path) -> tuple[str, dict, dict]:
     return base, overrides, settings
 
 
+def _parsed(convert, what: str, text):
+    """convert(text); a ValueError there is a config error naming what."""
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad {what} {text!r}") from exc
+
+
 def _parse_sweep(text: str) -> tuple[int, ...]:
     """Comma-separated element counts; empty input means an empty sweep."""
-    try:
-        sweep = tuple(int(v) for v in text.replace(" ", "").split(",") if v)
-    except ValueError as exc:
-        raise ConfigError(f"bad sweep {text!r}") from exc
+    sweep = _parsed(lambda t: tuple(int(v) for v in t.replace(" ", "").split(",") if v),
+                    "sweep", text)
     if list(sweep) != sorted(set(sweep)) or min(sweep, default=4) < 4:
         raise ConfigError(f"sweep must be strictly increasing from at least 4, got {text!r}")
     return sweep
@@ -144,10 +147,7 @@ def _parse_reference(text: str) -> tuple:
         return ("closed",)
     for prefix in ("self", "spectral"):
         if text.startswith(prefix + ":"):
-            try:
-                m = int(text[len(prefix) + 1:])
-            except ValueError as exc:
-                raise ConfigError(f"bad reference {text!r}") from exc
+            m = _parsed(lambda t: int(t[len(prefix) + 1:]), "reference", text)
             if m < 4:
                 raise ConfigError(f"reference resolution too small: {text!r}")
             return (prefix, m)
@@ -176,6 +176,8 @@ def _reference_values(cfg: RunConfig, spec: ExperimentSpec) -> np.ndarray | None
                 f"use --reference self:<M> or spectral:<M>")
         return None
     m = cfg.reference[1]
+    if kind == "self" and m <= max(cfg.sweep):    # a row would be its own reference
+        raise ConfigError(f"self reference resolution {m} must exceed every sweep entry")
     for n in cfg.sweep:
         if m % n:
             raise ConfigError(
@@ -303,31 +305,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a convergence sweep")
     p_run.add_argument("--experiment", required=True,
                        help=f"built-in name ({known}) or path to an INI file")
-    p_run.add_argument("--alpha", type=float)
+    p_run.add_argument("--alpha")
     p_run.add_argument("--sweep", help="comma-separated element counts")
     dt_group = p_run.add_mutually_exclusive_group()
     dt_group.add_argument("--dt", help="explicit time step")
     dt_group.add_argument("--dt-rule",
                           help="'courant' or 'prop:<c>' (dt = c*dx)")
-    p_run.add_argument("--tol-factor", type=float)
+    p_run.add_argument("--tol-factor")
     p_run.add_argument("--reference",
                        help="closed, self:<M>, or spectral:<M>")
     p_run.add_argument("--out", help="output directory for the CSV table")
-    p_run.add_argument("--jobs", type=int, default=1)
+    p_run.add_argument("--jobs", default="1")
 
     p_snap = sub.add_parser("snapshot", help="write solution profiles")
     p_snap.add_argument("--experiment", required=True,
                         help=f"built-in name ({known}) or path to an INI file; "
                              "its sweep and reference keys apply to run only")
-    p_snap.add_argument("--elements", type=int, required=True)
+    p_snap.add_argument("--elements", required=True)
     p_snap.add_argument("--times", required=True,
                         help="comma-separated output times")
-    p_snap.add_argument("--alpha", type=float)
+    p_snap.add_argument("--alpha")
     p_snap.add_argument("--out", default=".")
 
     p_verify = sub.add_parser("verify", help="operator identity suite")
-    p_verify.add_argument("--alpha", type=float, required=True)
-    p_verify.add_argument("--elements", type=int, default=64)
+    p_verify.add_argument("--alpha", required=True)
+    p_verify.add_argument("--elements", default="64")
     return parser
 
 
@@ -343,12 +345,12 @@ def _resolve_experiment(args) -> tuple[str, dict, dict]:
     else:
         base, overrides, settings = args.experiment, {}, {}
     if args.alpha is not None:
-        overrides["alpha"] = args.alpha
+        overrides["alpha"] = _parsed(float, "--alpha", args.alpha)
     return base, overrides, settings
 
 
 def _scheme(settings: dict, dt: str | None = None, dt_rule: str | None = None,
-            tol_factor: float | None = None) -> SchemeConfig:
+            tol_factor: str | None = None) -> SchemeConfig:
     """The step settings of an experiment file, then of the flags given.
 
     --dt and --dt-rule each replace any step size the file gives.  Bad
@@ -358,19 +360,13 @@ def _scheme(settings: dict, dt: str | None = None, dt_rule: str | None = None,
     if dt is not None or dt_rule is not None:
         step = {key: value for key, value in step.items() if key == "tol_factor"}
     if dt is not None:
-        try:
-            step["dt_value"] = float(dt)
-        except ValueError as exc:
-            raise ConfigError(f"bad --dt {dt!r}") from exc
+        step["dt_value"] = _parsed(float, "--dt", dt)
     elif dt_rule is not None and dt_rule != "courant":
         if not dt_rule.startswith("prop:"):
             raise ConfigError(f"bad --dt-rule {dt_rule!r}")
-        try:
-            step["dt_factor"] = float(dt_rule[5:])
-        except ValueError as exc:
-            raise ConfigError(f"bad --dt-rule {dt_rule!r}") from exc
+        step["dt_factor"] = _parsed(lambda t: float(t[5:]), "--dt-rule", dt_rule)
     if tol_factor is not None:
-        step["tol_factor"] = tol_factor
+        step["tol_factor"] = _parsed(float, "--tol-factor", tol_factor)
     try:
         scheme = SchemeConfig(**step)
     except ValueError as exc:
@@ -391,8 +387,9 @@ def _resolve_run_config(args) -> RunConfig:
 
     # Check the step settings and --jobs now, before any solve or output.
     scheme = _scheme(settings, args.dt, args.dt_rule, args.tol_factor)
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    jobs = _parsed(int, "--jobs", args.jobs)
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
 
     if args.reference is not None:
         reference = _parse_reference(args.reference)
@@ -410,7 +407,7 @@ def _resolve_run_config(args) -> RunConfig:
         scheme=scheme,
         reference=reference,
         out_dir=Path(args.out) if args.out else None,
-        jobs=args.jobs,
+        jobs=jobs,
     )
 
 
@@ -435,28 +432,26 @@ def _cmd_snapshot(args) -> int:
     base, overrides, settings = _resolve_experiment(args)
     spec = _resolve_spec(base, overrides)
     scheme = _scheme(settings)
-    try:
-        times = [float(v) for v in args.times.split(",") if v]
-    except ValueError as exc:
-        raise ConfigError(f"bad --times {args.times!r}") from exc
+    times = _parsed(lambda t: [float(v) for v in t.split(",") if v], "--times", args.times)
     if not times:
         raise ConfigError("no output times given")
     try:
         times = [snap_time(t, spec.t0, spec.t_final) for t in times]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    elements = _parsed(int, "--elements", args.elements)
     try:
-        Grid(spec.domain[0], spec.domain[1], args.elements)
+        Grid(spec.domain[0], spec.domain[1], elements)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    _, _, traj = _solve(scheme, spec, args.elements, times)
+    _, _, traj = _solve(scheme, spec, elements, times)
     out = Path(args.out)
     for t in times:
         ref = None
         if spec.reference is not None and t == spec.t_final:
             ref = spec.reference
-        path = out / f"{spec.name}-N{args.elements}-t{t:g}.txt"
+        path = out / f"{spec.name}-N{elements}-t{t:g}.txt"
         emit_snapshot(traj.profiles[t], path, reference=ref)
         print(f"wrote {path}", file=sys.stderr)
     return EXIT_OK
@@ -465,12 +460,14 @@ def _cmd_snapshot(args) -> int:
 def _cmd_verify(args) -> int:
     # Only the arguments map to a config error; a ValueError raised inside
     # the report is a defect and keeps its traceback.
+    alpha = _parsed(float, "--alpha", args.alpha)
+    elements = _parsed(int, "--elements", args.elements)
     try:
-        fractional_order(args.alpha)
-        Grid(0.0, 2.0 * np.pi, args.elements)
+        fractional_order(alpha)
+        Grid(0.0, 2.0 * np.pi, elements)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    report = operator_identity_report(args.alpha, args.elements)
+    report = operator_identity_report(alpha, elements)
     for check in report["checks"]:
         status = "PASS" if check["passed"] else "FAIL"
         print(f"{check['name']}: {check['value']:.3e} (tol {check['tol']:.1e}) "

@@ -39,6 +39,7 @@ __all__ = [
     "nonlinear_load",
     "hermite_interpolate",
     "l2_project",
+    "mass_bands",
     "mass_offset_blocks",
 ]
 
@@ -275,13 +276,17 @@ def hermite_interpolate(grid: Grid,
     return FemFunction(grid, coeffs)
 
 
+def mass_bands(grid: Grid) -> np.ndarray:
+    """The mass blocks B_0 and B_1 at node offsets 0 and 1, (2, 2, 2)."""
+    return grid.dx * np.stack([ELEMENT_MASS[:2, :2] + ELEMENT_MASS[2:, 2:],
+                               ELEMENT_MASS[:2, 2:]])  # test at node 0, trial at 1
+
+
 def mass_offset_blocks(grid: Grid) -> np.ndarray:
-    """Offset blocks of the mass matrix <v_j, v_i>."""
-    n, dx = grid.n_elems, grid.dx
-    blocks = np.zeros((n, 2, 2))
-    blocks[0] = dx * (ELEMENT_MASS[:2, :2] + ELEMENT_MASS[2:, 2:])
-    blocks[1] = dx * ELEMENT_MASS[:2, 2:]        # test at node 0, trial at node 1
-    blocks[n - 1] = dx * ELEMENT_MASS[2:, :2]    # test at node 0, trial at node -1
+    """Offset blocks of the mass matrix <v_j, v_i>: the bands and B_-1."""
+    blocks = np.zeros((grid.n_elems, 2, 2))
+    blocks[:2] = mass_bands(grid)
+    blocks[-1] = grid.dx * ELEMENT_MASS[2:, :2]    # test at node 0, trial at node -1
     return blocks
 
 

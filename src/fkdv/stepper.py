@@ -142,32 +142,15 @@ def choose_dt(u0: FemFunction, grid: Grid, cfg: SchemeConfig,
     return dt
 
 
-class _Workspace:
-    """The arrays a step writes, made once per run.
-
-    Two complex (N, 2) FFT buffers for apply_symbol, the right-hand side
-    M u_n + dt/2 D u_n, and two iterates that take turns: each Picard
-    iteration writes the load into the one the previous iterate is not in
-    and solves for the new iterate in place.  Between applies the first FFT
-    buffer is dead, and its floats serve as two real scratch vectors, for
-    the correction and for the M-norm's products.
-    """
-
-    def __init__(self, grid: Grid):
-        n = grid.n_elems
-        self.fft = (np.empty((n, 2), dtype=complex), np.empty((n, 2), dtype=complex))
-        self.spare = self.fft[0].view(float).reshape(2, 2 * n)
-        self.b0 = np.empty(2 * n)
-        self.iterates = (np.empty(2 * n), np.empty(2 * n))
-
-
 class _StepOperator:
-    """Factored linear part of the step, shared across iterations and steps.
+    """What a run holds besides its states, for one (grid, alpha, dt).
 
-    Holds only (M - dt/2 D)^-1 and M + dt/2 D; the symbols of M and D are
-    locals.  M + dt/2 D is formed in the mass symbol's own buffer and
-    M - dt/2 D in one more, so at most three complex (N, 2, 2) arrays are
-    alive at once.
+    That is (M - dt/2 D)^-1, M + dt/2 D and the arrays a step writes: two
+    complex (N, 2) FFT buffers, the first real scratch between applies, the
+    right-hand side M u_n + dt/2 D u_n and two iterates that take turns.
+    Forming the symbols holds at most three complex (N, 2, 2) arrays; then
+    the bundle's cached dispersion blocks are deleted, as no step reads them
+    (a later read assembles them again), and the buffers are made.
     """
 
     def __init__(self, ops: OperatorMatrices, dt: float):
@@ -175,34 +158,38 @@ class _StepOperator:
         self.dt = dt
         mass = block_symbol(ops.mass_blocks)
         half = block_symbol(ops.disp_blocks)
+        del ops.disp_blocks
         half *= 0.5 * dt
         minus = np.subtract(mass, half)
         self.b_symbol = np.add(mass, half, out=mass)
         del half    # freed before the inversion makes its temporaries
         self.a_inv = _invert_symbol_inplace(minus)
+        n = ops.grid.n_elems
+        self.fft = (np.empty((n, 2), dtype=complex), np.empty((n, 2), dtype=complex))
+        self.spare = self.fft[0].view(float).reshape(2, 2 * n)
+        self.b0 = np.empty(2 * n)
+        self.iterates = (np.empty(2 * n), np.empty(2 * n))
 
     def step(self, un: FemFunction, norm_un: float, cfg: SchemeConfig,
-             step_index: int, work: _Workspace
-             ) -> tuple[FemFunction, StepReport, float]:
+             step_index: int) -> tuple[FemFunction, StepReport, float]:
         """Step from un of M-norm norm_un; returns the state, report and M-norm.
 
-        Apart from the returned state and the load's block buffers, every
-        array the step writes is in ``work``.
+        It writes only the operator's buffers, the load's blocks and the state.
         """
         grid = un.grid
         tol = cfg.tol_factor * grid.dx * norm_un
-        b0 = apply_symbol(self.b_symbol, un.coeffs, work.b0, work.fft)
-        correction, scratch = work.spare
+        b0 = apply_symbol(self.b_symbol, un.coeffs, self.b0, self.fft)
+        correction, scratch = self.spare
 
         w = un.coeffs
         res = contraction = 0.0
         # Overflow only leads to a non-finite residual, which ends the step.
         with np.errstate(over="ignore", invalid="ignore"):
             for iters in range(1, MAX_PICARD_ITERS + 1):
-                w_new = nonlinear_load(w, un.coeffs, work.iterates[iters % 2])
+                w_new = nonlinear_load(w, un.coeffs, self.iterates[iters % 2])
                 w_new *= 0.5 * self.dt
                 w_new += b0
-                apply_symbol(self.a_inv, w_new, w_new, work.fft)
+                apply_symbol(self.a_inv, w_new, w_new, self.fft)
                 prev, res = res, self.ops.l2_norm(
                     np.subtract(w_new, w, out=correction), scratch)
                 # A non-finite correction can never recover; stop at once.
@@ -240,8 +227,8 @@ def run(u0: FemFunction, t0: float, t_final: float, ops: OperatorMatrices,
     u^{n-1}, u^n and u^{n+1}, and the run keeps only those.  A time outside
     [t0, t_final] raises ValueError before the first step.
 
-    One workspace serves every step, so the only new array of size N a step
-    makes is the state it returns.
+    One step operator, with its buffers, serves every step, so the only new
+    array of size N a step makes is the state it returns.
     """
     grid = u0.grid
     if ops.grid != grid:
@@ -254,13 +241,12 @@ def run(u0: FemFunction, t0: float, t_final: float, ops: OperatorMatrices,
     blends = {t: _blend(t0, dt, steps, t) for t in times}
     keep = {n for _, lo, hi in blends.values() for n in (*lo, *hi)}
     operator = _StepOperator(ops, dt)
-    work = _Workspace(grid)
 
     states = {0: u0}
     reports: list[StepReport] = []
     u, norm_u = u0, ops.l2_norm(u0.coeffs)
     for n in range(1, steps + 1):
-        u, report, norm_u = operator.step(u, norm_u, cfg, n, work)
+        u, report, norm_u = operator.step(u, norm_u, cfg, n)
         reports.append(report)
         if n in keep:
             states[n] = u

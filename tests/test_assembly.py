@@ -138,8 +138,7 @@ def test_mass_block_zero_rationals():
 @given(st.integers(4, 512), st.integers(0, 2**32 - 1))
 def test_banded_l2_norm_matches_symbol_apply(n: int, seed: int):
     grid = Grid(-1.0, 2.0, n)
-    blocks = mass_offset_blocks(grid)
-    ops = OperatorMatrices(grid, 1.5, blocks, np.zeros_like(blocks))
+    ops = OperatorMatrices(grid, 1.5)
     c = np.random.default_rng(seed).standard_normal(grid.n_dofs)
     want = math.sqrt(float(c @ apply_symbol(block_symbol(ops.mass_blocks), c)))
     assert ops.l2_norm(c) == pytest.approx(want, rel=1e-13)

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import fkdv.assembly
 import fkdv.cli
+import fkdv.stepper
 from fkdv.cli import EXIT_ALL_DIVERGED, EXIT_CONFIG, emit_snapshot, main
 from fkdv.assembly import assemble_operators
 from fkdv.fem import FemFunction, Grid, l2_project
@@ -208,6 +209,8 @@ def test_run_all_rows_diverged_exits_three():
     ["run", "--experiment", "frac-sin", "--reference", "self:2"],
     ["run", "--experiment", "frac-sin", "--sweep", "8,16",
      "--reference", "self:40"],  # 40 is not a multiple of 16
+    ["run", "--experiment", "frac-sin", "--sweep", "16,32",
+     "--reference", "self:32"],  # the last row would be its own reference
     ["run", "--experiment", "/tmp/does-not-exist.ini"],
 ])
 def test_run_config_errors_exit_two(argv):
@@ -328,7 +331,9 @@ def test_snapshot_writes_profiles(tmp_path):
 @pytest.mark.parametrize("n", [32, 64, 256])
 def test_snapshot_profiles_match_a_run_that_keeps_every_state(n, tmp_path):
     # snapshot keeps only the states its times read; its profiles must be
-    # the bytes that blending u^0 ... u^M from single-step runs writes.
+    # the bytes that blending every state u^0 ... u^M writes.  The states
+    # come from one step operator, as in a run: a run per step would
+    # assemble the dispersion blocks again for each step.
     times = [0.0, 0.01, 33.3, 60.0, 119.99, 120.0]
     rc, _, _ = _invoke(["snapshot", "--experiment", "bo-one", "--elements", str(n),
                         "--times", ",".join(map(str, times)),
@@ -340,11 +345,11 @@ def test_snapshot_profiles_match_a_run_that_keeps_every_state(n, tmp_path):
     ops = assemble_operators(grid, spec.alpha)
     u0 = l2_project(grid, spec.initial)
     traj = run(u0, 0.0, spec.t_final, ops, SchemeConfig())
-    states = [u0.coeffs]
-    for _ in range(traj.n_steps):
-        u = FemFunction(grid, states[-1])
-        states.append(run(u, 0.0, traj.dt, ops, SchemeConfig(dt_value=traj.dt))
-                      .final.coeffs)
+    operator = fkdv.stepper._StepOperator(ops, traj.dt)
+    u, norm, states = u0, ops.l2_norm(u0.coeffs), [u0.coeffs]
+    for step in range(1, traj.n_steps + 1):
+        u, _, norm = operator.step(u, norm, SchemeConfig(), step)
+        states.append(u.coeffs)
     assert np.array_equal(states[-1], traj.final.coeffs)
     for t in times:
         theta, lo, hi = _blend(0.0, traj.dt, traj.n_steps, t)
@@ -422,6 +427,10 @@ def test_snapshot_bad_ini_exits_two(tmp_path, tmp_path_factory, monkeypatch):
     ["snapshot", "--experiment", "bo-one", "--elements=3", "--times=0"],
     ["snapshot", "--experiment", "bo-one", "--elements", "16",
      "--times", "120.001"],
+    ["snapshot", "--experiment", "bo-one", "--elements", "x", "--times", "0"],
+    ["snapshot", "--experiment", "bo-one", "--elements", "16.0", "--times", "0"],
+    ["snapshot", "--experiment", "bo-one", "--elements", "16", "--times", "0",
+     "--alpha", "abc"],
 ])
 def test_snapshot_config_errors_exit_two(argv, tmp_path, monkeypatch, no_solve):
     # Without --out the files would land in the working directory; a config
@@ -498,6 +507,21 @@ def test_verify_rejects_too_few_elements():
     assert "config error" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--alpha", "x"],
+    ["--alpha", ""],
+    ["--alpha", "1.5", "--elements", "x"],
+    ["--alpha", "1.5", "--elements", "64.5"],
+])
+def test_verify_non_numeric_flags_exit_two(flags, monkeypatch):
+    monkeypatch.setattr(fkdv.cli, "operator_identity_report", None)
+    rc, out, err = _invoke(["verify", *flags])
+    assert rc == EXIT_CONFIG
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: "), err
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # runtime dependencies
 
@@ -569,6 +593,8 @@ _BAD_REFERENCE = st.one_of(
         st.integers(max_value=3).map(str),
         # bo-one sweeps up to N=1024, so M must be a multiple of it.
         st.integers(4, 10**6).filter(lambda m: m % 1024).map(str))).map("".join),
+    # The one multiple that is no finer than the sweep.
+    st.just("self:1024"),
     # A multiple of every sweep entry that no spectral grid can take.
     st.integers(1, 10**3).map(lambda k: 1024 * k).filter(lambda m: m & (m - 1))
     .map(lambda m: f"spectral:{m}"),
@@ -579,8 +605,11 @@ _BAD_RUN_FLAGS = {
     "--dt-rule": st.one_of(
         _TEXT.filter(lambda t: t != "courant" and not t.startswith("prop:")),
         _NOT_POSITIVE.map(lambda t: "prop:" + t)),
-    "--jobs": st.integers(max_value=0).map(str),
+    "--jobs": st.one_of(st.integers(max_value=0).map(str), _NOT_INT),
     "--dt": _NOT_POSITIVE,
+    "--tol-factor": _NOT_POSITIVE,
+    "--alpha": st.one_of(_NOT_FLOAT, st.floats(max_value=1.0, exclude_max=True).map(repr),
+                         st.floats(min_value=2.0).map(repr), st.just("nan")),
 }
 _BAD_TIMES = st.one_of(
     st.text(st.sampled_from(", "), max_size=4),

@@ -4,23 +4,33 @@ Sizes are counted in symbols: one complex (N, 2, 2) array, 64 * N bytes.
 tracemalloc counts the allocations themselves, so these bounds do not move
 with the machine as a resident-set size does; they do follow the temporaries
 that numpy's einsum, FFT and casts make.  They were measured with numpy
-2.4.6, where the tightest, _StepOperator at 3.00 and l2_project at 2.99
-against 3.25, have a margin of 0.25 symbol; a step peaks at 2.19 against
-2.75.
+2.4.6 at N=16384: l2_project peaks at 2.99 against 3.25, _StepOperator at
+3.25 against 3.50 (its two symbols and its buffers), a step at 0.44 against
+0.75 and a three-step run at 3.94 against 4.25.
 """
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from fkdv.assembly import assemble_operators
+from fkdv.assembly import OperatorMatrices, assemble_operators
 from fkdv.circulant import apply_symbol, block_symbol
-from fkdv.fem import Grid, l2_project
+from fkdv.fem import Grid, l2_project, mass_offset_blocks
 from fkdv.solutions import triangle_data
-from fkdv.stepper import SchemeConfig, _StepOperator, _Workspace, run
+from fkdv.stepper import SchemeConfig, _StepOperator, run
+
+# The frac-triangle grid at the tri-coarse step; a symbol is 1 MiB here.
+N = 16384
+SYMBOL = 64 * N
+# What a step operator owns, in symbols: (M - dt/2 D)^-1 and M + dt/2 D,
+# two complex (N, 2) FFT buffers (1), the right-hand side (1/4) and two
+# iterates (1/2).  Forming it frees the bundle's dispersion blocks (1/2).
+OPERATOR_SYMBOLS = 2.0 + 1.75
+DISP_SYMBOLS = 0.5
 
 
 def _owns(coeffs: np.ndarray) -> bool:
@@ -41,7 +51,7 @@ def test_iterates_own_their_coefficients(grid64, ops64):
     assert all(_owns(u.coeffs) for u in [traj.final, *traj.profiles.values()])
 
 
-def _traced(fn, symbol_bytes: int):
+def _traced(fn, symbol_bytes: int = SYMBOL):
     """(result, peak, held): traced peak and retained growth in symbols."""
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
@@ -57,25 +67,88 @@ def _traced(fn, symbol_bytes: int):
     return result, (peak - base) / symbol_bytes, (held - base) / symbol_bytes
 
 
-def test_traced_peaks_per_layer():
-    # The frac-triangle grid at the tri-coarse step; a symbol is 1 MiB here.
-    n = 16384
-    symbol = 64 * n
-    grid = Grid(-10.0, 10.0, n)
+def _array_bytes(obj) -> int:
+    """Bytes of the arrays an object's attributes own, tuples included."""
+    arrays = [v for value in vars(obj).values()
+              for v in (value if isinstance(value, tuple) else (value,))
+              if isinstance(v, np.ndarray)]
+    return sum(a.nbytes for a in arrays if a.base is None)
+
+
+@pytest.fixture(scope="module")
+def grid() -> Grid:
+    return Grid(-10.0, 10.0, N)
+
+
+@pytest.fixture
+def tracing():
+    """Trace from the test's start: the bundle's blocks must be traced
+    when they are made for their release to count."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    yield
+    if not was_tracing:
+        tracemalloc.stop()
+
+
+def test_traced_peaks_per_layer(grid, tracing):
     ops = assemble_operators(grid, 1.5)
     cfg = SchemeConfig(dt_value=0.01)
 
-    u0, peak, _ = _traced(lambda: l2_project(grid, triangle_data), symbol)
+    u0, peak, _ = _traced(lambda: l2_project(grid, triangle_data))
     assert peak <= 3.25
-    # Two symbols are kept; forming them holds at most three at once.
-    operator, peak, held = _traced(lambda: _StepOperator(ops, 0.01), symbol)
-    assert peak <= 3.25
-    assert held == pytest.approx(2.0, abs=0.01)
+    # Forming the two symbols holds at most three at once; the buffers come
+    # after them, and the dispersion blocks go.
+    operator, peak, held = _traced(lambda: _StepOperator(ops, 0.01))
+    assert peak <= 3.5
+    assert held == pytest.approx(OPERATOR_SYMBOLS - DISP_SYMBOLS, abs=0.01)
     norm = ops.l2_norm(u0.coeffs)
-    (u1, report, _), peak, held = _traced(
-        lambda: operator.step(u0, norm, cfg, 1, _Workspace(grid)), symbol)
+    (u1, report, _), peak, held = _traced(lambda: operator.step(u0, norm, cfg, 1))
     assert report.iters > 1
-    assert peak <= 2.75
+    assert peak <= 0.75
     # The new state holds its own 16 * N bytes, a quarter symbol.
     assert held < 0.3
     assert _owns(u1.coeffs)
+
+
+def test_a_run_holds_only_its_step_operator(grid, tracing):
+    ops = assemble_operators(grid, 1.5)
+    first = ops.disp_blocks.copy()
+    u0 = l2_project(grid, triangle_data)
+    traj, peak, held = _traced(
+        lambda: run(u0, 0.0, 0.03, ops, SchemeConfig(dt_value=0.01)))
+    assert traj.n_steps == 3
+    assert peak <= 4.25
+    # The run returns its final state (1/4) and lets the dispersion go.
+    assert held == pytest.approx(0.25 - DISP_SYMBOLS, abs=0.01)
+    # The bundle keeps only the mass bands, nothing of size N.
+    assert _array_bytes(ops) < 1024
+    # The step operator owns its two symbols and its buffers, nothing more.
+    operator = _StepOperator(ops, 0.01)
+    assert _array_bytes(operator) == OPERATOR_SYMBOLS * SYMBOL
+    assert operator.a_inv.nbytes == operator.b_symbol.nbytes == SYMBOL
+    # A read after the drop assembles the same blocks again.
+    assert np.array_equal(ops.disp_blocks, first)
+
+
+def _full_array_norm(blocks: np.ndarray, coeffs: np.ndarray) -> float:
+    """The M-norm from offsets 0 and 1 of the full (N, 2, 2) mass array."""
+    nodal = coeffs.reshape(-1, 2)
+    product = np.empty(nodal.shape)
+    diag = np.vdot(np.matmul(nodal, blocks[0], out=product), nodal)
+    right = np.matmul(nodal, blocks[1], out=product)
+    square = diag + 2.0 * (np.vdot(right[:-1], nodal[1:]) + right[-1] @ nodal[0])
+    return math.sqrt(max(float(square), 0.0))
+
+
+@pytest.mark.parametrize("n", [4, 7, 1000, N])
+def test_banded_norm_matches_the_full_mass_array(n: int):
+    # The bands are the full array's offsets 0 and 1, so the M-norm keeps
+    # its bits.
+    grid = Grid(-10.0, 10.0, n)
+    ops = OperatorMatrices(grid, 1.5)
+    blocks = mass_offset_blocks(grid)
+    assert np.array_equal(ops.mass_bands, blocks[:2])
+    coeffs = np.random.default_rng(n).standard_normal(grid.n_dofs)
+    assert ops.l2_norm(coeffs) == _full_array_norm(blocks, coeffs)

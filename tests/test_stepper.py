@@ -65,8 +65,8 @@ def held_steps(monkeypatch):
     held: list[set[int]] = []
     step, trajectory = fkdv.stepper._StepOperator.step, fkdv.stepper.Trajectory
 
-    def tracked(self, un, norm_un, cfg, n, work):
-        out = step(self, un, norm_un, cfg, n, work)
+    def tracked(self, un, norm_un, cfg, n):
+        out = step(self, un, norm_un, cfg, n)
         made[n] = weakref.ref(out[0])
         return out
 
