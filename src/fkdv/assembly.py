@@ -61,7 +61,9 @@ _EXPLICIT_IMAGE_SHELLS = 4
 # values, 20 reach their round-off (2e-15).
 _TAIL_TERMS = 24
 # Far offsets per batch, which bounds the Vandermonde matrix and its memory.
-_FAR_CHUNK = 1 << 14
+# BLAS keeps a (2048, 21) @ (21, 4) product on the calling thread, as on every
+# grid up to N = 2048; a larger batch wakes a worker, whose buffers add RSS.
+_FAR_CHUNK = 1 << 11
 # Gauss points per segment of the basis-pair correlations (8 integrates the
 # degree-6 products of cubics exactly) and per panel of the one-dimensional
 # principal value integrals.

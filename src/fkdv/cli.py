@@ -186,7 +186,10 @@ def _reference_values(cfg: RunConfig, spec: ExperimentSpec) -> np.ndarray | None
     if kind == "spectral" and m & (m - 1):
         raise ConfigError(f"spectral reference resolution {m} must be a power of two")
     if kind == "self":
-        _, _, traj = _solve(cfg.scheme, spec, m)
+        # Not _solve, whose caller keeps u0: run lets go of this one.
+        grid = Grid(spec.domain[0], spec.domain[1], m)
+        traj = run(l2_project(grid, spec.initial), spec.t0, spec.t_final,
+                   assemble_operators(grid, spec.alpha), cfg.scheme)
         return traj.final.node_values.copy()
     sg = SpectralGrid(spec.domain[0], spec.domain[1], m)
     samples = np.asarray(spec.initial(sg.points()), dtype=float)
@@ -333,6 +336,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _out_dir(text: str) -> Path:
+    """--out, checked to have a writable directory as nearest existing ancestor."""
+    ancestor = Path(text).absolute()
+    while not ancestor.exists():
+        ancestor = ancestor.parent
+    if not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
+        raise ConfigError(f"bad --out {text!r}: {ancestor} is no writable directory")
+    return Path(text)
+
+
 def _resolve_experiment(args) -> tuple[str, dict, dict]:
     """(base name, spec overrides, INI settings) from --experiment and --alpha.
 
@@ -406,7 +419,7 @@ def _resolve_run_config(args) -> RunConfig:
         sweep=sweep,
         scheme=scheme,
         reference=reference,
-        out_dir=Path(args.out) if args.out else None,
+        out_dir=_out_dir(args.out) if args.out else None,
         jobs=jobs,
     )
 
@@ -445,8 +458,8 @@ def _cmd_snapshot(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
+    out = _out_dir(args.out)
     _, _, traj = _solve(scheme, spec, elements, times)
-    out = Path(args.out)
     for t in times:
         ref = None
         if spec.reference is not None and t == spec.t_final:

@@ -116,9 +116,27 @@ _GAUSS_TESTS = tuple(
 ELEMENT_MASS = _GAUSS_SHAPES @ _GAUSS_TESTS[0]                   # int H_p H_q
 
 
+# Elements per block of every element product, small enough for BLAS to keep
+# on the calling thread, so no worker thread wakes and touches its buffers.
+# A tail of fewer than _MIN_BLOCK elements joins the block before it: BLAS
+# may take another kernel for a product of a few rows, which rounds otherwise.
+_BLOCK = 4096
+_MIN_BLOCK = 16
+
+
+def _element_blocks(n: int) -> list[tuple[int, int]]:
+    """(lo, hi) element ranges of the block rule, in order, covering 0..n."""
+    cuts = [0, *range(_BLOCK, n - _MIN_BLOCK + 1, _BLOCK), n]
+    return list(zip(cuts, cuts[1:]))
+
+
 def gauss_values(coeffs: np.ndarray) -> np.ndarray:
     """Values (E, 8) of the expanded function at each element's Gauss points."""
-    return element_dofs(coeffs) @ _GAUSS_SHAPES
+    dofs = element_dofs(coeffs)
+    out = np.empty((dofs.shape[0], GAUSS_POINTS.size))
+    for lo, hi in _element_blocks(dofs.shape[0]):
+        np.matmul(dofs[lo:hi], _GAUSS_SHAPES, out=out[lo:hi])
+    return out
 
 
 def element_loads(values: np.ndarray, order: int) -> np.ndarray:
@@ -129,12 +147,20 @@ def element_loads(values: np.ndarray, order: int) -> np.ndarray:
     return values @ _GAUSS_TESTS[order]
 
 
-# Elements per block of nonlinear_load, whose buffers then stay in cache.  A
-# tail of fewer than _MIN_BLOCK elements joins the block before it: BLAS
-# may take another kernel for a product of a few rows, which rounds
-# otherwise than the whole product does.
-_BLOCK = 4096
-_MIN_BLOCK = 16
+def _scatter_blocks(n: int, block_loads, out: np.ndarray) -> np.ndarray:
+    """scatter() into out of the loads that block_loads(lo, hi) gives for each
+    element block, as (hi - lo, 2) complex node pairs in a reusable buffer."""
+    nodal = out.view(complex)
+    for lo, hi in _element_blocks(n):
+        p = block_loads(lo, hi)
+        np.add(p[1:, 0], p[:-1, 1], out=nodal[lo + 1:hi])
+        if lo:
+            nodal[lo] = p[0, 0] + right
+        else:
+            first = p[0, 0]
+        right = p[-1, 1]
+    nodal[0] = first + right
+    return out
 
 
 def nonlinear_load(a: np.ndarray, b: np.ndarray,
@@ -142,28 +168,20 @@ def nonlinear_load(a: np.ndarray, b: np.ndarray,
     """q_i = <((a + b)/2)^2, d/dx v_i> for coefficient vectors a and b.
 
     Exact for the degree-6 integrand; the 1/dx of the test derivative cancels
-    the element jacobian.  Equals
-    scatter(element_loads(gauss_values(0.5 * (a + b)) ** 2, 1)) bit for bit,
-    but runs gather, Gauss values, square, loads and scatter in blocks of
-    elements through small buffers, so no (E, 8) array is formed.  The
-    result goes into ``out`` (a contiguous float array) if given.
+    the element jacobian.  Gather, Gauss values, square, loads and scatter
+    run per element block in small buffers, so no (E, 8) array is formed.
+    The result goes into ``out`` (a contiguous float array) if given.
     """
     if a.shape != b.shape:
         raise ValueError(f"coefficient vectors differ in shape: {a.shape}, {b.shape}")
     a_pairs, b_pairs = _node_pairs(a), _node_pairs(b)
     n = a_pairs.shape[0]
-    if out is None:
-        out = np.empty(2 * n)
-    nodal = out.view(complex)
-    starts = list(range(0, n, _BLOCK))
-    if len(starts) > 1 and n - starts[-1] < _MIN_BLOCK:
-        starts.pop()
-    blocks = list(zip(starts, starts[1:] + [n]))
-    rows = max(hi - lo for lo, hi in blocks)
+    rows = max(hi - lo for lo, hi in _element_blocks(n))
     half = np.empty(rows + 1, dtype=complex)
     pairs = np.empty((rows, 2), dtype=complex)
     values = np.empty((rows, GAUSS_POINTS.size))
-    for lo, hi in blocks:
+
+    def block_loads(lo, hi):
         m = hi - lo
         h, p, v = half[:m + 1], pairs[:m], values[:m]
         # Half-sums at nodes lo..hi, where node n is node 0.
@@ -175,14 +193,9 @@ def nonlinear_load(a: np.ndarray, b: np.ndarray,
         np.matmul(p.view(float), _GAUSS_SHAPES, out=v)
         np.square(v, out=v)
         np.matmul(v, _GAUSS_TESTS[1], out=p.view(float))
-        np.add(p[1:, 0], p[:-1, 1], out=nodal[lo + 1:hi])
-        if lo:
-            nodal[lo] = p[0, 0] + right
-        else:
-            first = p[0, 0]
-        right = p[-1, 1]
-    nodal[0] = first + right
-    return out
+        return p
+
+    return _scatter_blocks(n, block_loads, np.empty(2 * n) if out is None else out)
 
 
 @dataclass(frozen=True)
@@ -291,16 +304,15 @@ def mass_offset_blocks(grid: Grid) -> np.ndarray:
 
 
 def load_vector(grid: Grid, func: Callable) -> np.ndarray:
-    """Loads <func, v_i> by the element Gauss rule.
+    """Loads <func, v_i> by the element Gauss rule, with func sampled at one
+    element block's Gauss points at a time, so no (E, 8) array is made."""
+    nodes, offsets = grid.nodes(), GAUSS_POINTS * grid.dx
 
-    func is sampled one Gauss point at a time, so its temporaries are N long,
-    not N x 8.
-    """
-    nodes = grid.nodes()
-    fvals = np.empty((grid.n_elems, GAUSS_POINTS.size))
-    for k, xi in enumerate(GAUSS_POINTS):
-        fvals[:, k] = np.asarray(func(nodes + xi * grid.dx), dtype=float) * grid.dx
-    return scatter(element_loads(fvals, 0))
+    def block_loads(lo, hi):
+        samples = np.asarray(func(nodes[lo:hi, None] + offsets), dtype=float)
+        return _node_pairs(element_loads(samples * grid.dx, 0))
+
+    return _scatter_blocks(grid.n_elems, block_loads, np.empty(grid.n_dofs))
 
 
 def l2_project(grid: Grid, func: Callable) -> FemFunction:

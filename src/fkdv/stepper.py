@@ -224,8 +224,9 @@ def run(u0: FemFunction, t0: float, t_final: float, ops: OperatorMatrices,
     u(t) is piecewise linear between the half-step averages
     u^{n+1/2} = (u^n + u^{n+1})/2, and the first and last half steps blend
     toward u^0 and the final state.  So a time reads at most three states,
-    u^{n-1}, u^n and u^{n+1}, and the run keeps only those.  A time outside
-    [t0, t_final] raises ValueError before the first step.
+    u^{n-1}, u^n and u^{n+1}, and the run keeps only those, u^0 too: a u0
+    that no time reads and the caller holds no name for is freed after the
+    first step.  A time outside [t0, t_final] raises ValueError up front.
 
     One step operator, with its buffers, serves every step, so the only new
     array of size N a step makes is the state it returns.
@@ -242,9 +243,10 @@ def run(u0: FemFunction, t0: float, t_final: float, ops: OperatorMatrices,
     keep = {n for _, lo, hi in blends.values() for n in (*lo, *hi)}
     operator = _StepOperator(ops, dt)
 
-    states = {0: u0}
+    states = {0: u0} if 0 in keep else {}
     reports: list[StepReport] = []
     u, norm_u = u0, ops.l2_norm(u0.coeffs)
+    del u0      # the first step's state replaces run's last name for u^0
     for n in range(1, steps + 1):
         u, report, norm_u = operator.step(u, norm_u, cfg, n)
         reports.append(report)

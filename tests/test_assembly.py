@@ -316,8 +316,8 @@ def test_image_tail_is_bit_identical_to_scipy_coefficients(n, alpha, kind):
 def test_far_field_matches_per_order_sum(kind, n, chunk, monkeypatch):
     # Oracle: every far offset of the explicit shells, one power per order,
     # scattered onto residues in offset order.  At N = 5 near offsets fall in
-    # four shells; at N = 4096 the 8N offsets fill eight default batches, and
-    # a batch of 1000 also splits each shell into five.
+    # four shells; at N = 4096 the 8N offsets fill sixteen default batches of
+    # 2048, and a batch of 1000 splits each shell into five.
     if chunk is not None:
         monkeypatch.setattr(assembly, "_FAR_CHUNK", chunk)
     alpha = 1.5

@@ -6,9 +6,9 @@ reshaped float gathers, one (E, 8) array of Gauss values, an FFT that
 allocates its output and np.vander.  The fast forms must round exactly as
 these do, since a 1-ulp change can move the benchmark tables past their
 gates.  The element counts 4097, 4099 and 8195 leave a 1- or 3-element tail
-after the 4096-element blocks of the load; a product of one row takes
-another BLAS kernel and rounds otherwise, unless the tail joins the block
-before it.
+after the 4096-element blocks of the element products; a product of one row
+takes another BLAS kernel and rounds otherwise, unless the tail joins the
+block before it.
 """
 
 from __future__ import annotations
@@ -16,18 +16,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from fkdv import assembly
 from fkdv.assembly import (_DERIV_TABLES, _EXPLICIT_IMAGE_SHELLS, _MULTIPOLE_ORDER,
                            _NEAR_OFFSET, _VALUE_TABLES, _add_far_field, _kernel_binom,
                            _pair_moments, assemble_operators, frac_constant)
 from fkdv.circulant import apply_symbol
-from fkdv.fem import (GAUSS_POINTS, GAUSS_WEIGHTS, FemFunction, Grid, element_dofs,
-                      element_shapes, l2_project, nonlinear_load, scatter)
-from fkdv.solutions import get_experiment
+from fkdv.fem import (GAUSS_POINTS, GAUSS_WEIGHTS, FemFunction, Grid, _element_blocks,
+                      element_dofs, element_shapes, gauss_values, l2_project, load_vector,
+                      nonlinear_load, scatter)
+from fkdv.solutions import builtin_experiments, get_experiment
 from fkdv.stepper import MAX_PICARD_ITERS, SchemeConfig, _StepOperator, run
 
 SIZES = [4, 7, 1000, 4097, 4099, 8195]
 
 _SHAPES = element_shapes(GAUSS_POINTS, 0)                       # (4, 8)
+_VALUE_TESTS = (element_shapes(GAUSS_POINTS, 0) * GAUSS_WEIGHTS).T   # (8, 4)
 _SLOPE_TESTS = (element_shapes(GAUSS_POINTS, 1) * GAUSS_WEIGHTS).T   # (8, 4)
 
 
@@ -50,6 +53,26 @@ def _plain_load(w: np.ndarray, un: np.ndarray) -> np.ndarray:
     return _plain_scatter((values ** 2) @ _SLOPE_TESTS)
 
 
+def _plain_blocks(n: int) -> list[tuple[int, int]]:
+    """Element blocks as the load first cut them: 4096 elements each, and a
+    tail of fewer than 16 joined to the block before it."""
+    starts = list(range(0, n, 4096))
+    if len(starts) > 1 and n - starts[-1] < 16:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def _plain_load_vector(grid: Grid, func) -> np.ndarray:
+    """func sampled one Gauss point at a time into one (E, 8) array, whose
+    element product is taken per block."""
+    nodes = grid.nodes()
+    fvals = np.empty((grid.n_elems, GAUSS_POINTS.size))
+    for k, xi in enumerate(GAUSS_POINTS):
+        fvals[:, k] = np.asarray(func(nodes + xi * grid.dx), dtype=float) * grid.dx
+    return _plain_scatter(np.concatenate(
+        [fvals[lo:hi] @ _VALUE_TESTS for lo, hi in _plain_blocks(grid.n_elems)]))
+
+
 def _plain_apply(symbol: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     n = symbol.shape[0]
     chat = np.fft.fft(coeffs.reshape(n, 2), axis=0)
@@ -58,8 +81,8 @@ def _plain_apply(symbol: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return chat.real.reshape(-1).copy()
 
 
-def _plain_far_field(blocks, beta, h, pair_mom, binom, shells, chunk=1 << 14):
-    n = blocks.shape[0]
+def _plain_far_field(blocks, beta, h, pair_mom, binom, shells):
+    n, chunk = blocks.shape[0], assembly._FAR_CHUNK
     table = -frac_constant(beta) * binom[:, None] * pair_mom.reshape(len(binom), 4)
     for s in range(-shells, shells):
         for lo in range(0, n, chunk):
@@ -82,6 +105,25 @@ def test_gather_scatter_and_load_match_plain_formulas(n: int):
     assert np.array_equal(nonlinear_load(w, un), _plain_load(w, un))
 
 
+@pytest.mark.parametrize("n", [4, 15, 16, 4095, 4096, 4097, 4111, 4112, 8207, 8208, 65536])
+def test_element_blocks_keep_the_first_cut(n: int):
+    assert _element_blocks(n) == _plain_blocks(n)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_blocked_element_products_match_per_block_formulas(n: int):
+    # Every element product runs per block; within a block it is the plain
+    # product, and func is sampled at each point as it was one column at a time.
+    coeffs = np.random.default_rng(n).standard_normal(2 * n)
+    dofs = _plain_element_dofs(coeffs)
+    assert np.array_equal(gauss_values(coeffs), np.concatenate(
+        [dofs[lo:hi] @ _SHAPES for lo, hi in _plain_blocks(n)]))
+    for spec in builtin_experiments():
+        grid = Grid(spec.domain[0], spec.domain[1], n)
+        assert np.array_equal(load_vector(grid, spec.initial),
+                              _plain_load_vector(grid, spec.initial)), spec.name
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_apply_matches_allocating_apply(n: int):
     rng = np.random.default_rng(n)
@@ -95,7 +137,8 @@ def test_apply_matches_allocating_apply(n: int):
     assert np.array_equal(out, want)
 
 
-@pytest.mark.parametrize("n", SIZES + [(1 << 14) + 5])   # the last spans two batches
+# 2 * 2048 + 5 and 16389 offsets fill three and nine batches per shell.
+@pytest.mark.parametrize("n", SIZES + [2 * assembly._FAR_CHUNK + 5, (1 << 14) + 5])
 @pytest.mark.parametrize("alpha", [1.0, 1.5])
 def test_far_field_matches_vander(n: int, alpha: float):
     h = 20.0 / n

@@ -256,6 +256,26 @@ def test_bad_step_settings_exit_two_before_any_solve(
         assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "--experiment", "bo-one", "--sweep", "16"],
+    ["snapshot", "--experiment", "bo-one", "--elements", "16", "--times", "0"],
+])
+@pytest.mark.parametrize("out", ["/dev/null/x", "file", "file/tables"])
+def test_an_out_that_cannot_be_a_directory_exits_two(command, out, tmp_path,
+                                                     monkeypatch, no_solve):
+    # Its nearest existing ancestor is no directory: a config error before
+    # any solve, not a traceback after the table.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("")
+    rc, stdout, err = _invoke([*command, "--out", out])
+    assert rc == EXIT_CONFIG
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: bad --out"), err
+    assert stdout == ""
+    assert [path.name for path in tmp_path.iterdir()] == ["file"]
+    assert (tmp_path / "file").read_text() == ""
+
+
 def _step_ini(tmp_path, name: str, lines: str = "") -> str:
     path = tmp_path / f"{name}.ini"
     path.write_text(f"[experiment]\nbase = bo-one\nt_final = 6\nsweep = 16, 32\n{lines}")

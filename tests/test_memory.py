@@ -4,20 +4,27 @@ Sizes are counted in symbols: one complex (N, 2, 2) array, 64 * N bytes.
 tracemalloc counts the allocations themselves, so these bounds do not move
 with the machine as a resident-set size does; they do follow the temporaries
 that numpy's einsum, FFT and casts make.  They were measured with numpy
-2.4.6 at N=16384: l2_project peaks at 2.99 against 3.25, _StepOperator at
-3.25 against 3.50 (its two symbols and its buffers), a step at 0.44 against
-0.75 and a three-step run at 3.94 against 4.25.
+2.4.6 at N=16384: l2_project peaks at 2.62 against 2.75, a dispersion
+assembly at 2.51 against 2.75, _StepOperator at 3.25 against 3.50 (its two
+symbols and its buffers), a step at 0.44 against 0.75 and a three-step run
+at 3.94 against 4.25.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fkdv.assembly import OperatorMatrices, assemble_operators
+import fkdv
+from fkdv.assembly import OperatorMatrices, assemble_offset_blocks, assemble_operators
 from fkdv.circulant import apply_symbol, block_symbol
 from fkdv.fem import Grid, l2_project, mass_offset_blocks
 from fkdv.solutions import triangle_data
@@ -96,8 +103,10 @@ def test_traced_peaks_per_layer(grid, tracing):
     ops = assemble_operators(grid, 1.5)
     cfg = SchemeConfig(dt_value=0.01)
 
+    # The mass symbol, made in place into its inverse, the loads, the apply
+    # buffers and the result; func is sampled per element block.
     u0, peak, _ = _traced(lambda: l2_project(grid, triangle_data))
-    assert peak <= 3.25
+    assert peak <= 2.75
     # Forming the two symbols holds at most three at once; the buffers come
     # after them, and the dispersion blocks go.
     operator, peak, held = _traced(lambda: _StepOperator(ops, 0.01))
@@ -110,6 +119,90 @@ def test_traced_peaks_per_layer(grid, tracing):
     # The new state holds its own 16 * N bytes, a quarter symbol.
     assert held < 0.3
     assert _owns(u1.coeffs)
+
+
+@pytest.mark.parametrize("kind", ["disp", "gram_half"])
+def test_assembly_peak_is_its_blocks_and_a_symbol(grid, kind):
+    # The blocks (1/2), the image tail's three (N, 2, 2) arrays and the
+    # structure projection's mirror; the far field adds only its batches of
+    # 2048 offsets, which held 4 symbols here in batches of 16384.
+    blocks, peak, held = _traced(lambda: assemble_offset_blocks(grid, 1.5, kind))
+    assert peak <= 2.75
+    assert held == pytest.approx(0.5, abs=0.02)
+
+
+# Before 3.11 the caller's stack holds a call's arguments until it returns.
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="arguments outlive the call")
+@pytest.mark.parametrize("times", [(), (0.0,)])
+def test_a_run_lets_go_of_a_u0_that_no_time_reads(grid64, ops64, monkeypatch, times):
+    alive, refs = [], []
+    step = _StepOperator.step
+
+    def spy(self, *args):
+        alive.append(refs[0]() is not None)
+        return step(self, *args)
+
+    def fresh_u0():
+        u0 = l2_project(grid64, np.sin)
+        refs.append(weakref.ref(u0))
+        return u0
+
+    monkeypatch.setattr(_StepOperator, "step", spy)
+    traj = run(fresh_u0(), 0.0, 0.03, ops64, SchemeConfig(dt_value=0.01), times)
+    # u^0 goes once the first step returns, unless u(t0) reads it.
+    assert alive == [True, bool(times), bool(times)]
+    assert refs[0]() is None
+    assert list(traj.profiles) == list(times)
+
+
+_WORKER_CPU = """
+import os, sys, time
+from fkdv.assembly import assemble_operators
+from fkdv.fem import Grid, l2_project
+from fkdv.solutions import triangle_data
+
+def workers():
+    main = str(os.getpid())
+    return sum(int(open(f"/proc/self/task/{tid}/schedstat").read().split()[0])
+               for tid in os.listdir("/proc/self/task") if tid != main)
+
+def settled():
+    # BLAS workers spin for a while after their last job, then sleep.
+    before = workers()
+    for _ in range(100):
+        time.sleep(0.05)
+        now, before = before, workers()
+        if now == before:
+            return now
+    sys.exit("BLAS workers never went idle")
+
+for name, call in [
+        ("l2_project", lambda n: l2_project(Grid(-10.0, 10.0, n), triangle_data)),
+        ("assemble_operators", lambda n: assemble_operators(Grid(-10.0, 10.0, n), 1.5))]:
+    for n in (16384, 65536) if name == "l2_project" else (16384,):
+        start = settled()
+        call(n)
+        print(name, n, settled() - start)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="reads /proc schedstat; needs two CPUs for a BLAS worker")
+def test_projection_and_assembly_leave_blas_workers_asleep():
+    # A BLAS worker that wakes touches its own buffers, which the process's
+    # peak RSS then carries; the element blocks and far-field batches are
+    # small enough for BLAS to keep on the calling thread.
+    src = str(Path(fkdv.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "2"}
+    proc = subprocess.run([sys.executable, "-c", _WORKER_CPU], capture_output=True,
+                          text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    worker_ns = {" ".join(line.split()[:2]): int(line.split()[2])
+                 for line in proc.stdout.splitlines()}
+    assert len(worker_ns) == 3
+    assert worker_ns == dict.fromkeys(worker_ns, 0)
 
 
 def test_a_run_holds_only_its_step_operator(grid, tracing):
