@@ -37,7 +37,8 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .circulant import apply_symbol, block_symbol
-from .fem import FemFunction, Grid, mass_bands, mass_offset_blocks, node_shape_tables
+from .fem import (FemFunction, Grid, blocked_dot, mass_bands, mass_offset_blocks,
+                  node_shape_tables)
 from .quad import gauss_rule, geometric_edges
 
 __all__ = [
@@ -488,14 +489,15 @@ class OperatorMatrices:
         M couples only neighbouring nodes (mass_bands), so with node pairs
         c_j, c^T M c = sum_j c_j.B_0 c_j + 2 sum_j c_j.B_1 c_{j+1}.
         The two banded products take turns in ``scratch``, a contiguous real
-        array of coeffs' size that is not coeffs; without it one is made.
+        array of coeffs' size that is not coeffs; without it one is made.  Both
+        sums are fem.blocked_dot's, so the norm is alike at any thread count.
         """
         nodal = coeffs.reshape(-1, 2)
         product = (np.empty(nodal.shape) if scratch is None
                    else scratch.reshape(nodal.shape))
-        diag = np.vdot(np.matmul(nodal, self.mass_bands[0], out=product), nodal)
+        diag = blocked_dot(np.matmul(nodal, self.mass_bands[0], out=product), nodal)
         right = np.matmul(nodal, self.mass_bands[1], out=product)
-        square = diag + 2.0 * (np.vdot(right[:-1], nodal[1:]) + right[-1] @ nodal[0])
+        square = diag + 2.0 * (blocked_dot(right[:-1], nodal[1:]) + right[-1] @ nodal[0])
         return math.sqrt(max(float(square), 0.0))
 
 

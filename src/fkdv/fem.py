@@ -7,10 +7,10 @@ degrees of freedom (u(x_j), dx * u'(x_j)); the slope is scaled by the mesh
 width so both coefficients share the units of u.
 
 This module owns the element: one coefficient table of the four
-element-local shapes, one Gauss rule for element integrals, and the
-gather/scatter pair between coefficient vectors and per-element dofs.  Every
-other view of the shapes (node-centred f and g, derivatives, Gauss-point
-tables, the element mass) is derived from that table.
+element-local shapes, one Gauss rule for element integrals, and the block rule
+by which every product and sum over the mesh is cut.  Every other view of the
+shapes (node-centred f and g, derivatives, Gauss-point tables, the element
+mass) is derived from that table.
 """
 
 from __future__ import annotations
@@ -29,13 +29,11 @@ __all__ = [
     "FemFunction",
     "element_shapes",
     "node_shape_tables",
-    "element_dofs",
-    "scatter",
     "GAUSS_POINTS",
     "GAUSS_WEIGHTS",
     "ELEMENT_MASS",
     "gauss_values",
-    "element_loads",
+    "blocked_dot",
     "nonlinear_load",
     "hermite_interpolate",
     "l2_project",
@@ -45,7 +43,8 @@ __all__ = [
 
 # Ascending coefficients in xi of the element-local shapes on xi in [0, 1]:
 # H00 (value at the left node), H10 (scaled slope, left), H01 (value, right),
-# H11 (scaled slope, right).  Rows match the element dofs of element_dofs.
+# H11 (scaled slope, right).  Rows match an element's dofs: the (value,
+# slope) pair of its left node, then that of its right node.
 _HERMITE = np.array([
     [1.0, 0.0, -3.0, 2.0],
     [0.0, 1.0, -2.0, 1.0],
@@ -78,30 +77,6 @@ def _node_pairs(array: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(array, dtype=float).view(complex)
 
 
-def element_dofs(coeffs: np.ndarray) -> np.ndarray:
-    """Per-element dofs (E, 4): value and slope at the left, then right node.
-
-    Node pairs move as single complex128 items, so each copy is one loop of
-    length E over 16-byte items.
-    """
-    nodal = _node_pairs(coeffs)
-    out = np.empty((nodal.shape[0], 2), dtype=complex)
-    out[:, 0], out[:-1, 1], out[-1, 1] = nodal, nodal[1:], nodal[0]
-    return out.view(float)
-
-
-def scatter(contrib: np.ndarray) -> np.ndarray:
-    """Adjoint of element_dofs: sum (E, 4) element contributions onto nodes.
-
-    A complex add is the two float adds of a node's value and slope.
-    """
-    pairs = _node_pairs(contrib)
-    out = np.empty(pairs.shape[0], dtype=complex)
-    np.add(pairs[1:, 0], pairs[:-1, 1], out=out[1:])
-    np.add(pairs[0, 0], pairs[-1, 1], out=out[:1])
-    return out.view(float)
-
-
 # The element integral rule on [0, 1]: 8 Gauss points integrate every product
 # of up to five element polynomials (degree <= 15) exactly.
 GAUSS_POINTS, GAUSS_WEIGHTS = gauss_rule(8)
@@ -116,10 +91,11 @@ _GAUSS_TESTS = tuple(
 ELEMENT_MASS = _GAUSS_SHAPES @ _GAUSS_TESTS[0]                   # int H_p H_q
 
 
-# Elements per block of every element product, small enough for BLAS to keep
-# on the calling thread, so no worker thread wakes and touches its buffers.
-# A tail of fewer than _MIN_BLOCK elements joins the block before it: BLAS
-# may take another kernel for a product of a few rows, which rounds otherwise.
+# Elements per block of every product and sum over the mesh, small enough for
+# BLAS to keep on the calling thread: no worker thread wakes and touches its
+# buffers, and no sum rounds by the thread count.  A tail of fewer than
+# _MIN_BLOCK elements joins the block before it: BLAS may take another kernel
+# for a product of a few rows, which rounds otherwise.
 _BLOCK = 4096
 _MIN_BLOCK = 16
 
@@ -132,24 +108,30 @@ def _element_blocks(n: int) -> list[tuple[int, int]]:
 
 def gauss_values(coeffs: np.ndarray) -> np.ndarray:
     """Values (E, 8) of the expanded function at each element's Gauss points."""
-    dofs = element_dofs(coeffs)
-    out = np.empty((dofs.shape[0], GAUSS_POINTS.size))
-    for lo, hi in _element_blocks(dofs.shape[0]):
-        np.matmul(dofs[lo:hi], _GAUSS_SHAPES, out=out[lo:hi])
+    nodal = _node_pairs(coeffs)
+    n = nodal.shape[0]
+    out = np.empty((n, GAUSS_POINTS.size))
+    for lo, hi in _element_blocks(n):
+        d = np.empty((hi - lo, 2), dtype=complex)      # left, right node pairs
+        d[:, 0], d[:-1, 1], d[-1, 1] = nodal[lo:hi], nodal[lo + 1:hi], nodal[hi % n]
+        np.matmul(d.view(float), _GAUSS_SHAPES, out=out[lo:hi])
     return out
 
 
-def element_loads(values: np.ndarray, order: int) -> np.ndarray:
-    """int values * d^order H_p / dxi^order dxi per element, as (E, 4).
-
-    values (E, 8) samples the integrand at each element's Gauss points.
-    """
-    return values @ _GAUSS_TESTS[order]
+def blocked_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The dot of two arrays of 2 floats per element: one BLAS dot per element
+    block, summed in block order, so it is alike at any BLAS thread count."""
+    if a.size < 2 * (_BLOCK + _MIN_BLOCK):    # one block: the step's norms are
+        return float(np.vdot(a, b))           # this small and this frequent
+    a, b = a.reshape(-1), b.reshape(-1)
+    return sum(float(np.dot(a[2 * lo:2 * hi], b[2 * lo:2 * hi]))
+               for lo, hi in _element_blocks(a.size // 2))
 
 
 def _scatter_blocks(n: int, block_loads, out: np.ndarray) -> np.ndarray:
-    """scatter() into out of the loads that block_loads(lo, hi) gives for each
-    element block, as (hi - lo, 2) complex node pairs in a reusable buffer."""
+    """Sum into out the element loads that block_loads(lo, hi) gives for each
+    element block, as (hi - lo, 2) complex node pairs (left node, right node)
+    in a reusable buffer: a complex add is a node's two float adds."""
     nodal = out.view(complex)
     for lo, hi in _element_blocks(n):
         p = block_loads(lo, hi)
@@ -310,7 +292,7 @@ def load_vector(grid: Grid, func: Callable) -> np.ndarray:
 
     def block_loads(lo, hi):
         samples = np.asarray(func(nodes[lo:hi, None] + offsets), dtype=float)
-        return _node_pairs(element_loads(samples * grid.dx, 0))
+        return _node_pairs((samples * grid.dx) @ _GAUSS_TESTS[0])
 
     return _scatter_blocks(grid.n_elems, block_loads, np.empty(grid.n_dofs))
 

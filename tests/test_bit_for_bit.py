@@ -8,7 +8,8 @@ these do, since a 1-ulp change can move the benchmark tables past their
 gates.  The element counts 4097, 4099 and 8195 leave a 1- or 3-element tail
 after the 4096-element blocks of the element products; a product of one row
 takes another BLAS kernel and rounds otherwise, unless the tail joins the
-block before it.
+block before it.  The mesh-wide dot is np.dot up to one block, and the sum
+of the blocks' dots in order beyond it.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from fkdv.assembly import (_DERIV_TABLES, _EXPLICIT_IMAGE_SHELLS, _MULTIPOLE_ORD
                            _pair_moments, assemble_operators, frac_constant)
 from fkdv.circulant import apply_symbol
 from fkdv.fem import (GAUSS_POINTS, GAUSS_WEIGHTS, FemFunction, Grid, _element_blocks,
-                      element_dofs, element_shapes, gauss_values, l2_project, load_vector,
-                      nonlinear_load, scatter)
+                      blocked_dot, element_shapes, gauss_values, l2_project, load_vector,
+                      nonlinear_load)
 from fkdv.solutions import builtin_experiments, get_experiment
 from fkdv.stepper import MAX_PICARD_ITERS, SchemeConfig, _StepOperator, run
 
@@ -99,9 +100,6 @@ def test_gather_scatter_and_load_match_plain_formulas(n: int):
     grid = Grid(-1.0, 2.0, n)
     rng = np.random.default_rng(n)
     w, un = rng.standard_normal((2, grid.n_dofs))
-    contrib = rng.standard_normal((n, 4))
-    assert np.array_equal(element_dofs(w), _plain_element_dofs(w))
-    assert np.array_equal(scatter(contrib), _plain_scatter(contrib))
     assert np.array_equal(nonlinear_load(w, un), _plain_load(w, un))
 
 
@@ -122,6 +120,26 @@ def test_blocked_element_products_match_per_block_formulas(n: int):
         grid = Grid(spec.domain[0], spec.domain[1], n)
         assert np.array_equal(load_vector(grid, spec.initial),
                               _plain_load_vector(grid, spec.initial)), spec.name
+
+
+@pytest.mark.parametrize("n", [4, 7, 1000, 4096, 4111])
+def test_blocked_dot_is_the_whole_dot_up_to_one_block(n: int):
+    a, b = np.random.default_rng(n).standard_normal((2, n, 2))
+    assert blocked_dot(a, b) == np.dot(a.reshape(-1), b.reshape(-1))
+    assert blocked_dot(a[:-1], b[1:]) == np.vdot(a[:-1], b[1:])
+
+
+@pytest.mark.parametrize("n", [4097, 4099, 4112, 8195, 65536])
+def test_blocked_dot_sums_per_block_dots_in_order(n: int):
+    a, b = np.random.default_rng(n).standard_normal((2, 2 * n))
+    total = 0.0
+    for lo, hi in _plain_blocks(n):
+        total += np.dot(a[2 * lo:2 * hi], b[2 * lo:2 * hi])
+    assert blocked_dot(a, b) == total
+    # Each block's dot is a whole-vector dot of its own, so the sum stays
+    # within rounding of the extended-precision sum.
+    exact = np.sum(a.astype(np.longdouble) * b)
+    assert abs(blocked_dot(a, b) - exact) <= 1e-13 * np.sum(np.abs(a * b))
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -12,14 +12,12 @@ from fkdv.fem import (
     ELEMENT_MASS,
     FemFunction,
     Grid,
-    element_dofs,
     element_shapes,
     gauss_values,
     hermite_interpolate,
     l2_project,
     node_shape_tables,
     nonlinear_load,
-    scatter,
 )
 from fkdv.quad import gauss_rule
 
@@ -207,7 +205,7 @@ def test_interpolation_is_projection_fixed_point(seed: int):
 
 
 # ---------------------------------------------------------------------------
-# the element table and gather/scatter
+# the element table and the nonlinear load
 
 
 def test_element_mass_matches_exact_rationals():
@@ -221,32 +219,6 @@ def test_element_mass_matches_exact_rationals():
         [-13 / 420, -1 / 140, -11 / 210, 1 / 105],
     ])
     assert np.max(np.abs(ELEMENT_MASS - exact)) <= 2e-16
-
-
-@settings(max_examples=50)
-@given(st.integers(4, 64), st.integers(0, 2**32 - 1))
-def test_scatter_is_adjoint_of_element_dofs(n: int, seed: int):
-    rng = np.random.default_rng(seed)
-    c = rng.standard_normal(2 * n)
-    e = rng.standard_normal((n, 4))
-    lhs = float(np.sum(element_dofs(c) * e))
-    rhs = float(c @ scatter(e))
-    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
-
-@settings(max_examples=50)
-@given(st.integers(4, 64), st.integers(0, 2**32 - 1))
-def test_gather_scatter_match_roll_formulas(n: int, seed: int):
-    # The slice-based gather/scatter move the same numbers and add the same
-    # pairs as the np.hstack/np.roll formulas they replaced, bit for bit.
-    rng = np.random.default_rng(seed)
-    c = rng.standard_normal(2 * n)
-    e = rng.standard_normal((n, 4))
-    nodal = c.reshape(-1, 2)
-    gathered = np.hstack([nodal, np.roll(nodal, -1, axis=0)])
-    scattered = (e[:, :2] + np.roll(e[:, 2:], 1, axis=0)).reshape(-1)
-    assert np.array_equal(element_dofs(c), gathered)
-    assert np.array_equal(scatter(e), scattered)
 
 
 def _index_array_load(w: FemFunction, un: FemFunction, grid: Grid) -> np.ndarray:
@@ -294,6 +266,3 @@ def test_strided_and_offset_coefficients_gather_as_contiguous():
         assert np.array_equal(gauss_values(view), gauss_values(c))
         assert np.array_equal(nonlinear_load(view, d), nonlinear_load(c, d))
         assert np.array_equal(nonlinear_load(d, view), nonlinear_load(d, c))
-    contrib = rng.standard_normal((grid.n_elems, 8))
-    assert np.array_equal(scatter(contrib[:, ::2]),
-                          scatter(np.ascontiguousarray(contrib[:, ::2])))

@@ -8,6 +8,10 @@ that numpy's einsum, FFT and casts make.  They were measured with numpy
 assembly at 2.51 against 2.75, _StepOperator at 3.25 against 3.50 (its two
 symbols and its buffers), a step at 0.44 against 0.75 and a three-step run
 at 3.94 against 4.25.
+
+The subprocess tests hold the BLAS thread count fixed: at two threads no
+product or sum of a solve or a diagnostic may wake a BLAS worker, and a table
+must read the same at one thread and at two.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import pytest
 import fkdv
 from fkdv.assembly import OperatorMatrices, assemble_offset_blocks, assemble_operators
 from fkdv.circulant import apply_symbol, block_symbol
-from fkdv.fem import Grid, l2_project, mass_offset_blocks
+from fkdv.fem import Grid, blocked_dot, l2_project, mass_offset_blocks
 from fkdv.solutions import triangle_data
 from fkdv.stepper import SchemeConfig, _StepOperator, run
 
@@ -158,8 +162,10 @@ def test_a_run_lets_go_of_a_u0_that_no_time_reads(grid64, ops64, monkeypatch, ti
 _WORKER_CPU = """
 import os, sys, time
 from fkdv.assembly import assemble_operators
+from fkdv.diagnostics import hamiltonian_ratio
 from fkdv.fem import Grid, l2_project
 from fkdv.solutions import triangle_data
+from fkdv.stepper import SchemeConfig, run
 
 def workers():
     main = str(os.getpid())
@@ -176,33 +182,77 @@ def settled():
             return now
     sys.exit("BLAS workers never went idle")
 
-for name, call in [
-        ("l2_project", lambda n: l2_project(Grid(-10.0, 10.0, n), triangle_data)),
-        ("assemble_operators", lambda n: assemble_operators(Grid(-10.0, 10.0, n), 1.5))]:
-    for n in (16384, 65536) if name == "l2_project" else (16384,):
+def project(n):
+    return l2_project(Grid(-10.0, 10.0, n), triangle_data)
+
+def prepared(name, n):
+    # The call to measure; what it reads is made before the measurement.
+    if name == "l2_project":
+        return lambda: project(n)
+    if name == "assemble_operators":
+        return lambda: assemble_operators(Grid(-10.0, 10.0, n), 1.5)
+    ops, u0 = assemble_operators(Grid(-10.0, 10.0, n), 1.5), project(n)
+    if name == "run":
+        return lambda: run(u0, 0.0, 0.05, ops, SchemeConfig(dt_value=0.01))
+    return lambda: hamiltonian_ratio(u0, u0, ops)   # assembles the Gram blocks
+
+for name, sizes in [("l2_project", (16384, 65536)), ("assemble_operators", (16384,)),
+                    ("run", (16384, 65536)), ("hamiltonian_ratio", (16384, 65536))]:
+    for n in sizes:
+        call = prepared(name, n)
         start = settled()
-        call(n)
+        call()
         print(name, n, settled() - start)
 """
 
+needs_two_cpus = pytest.mark.skipif(
+    not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+    reason="reads /proc on Linux; needs two CPUs for a second BLAS thread")
 
-@pytest.mark.skipif(not sys.platform.startswith("linux")
-                    or len(os.sched_getaffinity(0)) < 2,
-                    reason="reads /proc schedstat; needs two CPUs for a BLAS worker")
+
+def _python(code: str, blas_threads: int, *args: str) -> str:
+    """stdout of code run in a fresh interpreter at a fixed BLAS thread count."""
+    src = str(Path(fkdv.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": str(blas_threads)}
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@needs_two_cpus
 def test_projection_and_assembly_leave_blas_workers_asleep():
     # A BLAS worker that wakes touches its own buffers, which the process's
     # peak RSS then carries; the element blocks and far-field batches are
-    # small enough for BLAS to keep on the calling thread.
-    src = str(Path(fkdv.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "2"}
-    proc = subprocess.run([sys.executable, "-c", _WORKER_CPU], capture_output=True,
-                          text=True, env=env, timeout=600)
-    assert proc.returncode == 0, proc.stderr
+    # small enough for BLAS to keep on the calling thread, and every sum over
+    # the mesh (the Picard stop's M-norm, C3's two terms) is taken per block,
+    # so a run and the Hamiltonian leave them asleep too.
     worker_ns = {" ".join(line.split()[:2]): int(line.split()[2])
-                 for line in proc.stdout.splitlines()}
-    assert len(worker_ns) == 3
+                 for line in _python(_WORKER_CPU, 2).splitlines()}
+    assert len(worker_ns) == 7
     assert worker_ns == dict.fromkeys(worker_ns, 0)
+
+
+_TABLE = """
+import sys
+from fkdv import cli
+cfg = cli._resolve_run_config(cli._build_parser().parse_args(sys.argv[1:]))
+for row in cli.run_table(cfg):
+    print(repr(row))
+"""
+
+
+@needs_two_cpus
+def test_a_table_is_the_same_at_any_blas_thread_count():
+    # OpenBLAS splits a dot of more than 10000 floats across its threads, so
+    # such a sum rounds by the thread count; the rows here have 32768 and
+    # 65536 floats, and every full-precision field must match.
+    argv = ("run", "--experiment", "frac-triangle", "--sweep", "16384,32768",
+            "--dt", "0.01", "--reference", "self:65536", "--jobs", "1")
+    one, two = (_python(_TABLE, threads, *argv) for threads in (1, 2))
+    assert one.count("RowResult(") == 2
+    assert one == two
 
 
 def test_a_run_holds_only_its_step_operator(grid, tracing):
@@ -226,12 +276,13 @@ def test_a_run_holds_only_its_step_operator(grid, tracing):
 
 
 def _full_array_norm(blocks: np.ndarray, coeffs: np.ndarray) -> float:
-    """The M-norm from offsets 0 and 1 of the full (N, 2, 2) mass array."""
+    """The M-norm from offsets 0 and 1 of the full (N, 2, 2) mass array,
+    summed by the same blocked dot, so only the bands are under test."""
     nodal = coeffs.reshape(-1, 2)
     product = np.empty(nodal.shape)
-    diag = np.vdot(np.matmul(nodal, blocks[0], out=product), nodal)
+    diag = blocked_dot(np.matmul(nodal, blocks[0], out=product), nodal)
     right = np.matmul(nodal, blocks[1], out=product)
-    square = diag + 2.0 * (np.vdot(right[:-1], nodal[1:]) + right[-1] @ nodal[0])
+    square = diag + 2.0 * (blocked_dot(right[:-1], nodal[1:]) + right[-1] @ nodal[0])
     return math.sqrt(max(float(square), 0.0))
 
 

@@ -11,9 +11,9 @@ import pytest
 
 from fkdv.assembly import assemble_operators
 from fkdv.circulant import apply_symbol, block_symbol
-from fkdv.fem import (GAUSS_POINTS, FemFunction, Grid, element_loads,
+from fkdv.fem import (GAUSS_POINTS, GAUSS_WEIGHTS, FemFunction, Grid, element_shapes,
                       hermite_interpolate, l2_project, mass_offset_blocks,
-                      nonlinear_load, scatter)
+                      nonlinear_load)
 from fkdv.solutions import bo_soliton, get_experiment, kdv_one_soliton
 import fkdv.stepper
 from fkdv.stepper import (
@@ -373,7 +373,10 @@ def _plain_inverse(symbol: np.ndarray) -> np.ndarray:
 
 def _plain_projection(grid: Grid, func) -> np.ndarray:
     x = grid.nodes()[:, None] + GAUSS_POINTS[None, :] * grid.dx
-    loads = scatter(element_loads(np.asarray(func(x), dtype=float) * grid.dx, 0))
+    tests = (element_shapes(GAUSS_POINTS, 0) * GAUSS_WEIGHTS).T
+    contrib = (np.asarray(func(x), dtype=float) * grid.dx) @ tests
+    # Each element's left half onto its left node, its right half onto the next.
+    loads = (contrib[:, :2] + np.roll(contrib[:, 2:], 1, axis=0)).reshape(-1)
     inverse = _plain_inverse(_plain_symbol(mass_offset_blocks(grid)))
     chat = np.fft.fft(loads.reshape(-1, 2), axis=0)
     yhat = np.einsum("rab,rb->ra", inverse, chat)
