@@ -9,7 +9,9 @@ gates.  The element counts 4097, 4099 and 8195 leave a 1- or 3-element tail
 after the 4096-element blocks of the element products; a product of one row
 takes another BLAS kernel and rounds otherwise, unless the tail joins the
 block before it.  The mesh-wide dot is np.dot up to one block, and the sum
-of the blocks' dots in order beyond it.
+of the blocks' dots in order beyond it.  The sup norm and C3's cubic term
+evaluate one sample column or one element block at a time; their oracles
+evaluate all 17 * N samples and the whole (E, 8) array at once.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from fkdv.assembly import (_DERIV_TABLES, _EXPLICIT_IMAGE_SHELLS, _MULTIPOLE_ORD
                            _NEAR_OFFSET, _VALUE_TABLES, _add_far_field, _kernel_binom,
                            _pair_moments, assemble_operators, frac_constant)
 from fkdv.circulant import apply_symbol
+from fkdv.diagnostics import _cubic_integral
 from fkdv.fem import (GAUSS_POINTS, GAUSS_WEIGHTS, FemFunction, Grid, _element_blocks,
                       blocked_dot, element_shapes, gauss_values, l2_project, load_vector,
                       nonlinear_load)
@@ -114,12 +117,39 @@ def test_blocked_element_products_match_per_block_formulas(n: int):
     # product, and func is sampled at each point as it was one column at a time.
     coeffs = np.random.default_rng(n).standard_normal(2 * n)
     dofs = _plain_element_dofs(coeffs)
-    assert np.array_equal(gauss_values(coeffs), np.concatenate(
-        [dofs[lo:hi] @ _SHAPES for lo, hi in _plain_blocks(n)]))
+    for lo, hi in _plain_blocks(n):
+        assert np.array_equal(gauss_values(coeffs, lo, hi), dofs[lo:hi] @ _SHAPES)
     for spec in builtin_experiments():
         grid = Grid(spec.domain[0], spec.domain[1], n)
         assert np.array_equal(load_vector(grid, spec.initial),
                               _plain_load_vector(grid, spec.initial)), spec.name
+
+
+def _plain_sup_norm(u: FemFunction) -> float:
+    xi = np.linspace(0.0, 1.0, 17)
+    x = (u.grid.nodes()[:, None] + xi[None, :] * u.grid.dx).ravel()
+    return float(np.max(np.abs(u(x))))
+
+
+def _plain_cubic_integral(u: FemFunction) -> float:
+    """The whole (E, 8) array of Gauss values, cubed, summed per block."""
+    dofs, blocks = _plain_element_dofs(u.coeffs), _plain_blocks(u.grid.n_elems)
+    v = np.concatenate([dofs[lo:hi] @ _SHAPES for lo, hi in blocks])
+    v = v * v * v
+    return float(u.grid.dx * sum(np.sum(v[lo:hi] @ GAUSS_WEIGHTS) for lo, hi in blocks))
+
+
+@pytest.mark.parametrize("n", [4, 7, 1024, 4111, 4113, 16384])
+def test_sup_norm_is_the_max_over_all_samples_at_once(n: int):
+    for spec in builtin_experiments():
+        u0 = l2_project(Grid(spec.domain[0], spec.domain[1], n), spec.initial)
+        assert u0.sup_norm() == _plain_sup_norm(u0), spec.name
+
+
+@pytest.mark.parametrize("n", [64, 4111, 4113, 8195, 65536])
+def test_cubic_integral_is_the_whole_array_sum(n: int):
+    u = FemFunction(Grid(-1.0, 2.0, n), np.random.default_rng(n).standard_normal(2 * n))
+    assert _cubic_integral(u) == _plain_cubic_integral(u)
 
 
 @pytest.mark.parametrize("n", [4, 7, 1000, 4096, 4111])

@@ -169,10 +169,14 @@ def test_second_deriv_of_interpolated_cubic_is_exact():
     assert u.second_deriv(x) == pytest.approx(6.0 * x - 12.0, abs=1e-10)
 
 
-def test_sup_norm_close_upper_bound():
+def test_sup_norm_close_lower_bound():
     grid = Grid(0.0, 2.0 * np.pi, 64)
     u = hermite_interpolate(grid, np.sin, np.cos)
     assert u.sup_norm() == pytest.approx(1.0, abs=1e-3)
+    # A max over samples can only fall short of the true max: 1025 samples per
+    # element include the 17 exactly, since both steps are powers of two.
+    fine = grid.nodes()[:, None] + np.linspace(0.0, 1.0, 1025) * grid.dx
+    assert u.sup_norm() <= np.max(np.abs(u(fine.ravel())))
 
 
 def test_grid_validation():
@@ -263,6 +267,7 @@ def test_strided_and_offset_coefficients_gather_as_contiguous():
     buf = np.zeros(grid.n_dofs + 2)
     buf[1:1 + grid.n_dofs] = c
     for view in (big[::2], buf[1:1 + grid.n_dofs]):
-        assert np.array_equal(gauss_values(view), gauss_values(c))
+        for lo, hi in [(0, grid.n_elems), (3, 40), (50, grid.n_elems)]:
+            assert np.array_equal(gauss_values(view, lo, hi), gauss_values(c, lo, hi))
         assert np.array_equal(nonlinear_load(view, d), nonlinear_load(c, d))
         assert np.array_equal(nonlinear_load(d, view), nonlinear_load(d, c))

@@ -4,10 +4,12 @@ Sizes are counted in symbols: one complex (N, 2, 2) array, 64 * N bytes.
 tracemalloc counts the allocations themselves, so these bounds do not move
 with the machine as a resident-set size does; they do follow the temporaries
 that numpy's einsum, FFT and casts make.  They were measured with numpy
-2.4.6 at N=16384: l2_project peaks at 2.62 against 2.75, a dispersion
-assembly at 2.51 against 2.75, _StepOperator at 3.25 against 3.50 (its two
-symbols and its buffers), a step at 0.44 against 0.75 and a three-step run
-at 3.94 against 4.25.
+2.4.6 at N=16384: l2_project peaks at 2.62 against 2.75, the Courant
+choose_dt at 2.13 against 2.50 (34.0 when its sup norm took all 17 * N
+samples at once), C3's cubic term at 0.63 against 0.75 (2.00 with the whole
+(E, 8) array), a dispersion assembly at 2.51 against 2.75, _StepOperator at
+3.25 against 3.50 (its two symbols and its buffers), a step at 0.44 against
+0.75 and a three-step run at 3.94 against 4.25.
 
 The subprocess tests hold the BLAS thread count fixed: at two threads no
 product or sum of a solve or a diagnostic may wake a BLAS worker, and a table
@@ -30,9 +32,10 @@ import pytest
 import fkdv
 from fkdv.assembly import OperatorMatrices, assemble_offset_blocks, assemble_operators
 from fkdv.circulant import apply_symbol, block_symbol
+from fkdv.diagnostics import _cubic_integral
 from fkdv.fem import Grid, blocked_dot, l2_project, mass_offset_blocks
 from fkdv.solutions import triangle_data
-from fkdv.stepper import SchemeConfig, _StepOperator, run
+from fkdv.stepper import SchemeConfig, _StepOperator, choose_dt, run
 
 # The frac-triangle grid at the tri-coarse step; a symbol is 1 MiB here.
 N = 16384
@@ -111,6 +114,14 @@ def test_traced_peaks_per_layer(grid, tracing):
     # buffers and the result; func is sampled per element block.
     u0, peak, _ = _traced(lambda: l2_project(grid, triangle_data))
     assert peak <= 2.75
+    # The Courant step's sup norm evaluates one sample column of N points at
+    # a time; all 17 columns at once held 34 symbols.
+    _, peak, _ = _traced(lambda: choose_dt(u0, grid, SchemeConfig(), 0.0, 0.1))
+    assert peak <= 2.5
+    # C3's cubic term evaluates, cubes and sums one element block at a time;
+    # the whole (E, 8) array and its cube held 2 symbols.
+    _, peak, _ = _traced(lambda: _cubic_integral(u0))
+    assert peak <= 0.75
     # Forming the two symbols holds at most three at once; the buffers come
     # after them, and the dispersion blocks go.
     operator, peak, held = _traced(lambda: _StepOperator(ops, 0.01))
