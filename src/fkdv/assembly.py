@@ -1,9 +1,9 @@
 """Assembly of the fractional-Laplacian Galerkin matrices.
 
-Three periodic operator matrices are needed by the scheme, all block-circulant
-on the node lattice and assembled here one offset at a time:
+The scheme needs three periodic operator matrices, all block-circulant on the
+node lattice.  The mass <v_j, v_i> is local and free of alpha (fkdv.fem's); the
+two fractional ones are assembled here, one offset at a time:
 
-* mass       <v_j, v_i>
 * disp       <D^alpha d/dx v_j, v_i>          (skew-symmetric)
 * gram_half  <D^{alpha/2} v_j, D^{alpha/2} v_i> = <D^alpha v_j, v_i>
 
@@ -37,9 +37,8 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .circulant import apply_symbol, block_symbol
-from .fem import (FemFunction, Grid, blocked_dot, mass_bands, mass_offset_blocks,
-                  node_shape_tables)
-from .quad import gauss_rule, geometric_edges
+from .fem import (FemFunction, Grid, gauss_rule, hermite_interpolate,
+                  mass_offset_blocks, node_shape_tables)
 
 __all__ = [
     "fractional_order",
@@ -446,63 +445,29 @@ def spectral_offset_blocks(grid: Grid, kind: str, alpha,
 
 @dataclass
 class OperatorMatrices:
-    """Mass, dispersion and half-order Gram matrices for one (grid, alpha).
+    """The dispersion and half-order Gram operators for one (grid, alpha).
 
     Offset blocks are the storage; matrix-vector products run through the
-    FFT block-diagonal form, so no dense matrix is ever built.  The mass is
-    kept as the two bands the M-norm reads; each read of ``mass_blocks``
-    forms the full (N, 2, 2) array anew.  The dispersion and Gram blocks are
-    cached on first read; deleting one frees it, and the next read assembles
-    it again, to the same bits.
+    FFT block-diagonal form, so no dense matrix is ever built.  The
+    dispersion blocks are cached on first read; deleting them frees them,
+    and the next read assembles them again, to the same bits.  The Gram
+    symbol is assembled and transformed anew on each call, so the bundle
+    holds nothing of it.
     """
 
     grid: Grid
     alpha: float
 
     @cached_property
-    def mass_bands(self) -> np.ndarray:
-        return mass_bands(self.grid)
-
-    @property
-    def mass_blocks(self) -> np.ndarray:
-        return mass_offset_blocks(self.grid)
-
-    @cached_property
     def disp_blocks(self) -> np.ndarray:
         return assemble_offset_blocks(self.grid, self.alpha, "disp")
 
-    @cached_property
-    def gram_blocks(self) -> np.ndarray:
-        return assemble_offset_blocks(self.grid, self.alpha, "gram_half")
-
-    @cached_property
     def gram_symbol(self) -> np.ndarray:
-        return block_symbol(self.gram_blocks)
-
-    def apply_gram(self, coeffs: np.ndarray) -> np.ndarray:
-        return apply_symbol(self.gram_symbol, coeffs)
-
-    def l2_norm(self, coeffs: np.ndarray,
-                scratch: np.ndarray | None = None) -> float:
-        """True L2 norm of the expanded function, sqrt(c^T M c), without FFTs.
-
-        M couples only neighbouring nodes (mass_bands), so with node pairs
-        c_j, c^T M c = sum_j c_j.B_0 c_j + 2 sum_j c_j.B_1 c_{j+1}.
-        The two banded products take turns in ``scratch``, a contiguous real
-        array of coeffs' size that is not coeffs; without it one is made.  Both
-        sums are fem.blocked_dot's, so the norm is alike at any thread count.
-        """
-        nodal = coeffs.reshape(-1, 2)
-        product = (np.empty(nodal.shape) if scratch is None
-                   else scratch.reshape(nodal.shape))
-        diag = blocked_dot(np.matmul(nodal, self.mass_bands[0], out=product), nodal)
-        right = np.matmul(nodal, self.mass_bands[1], out=product)
-        square = diag + 2.0 * (blocked_dot(right[:-1], nodal[1:]) + right[-1] @ nodal[0])
-        return math.sqrt(max(float(square), 0.0))
+        return block_symbol(assemble_offset_blocks(self.grid, self.alpha, "gram_half"))
 
 
 def assemble_operators(grid: Grid, alpha) -> OperatorMatrices:
-    """Assemble the dispersion blocks now; the Gram blocks wait for a read."""
+    """Assemble the dispersion blocks now; the Gram symbol waits for a call."""
     ops = OperatorMatrices(grid, fractional_order(alpha))
     ops.disp_blocks     # the read assembles and caches them
     return ops
@@ -510,6 +475,15 @@ def assemble_operators(grid: Grid, alpha) -> OperatorMatrices:
 
 # ---------------------------------------------------------------------------
 # pointwise principal value evaluation
+
+def geometric_edges(start: float, stop: float) -> np.ndarray:
+    """Panel edges from start to stop, growing geometrically, each panel at
+    most twice the last: the kernel varies fastest near ``start``."""
+    if not (stop > start > 0.0):
+        raise ValueError("need 0 < start < stop")
+    n = max(1, int(np.ceil(np.log(stop / start) / np.log(2.0))))
+    return start * (stop / start) ** (np.arange(n + 1) / n)
+
 
 def frac_laplacian_pointwise(u: FemFunction, x, alpha):
     """Pointwise D^alpha u(x) of a periodic Hermite function.
@@ -579,7 +553,8 @@ def operator_identity_report(alpha, n_elems: int = 64) -> dict:
     a = fractional_order(alpha)
     grid = Grid(0.0, 2.0 * np.pi, n_elems)
     m_modes = 3000 * n_elems
-    ops = assemble_operators(grid, a)
+    disp_blocks = assemble_offset_blocks(grid, a, "disp")
+    gram_blocks = assemble_offset_blocks(grid, a, "gram_half")
     checks = []
 
     def record(name, value, tol):
@@ -590,10 +565,10 @@ def operator_identity_report(alpha, n_elems: int = 64) -> dict:
     # symbols, and its transpose to theirs conjugate-transposed; so Frobenius
     # norms (Parseval) and eigenvalues come from the symbols, at any N.
     norm = np.linalg.norm
-    disp, gram = block_symbol(ops.disp_blocks), ops.gram_symbol
+    disp, gram = block_symbol(disp_blocks), block_symbol(gram_blocks)
     disp_t, gram_t = (s.conj().transpose(0, 2, 1) for s in (disp, gram))
     record("disp_skew_symmetry", norm(disp + disp_t) / norm(disp), 1e-10)
-    mass_eigs = np.linalg.eigvalsh(block_symbol(ops.mass_blocks))
+    mass_eigs = np.linalg.eigvalsh(block_symbol(mass_offset_blocks(grid)))
     record("mass_spd_min_eig_negative_part", max(0.0, -mass_eigs.min()), 0.0)
     record("gram_symmetry", norm(gram - gram_t) / norm(gram), 1e-12)
     gram_eigs = np.linalg.eigvalsh(gram)
@@ -602,20 +577,19 @@ def operator_identity_report(alpha, n_elems: int = 64) -> dict:
     const = np.zeros(grid.n_dofs)
     const[0::2] = 1.0
     record("gram_annihilates_constants",
-           norm(ops.apply_gram(const)) / norm(gram), 1e-10)
+           norm(apply_symbol(gram, const)) / norm(gram), 1e-10)
 
     disp_spec = spectral_offset_blocks(grid, "disp", a, m_modes)
     record("disp_backend_agreement",
-           np.linalg.norm(ops.disp_blocks - disp_spec)
+           np.linalg.norm(disp_blocks - disp_spec)
            / np.linalg.norm(disp_spec), 1e-6)
     gram_spec = spectral_offset_blocks(grid, "gram_half", a, m_modes)
     record("gram_backend_agreement",
-           np.linalg.norm(ops.gram_blocks - gram_spec)
+           np.linalg.norm(gram_blocks - gram_spec)
            / np.linalg.norm(gram_spec), 1e-6)
 
     # Fourier symbol acting on an interpolated plane wave.  A finer grid keeps
     # the interpolation error of sin(kx) below the quadrature tolerance.
-    from .fem import hermite_interpolate
     fine = Grid(grid.left, grid.right, max(512, n_elems))
     kphys = 2.0 * np.pi * max(1, round(4.0 / (fine.width / (2.0 * np.pi)))) / fine.width
     wave = hermite_interpolate(fine,

@@ -426,7 +426,12 @@ def _resolve_run_config(args) -> RunConfig:
 
 def _cmd_run(args) -> int:
     cfg = _resolve_run_config(args)
-    results = run_table(cfg)
+    try:
+        results = run_table(cfg)
+    except FixedPointDivergence as exc:     # each row catches its own: the reference's
+        kind, m = cfg.reference
+        print(f"reference {kind}:{m} failed: {exc}", file=sys.stderr)
+        return EXIT_ALL_DIVERGED
     csv_text = table_csv(results)
     sys.stdout.write(csv_text)
     for res in results:

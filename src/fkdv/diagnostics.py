@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circulant import apply_symbol
 from .fem import GAUSS_WEIGHTS, FemFunction, _element_blocks, blocked_dot, gauss_values
 
 __all__ = [
@@ -87,18 +88,15 @@ def _cubic_integral(u: FemFunction) -> float:
     return float(u.grid.dx * total)
 
 
-def _hamiltonian(u: FemFunction, ops) -> float:
-    c = u.coeffs
-    return blocked_dot(c, ops.apply_gram(c)) - _cubic_integral(u) / 3.0
-
-
 def hamiltonian_ratio(u: FemFunction, u0: FemFunction, ops) -> float:
     """C3: ratio of int((D^{alpha/2}u)^2 - u^3/3) against the initial state.
 
-    ops is the OperatorMatrices bundle of the grid; its Gram symbol supplies
-    the quadratic term.
+    ops is the OperatorMatrices bundle of the grid; its Gram symbol, formed
+    once here and let go on return, supplies the quadratic term.
     """
-    num, denom = _hamiltonian(u, ops), _hamiltonian(u0, ops)
+    gram = ops.gram_symbol()
+    num, denom = (blocked_dot(v.coeffs, apply_symbol(gram, v.coeffs))
+                  - _cubic_integral(v) / 3.0 for v in (u, u0))
     if abs(denom) < 1e-12 * max(abs(num) + abs(denom), 1e-300):
         return math.nan
     return num / denom

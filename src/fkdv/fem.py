@@ -7,28 +7,31 @@ degrees of freedom (u(x_j), dx * u'(x_j)); the slope is scaled by the mesh
 width so both coefficients share the units of u.
 
 This module owns the element: one coefficient table of the four
-element-local shapes, one Gauss rule for element integrals, and the block rule
-by which every product and sum over the mesh is cut.  Every other view of the
-shapes (node-centred f and g, derivatives, Gauss-point tables, the element
-mass) is derived from that table.
+element-local shapes, the Gauss rule of every integral in the package, the
+mass (its bands, its offset blocks and its norm) and the block rule by which
+every product and sum over the mesh is cut.  Every other view of the shapes
+(node-centred f and g, derivatives, Gauss-point tables, the element mass) is
+derived from that table.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
 
 from .circulant import _invert_symbol_inplace, apply_symbol, block_symbol
-from .quad import gauss_rule
 
 __all__ = [
     "Grid",
     "FemFunction",
     "element_shapes",
     "node_shape_tables",
+    "gauss_rule",
     "GAUSS_POINTS",
     "GAUSS_WEIGHTS",
     "ELEMENT_MASS",
@@ -39,6 +42,7 @@ __all__ = [
     "l2_project",
     "mass_bands",
     "mass_offset_blocks",
+    "mass_norm",
 ]
 
 # Ascending coefficients in xi of the element-local shapes on xi in [0, 1]:
@@ -75,6 +79,15 @@ def _node_pairs(array: np.ndarray) -> np.ndarray:
     since complex128 needs only float alignment.
     """
     return np.ascontiguousarray(array, dtype=float).view(complex)
+
+
+@lru_cache(maxsize=None)
+def gauss_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the npts-point Gauss-Legendre rule on [0, 1]."""
+    if npts < 1:
+        raise ValueError(f"need at least one quadrature point, got {npts}")
+    nodes, weights = np.polynomial.legendre.leggauss(npts)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
 # The element integral rule on [0, 1]: 8 Gauss points integrate every product
@@ -281,6 +294,25 @@ def mass_offset_blocks(grid: Grid) -> np.ndarray:
     blocks[:2] = mass_bands(grid)
     blocks[-1] = grid.dx * ELEMENT_MASS[2:, :2]    # test at node 0, trial at node -1
     return blocks
+
+
+def mass_norm(coeffs: np.ndarray, bands: np.ndarray,
+              scratch: np.ndarray | None = None) -> float:
+    """True L2 norm of the expanded function, sqrt(c^T M c), without FFTs.
+
+    M couples only neighbouring nodes (bands, from mass_bands), so with node
+    pairs c_j, c^T M c = sum_j c_j.B_0 c_j + 2 sum_j c_j.B_1 c_{j+1}.
+    The two banded products take turns in ``scratch``, a contiguous real
+    array of coeffs' size that is not coeffs; without it one is made.  Both
+    sums are blocked_dot's, so the norm is alike at any thread count.
+    """
+    nodal = coeffs.reshape(-1, 2)
+    product = (np.empty(nodal.shape) if scratch is None
+               else scratch.reshape(nodal.shape))
+    diag = blocked_dot(np.matmul(nodal, bands[0], out=product), nodal)
+    right = np.matmul(nodal, bands[1], out=product)
+    square = diag + 2.0 * (blocked_dot(right[:-1], nodal[1:]) + right[-1] @ nodal[0])
+    return math.sqrt(max(float(square), 0.0))
 
 
 def load_vector(grid: Grid, func: Callable) -> np.ndarray:

@@ -24,7 +24,8 @@ import numpy as np
 
 from .assembly import OperatorMatrices
 from .circulant import _invert_symbol_inplace, apply_symbol, block_symbol
-from .fem import FemFunction, Grid, nonlinear_load
+from .fem import (FemFunction, Grid, mass_bands, mass_norm, mass_offset_blocks,
+                  nonlinear_load)
 
 __all__ = [
     "SchemeConfig",
@@ -122,7 +123,7 @@ class FixedPointDivergence(RuntimeError):
 
 
 def choose_dt(u0: FemFunction, grid: Grid, cfg: SchemeConfig,
-              t0: float = 0.0, t_final: float | None = None) -> float:
+              t0: float, t_final: float) -> float:
     """Step size per the configured rule, snapped down to divide the span."""
     if cfg.dt_value is not None:
         dt = float(cfg.dt_value)
@@ -133,30 +134,28 @@ def choose_dt(u0: FemFunction, grid: Grid, cfg: SchemeConfig,
         if sup == 0.0:
             raise ValueError("courant dt rule undefined for zero initial data")
         dt = grid.dx / sup
-    if t_final is not None:
-        span = t_final - t0
-        if span == 0.0 or (span > 0) != (dt > 0):
-            raise ValueError("time span and step size must share a sign")
-        steps = max(1, math.ceil(span / dt - 1e-9))
-        dt = span / steps
-    return dt
+    span = t_final - t0
+    if span == 0.0 or (span > 0) != (dt > 0):
+        raise ValueError("time span and step size must share a sign")
+    return span / max(1, math.ceil(span / dt - 1e-9))
 
 
 class _StepOperator:
     """What a run holds besides its states, for one (grid, alpha, dt).
 
-    That is (M - dt/2 D)^-1, M + dt/2 D and the arrays a step writes: two
-    complex (N, 2) FFT buffers, the first real scratch between applies, the
-    right-hand side M u_n + dt/2 D u_n and two iterates that take turns.
-    Forming the symbols holds at most three complex (N, 2, 2) arrays; then
-    the bundle's cached dispersion blocks are deleted, as no step reads them
-    (a later read assembles them again), and the buffers are made.
+    That is (M - dt/2 D)^-1, M + dt/2 D, the M-norm's two mass bands and the
+    arrays a step writes: two complex (N, 2) FFT buffers, the first real
+    scratch between applies, the right-hand side M u_n + dt/2 D u_n and two
+    iterates that take turns.  Forming the symbols holds at most three complex
+    (N, 2, 2) arrays; then the bundle's cached dispersion blocks are deleted,
+    as no step reads them (a later read assembles them again), and the
+    buffers are made.
     """
 
     def __init__(self, ops: OperatorMatrices, dt: float):
-        self.ops = ops
         self.dt = dt
-        mass = block_symbol(ops.mass_blocks)
+        self.bands = mass_bands(ops.grid)
+        mass = block_symbol(mass_offset_blocks(ops.grid))
         half = block_symbol(ops.disp_blocks)
         del ops.disp_blocks
         half *= 0.5 * dt
@@ -190,8 +189,8 @@ class _StepOperator:
                 w_new *= 0.5 * self.dt
                 w_new += b0
                 apply_symbol(self.a_inv, w_new, w_new, self.fft)
-                prev, res = res, self.ops.l2_norm(
-                    np.subtract(w_new, w, out=correction), scratch)
+                prev, res = res, mass_norm(
+                    np.subtract(w_new, w, out=correction), self.bands, scratch)
                 # A non-finite correction can never recover; stop at once.
                 if not math.isfinite(res):
                     raise FixedPointDivergence(iters, res, tol, contraction,
@@ -205,7 +204,7 @@ class _StepOperator:
                 raise FixedPointDivergence(MAX_PICARD_ITERS, res, tol,
                                            contraction, step_index)
 
-        norm_w = self.ops.l2_norm(w, scratch)
+        norm_w = mass_norm(w, self.bands, scratch)
         moved = np.subtract(w[0::2], un.coeffs[0::2], out=correction[:grid.n_elems])
         report = StepReport(
             iters=iters,
@@ -245,7 +244,7 @@ def run(u0: FemFunction, t0: float, t_final: float, ops: OperatorMatrices,
 
     states = {0: u0} if 0 in keep else {}
     reports: list[StepReport] = []
-    u, norm_u = u0, ops.l2_norm(u0.coeffs)
+    u, norm_u = u0, mass_norm(u0.coeffs, operator.bands)
     del u0      # the first step's state replaces run's last name for u^0
     for n in range(1, steps + 1):
         u, report, norm_u = operator.step(u, norm_u, cfg, n)

@@ -21,12 +21,12 @@ from scipy.special import zeta
 
 from fkdv import assembly, circulant
 from fkdv.assembly import (
-    OperatorMatrices,
     assemble_offset_blocks,
     assemble_operators,
     frac_constant,
     frac_laplacian_pointwise,
     fractional_order,
+    geometric_edges,
     spectral_offset_blocks,
 )
 from fkdv.assembly import (
@@ -44,8 +44,7 @@ from fkdv.assembly import (
     _shape_fourier_g,
 )
 from fkdv.circulant import _invert_symbol_inplace, apply_symbol, block_symbol
-from fkdv.fem import Grid, l2_project, mass_offset_blocks
-from fkdv.quad import gauss_rule, geometric_edges
+from fkdv.fem import Grid, gauss_rule, l2_project, mass_bands, mass_norm, mass_offset_blocks
 from dense_circulant import block_circulant_dense
 
 # ---------------------------------------------------------------------------
@@ -138,10 +137,9 @@ def test_mass_block_zero_rationals():
 @given(st.integers(4, 512), st.integers(0, 2**32 - 1))
 def test_banded_l2_norm_matches_symbol_apply(n: int, seed: int):
     grid = Grid(-1.0, 2.0, n)
-    ops = OperatorMatrices(grid, 1.5)
     c = np.random.default_rng(seed).standard_normal(grid.n_dofs)
-    want = math.sqrt(float(c @ apply_symbol(block_symbol(ops.mass_blocks), c)))
-    assert ops.l2_norm(c) == pytest.approx(want, rel=1e-13)
+    want = math.sqrt(float(c @ apply_symbol(block_symbol(mass_offset_blocks(grid)), c)))
+    assert mass_norm(c, mass_bands(grid)) == pytest.approx(want, rel=1e-13)
 
 
 def test_mass_matrix_spd(grid64):
@@ -187,7 +185,7 @@ def test_dispersion_annihilates_constants(ops64):
 
 
 def test_gram_symmetric_psd_with_constants_in_kernel(ops64):
-    gram = block_circulant_dense(ops64.gram_blocks)
+    gram = block_circulant_dense(assemble_offset_blocks(ops64.grid, 1.5, "gram_half"))
     assert np.linalg.norm(gram - gram.T) / np.linalg.norm(gram) < 1e-12
     eigs = np.linalg.eigvalsh(gram)
     assert eigs.min() > -1e-10 * np.abs(eigs).max()
@@ -199,10 +197,12 @@ def test_gram_symmetric_psd_with_constants_in_kernel(ops64):
 def test_symbol_application_matches_dense(ops64):
     rng = np.random.default_rng(21)
     v = rng.standard_normal(ops64.grid.n_dofs)
+    mass = mass_offset_blocks(ops64.grid)
+    gram = assemble_offset_blocks(ops64.grid, 1.5, "gram_half")
     for blocks, symbol in (
         (ops64.disp_blocks, block_symbol(ops64.disp_blocks)),
-        (ops64.mass_blocks, block_symbol(ops64.mass_blocks)),
-        (ops64.gram_blocks, ops64.gram_symbol),
+        (mass, block_symbol(mass)),
+        (gram, ops64.gram_symbol()),
     ):
         want = block_circulant_dense(blocks) @ v
         got = apply_symbol(symbol, v)
@@ -224,15 +224,6 @@ def test_backends_agree_on_gram_blocks():
     spec = spectral_offset_blocks(grid, "gram_half", 1.5, m_modes=3000 * 32)
     rel = np.linalg.norm(real - spec) / np.linalg.norm(spec)
     assert rel < 1e-6
-
-
-def test_gram_blocks_are_assembled_on_first_read():
-    grid = Grid(-1.0, 2.0, 48)
-    ops = assemble_operators(grid, 1.25)
-    assert "gram_blocks" not in ops.__dict__
-    gram = ops.gram_blocks
-    assert ops.__dict__["gram_blocks"] is gram
-    assert np.array_equal(gram, assemble_offset_blocks(grid, 1.25, "gram_half"))
 
 
 def _multipole_inputs(n: int, alpha: float, kind: str):

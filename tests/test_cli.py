@@ -26,7 +26,7 @@ import fkdv.cli
 import fkdv.stepper
 from fkdv.cli import EXIT_ALL_DIVERGED, EXIT_CONFIG, emit_snapshot, main
 from fkdv.assembly import assemble_operators
-from fkdv.fem import FemFunction, Grid, l2_project
+from fkdv.fem import FemFunction, Grid, l2_project, mass_norm
 from fkdv.solutions import bo_soliton, builtin_experiments, get_experiment
 from fkdv.stepper import SchemeConfig, _blend, run
 
@@ -195,6 +195,22 @@ def test_run_all_rows_diverged_exits_three():
     for row in _rows(out):
         assert row[1:5] == ["nan", "nan", "nan", "nan"]
     assert "failed" in err
+
+
+def test_run_diverged_self_reference_exits_three(tmp_path):
+    # The reference diverges before any row runs: one stderr line names it,
+    # and neither a table nor an --out file is written.
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = _invoke(["run", "--experiment", "kdv-one", "--sweep", "32",
+                                "--dt", "1.0", "--reference", "self:128",
+                                "--out", str(out_dir)])
+    assert rc == EXIT_ALL_DIVERGED
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("reference self:128 failed: "), err
+    assert not out_dir.exists() or not list(out_dir.iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +382,7 @@ def test_snapshot_profiles_match_a_run_that_keeps_every_state(n, tmp_path):
     u0 = l2_project(grid, spec.initial)
     traj = run(u0, 0.0, spec.t_final, ops, SchemeConfig())
     operator = fkdv.stepper._StepOperator(ops, traj.dt)
-    u, norm, states = u0, ops.l2_norm(u0.coeffs), [u0.coeffs]
+    u, norm, states = u0, mass_norm(u0.coeffs, operator.bands), [u0.coeffs]
     for step in range(1, traj.n_steps + 1):
         u, _, norm = operator.step(u, norm, SchemeConfig(), step)
         states.append(u.coeffs)

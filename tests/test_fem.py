@@ -13,13 +13,13 @@ from fkdv.fem import (
     FemFunction,
     Grid,
     element_shapes,
+    gauss_rule,
     gauss_values,
     hermite_interpolate,
     l2_project,
     node_shape_tables,
     nonlinear_load,
 )
-from fkdv.quad import gauss_rule
 
 
 def _random_function(grid: Grid, seed: int = 0) -> FemFunction:

@@ -30,10 +30,11 @@ import numpy as np
 import pytest
 
 import fkdv
-from fkdv.assembly import OperatorMatrices, assemble_offset_blocks, assemble_operators
+import fkdv.assembly
+from fkdv.assembly import assemble_offset_blocks, assemble_operators
 from fkdv.circulant import apply_symbol, block_symbol
-from fkdv.diagnostics import _cubic_integral
-from fkdv.fem import Grid, blocked_dot, l2_project, mass_offset_blocks
+from fkdv.diagnostics import _cubic_integral, hamiltonian_ratio
+from fkdv.fem import Grid, blocked_dot, l2_project, mass_bands, mass_norm, mass_offset_blocks
 from fkdv.solutions import triangle_data
 from fkdv.stepper import SchemeConfig, _StepOperator, choose_dt, run
 
@@ -42,8 +43,10 @@ N = 16384
 SYMBOL = 64 * N
 # What a step operator owns, in symbols: (M - dt/2 D)^-1 and M + dt/2 D,
 # two complex (N, 2) FFT buffers (1), the right-hand side (1/4) and two
-# iterates (1/2).  Forming it frees the bundle's dispersion blocks (1/2).
+# iterates (1/2), besides the two 2x2 mass bands.  Forming it frees the
+# bundle's dispersion blocks (1/2).
 OPERATOR_SYMBOLS = 2.0 + 1.75
+BANDS_BYTES = 64
 DISP_SYMBOLS = 0.5
 
 
@@ -55,7 +58,7 @@ def _owns(coeffs: np.ndarray) -> bool:
 def test_iterates_own_their_coefficients(grid64, ops64):
     # A real view of a complex FFT buffer would hold twice its own size.
     coeffs = np.random.default_rng(0).standard_normal(grid64.n_dofs)
-    assert _owns(apply_symbol(block_symbol(ops64.mass_blocks), coeffs))
+    assert _owns(apply_symbol(block_symbol(mass_offset_blocks(grid64)), coeffs))
     u0 = l2_project(grid64, np.sin)
     op = _StepOperator(ops64, 0.01)
     assert _owns(apply_symbol(op.a_inv, apply_symbol(op.b_symbol, u0.coeffs)))
@@ -127,7 +130,7 @@ def test_traced_peaks_per_layer(grid, tracing):
     operator, peak, held = _traced(lambda: _StepOperator(ops, 0.01))
     assert peak <= 3.5
     assert held == pytest.approx(OPERATOR_SYMBOLS - DISP_SYMBOLS, abs=0.01)
-    norm = ops.l2_norm(u0.coeffs)
+    norm = mass_norm(u0.coeffs, operator.bands)
     (u1, report, _), peak, held = _traced(lambda: operator.step(u0, norm, cfg, 1))
     assert report.iters > 1
     assert peak <= 0.75
@@ -276,11 +279,12 @@ def test_a_run_holds_only_its_step_operator(grid, tracing):
     assert peak <= 4.25
     # The run returns its final state (1/4) and lets the dispersion go.
     assert held == pytest.approx(0.25 - DISP_SYMBOLS, abs=0.01)
-    # The bundle keeps only the mass bands, nothing of size N.
+    # The bundle keeps nothing of size N.
     assert _array_bytes(ops) < 1024
-    # The step operator owns its two symbols and its buffers, nothing more.
+    # The step operator owns its two symbols, its buffers and the mass
+    # bands, nothing more.
     operator = _StepOperator(ops, 0.01)
-    assert _array_bytes(operator) == OPERATOR_SYMBOLS * SYMBOL
+    assert _array_bytes(operator) == OPERATOR_SYMBOLS * SYMBOL + BANDS_BYTES
     assert operator.a_inv.nbytes == operator.b_symbol.nbytes == SYMBOL
     # A read after the drop assembles the same blocks again.
     assert np.array_equal(ops.disp_blocks, first)
@@ -302,8 +306,35 @@ def test_banded_norm_matches_the_full_mass_array(n: int):
     # The bands are the full array's offsets 0 and 1, so the M-norm keeps
     # its bits.
     grid = Grid(-10.0, 10.0, n)
-    ops = OperatorMatrices(grid, 1.5)
-    blocks = mass_offset_blocks(grid)
-    assert np.array_equal(ops.mass_bands, blocks[:2])
+    bands, blocks = mass_bands(grid), mass_offset_blocks(grid)
+    assert np.array_equal(bands, blocks[:2])
+    assert bands.nbytes == BANDS_BYTES
     coeffs = np.random.default_rng(n).standard_normal(grid.n_dofs)
-    assert ops.l2_norm(coeffs) == _full_array_norm(blocks, coeffs)
+    assert mass_norm(coeffs, bands) == _full_array_norm(blocks, coeffs)
+
+
+def test_c3_assembles_the_gram_once_and_the_bundle_keeps_none(grid, monkeypatch):
+    # The bundle caches only the dispersion blocks, which a run frees; C3
+    # assembles the Gram blocks on its call, through the module name that the
+    # benchmark trace wraps, transforms them once for u and u0 and lets the
+    # symbol go on return.
+    kinds = []
+    assemble = fkdv.assembly.assemble_offset_blocks
+
+    def counted(on, alpha, kind="disp"):
+        kinds.append(kind)
+        return assemble(on, alpha, kind)
+
+    monkeypatch.setattr(fkdv.assembly, "assemble_offset_blocks", counted)
+    ops = assemble_operators(grid, 1.5)
+    assert kinds == ["disp"]
+    u0 = l2_project(grid, triangle_data)
+    u = run(u0, 0.0, 0.01, ops, SchemeConfig(dt_value=0.01)).final
+    first = hamiltonian_ratio(u, u0, ops)
+    assert kinds == ["disp", "gram_half"]
+    assert _array_bytes(ops) < 1024
+    assert hamiltonian_ratio(u, u0, ops) == first
+    assert kinds == ["disp", "gram_half", "gram_half"]
+    # The symbol is the transform of the blocks, to the bit.
+    assert np.array_equal(ops.gram_symbol(),
+                          block_symbol(assemble(grid, 1.5, "gram_half")))

@@ -12,8 +12,8 @@ import pytest
 from fkdv.assembly import assemble_operators
 from fkdv.circulant import apply_symbol, block_symbol
 from fkdv.fem import (GAUSS_POINTS, GAUSS_WEIGHTS, FemFunction, Grid, element_shapes,
-                      hermite_interpolate, l2_project, mass_offset_blocks,
-                      nonlinear_load)
+                      hermite_interpolate, l2_project, mass_bands, mass_norm,
+                      mass_offset_blocks, nonlinear_load)
 from fkdv.solutions import bo_soliton, get_experiment, kdv_one_soliton
 import fkdv.stepper
 from fkdv.stepper import (
@@ -26,8 +26,8 @@ from solution_derivatives import bo_soliton_dx, kdv_one_soliton_dx
 
 
 def _m_norm(coeffs: np.ndarray, ops) -> float:
-    """sqrt(c^T M c) through the mass symbol, apart from ops.l2_norm."""
-    mass = block_symbol(ops.mass_blocks)
+    """sqrt(c^T M c) through the mass symbol, apart from fem.mass_norm."""
+    mass = block_symbol(mass_offset_blocks(ops.grid))
     return math.sqrt(float(coeffs @ apply_symbol(mass, coeffs)))
 
 
@@ -114,8 +114,9 @@ def test_courant_dt_from_soliton_peak():
     grid = Grid(-15.0, 15.0, 256)
     u0 = hermite_interpolate(grid, lambda x: kdv_one_soliton(x, 0.0),
                              lambda x: kdv_one_soliton_dx(x, 0.0))
-    dt = choose_dt(u0, grid, SchemeConfig())
-    # The soliton peaks at exactly 9 on a node, so dt = dx / 9.
+    # The soliton peaks at exactly 9 on a node, so dt = dx / 9, which
+    # divides a span of 100 such steps.
+    dt = choose_dt(u0, grid, SchemeConfig(), 0.0, 100 * grid.dx / 9.0)
     assert dt == pytest.approx(grid.dx / 9.0, rel=1e-12)
 
 
@@ -131,7 +132,7 @@ def test_explicit_dt_step_count(grid64, ops64):
 def test_proportional_dt_rule(grid64):
     u0 = l2_project(grid64, np.sin)
     cfg = SchemeConfig(dt_factor=0.5)
-    dt = choose_dt(u0, grid64, cfg)
+    dt = choose_dt(u0, grid64, cfg, 0.0, 10 * grid64.dx)
     assert dt == pytest.approx(0.5 * grid64.dx)
 
 
@@ -149,7 +150,7 @@ def test_choose_dt_sign_mismatch_raises(grid64):
         choose_dt(u0, grid64, cfg, 0.0, -1.0)
     zero = l2_project(grid64, lambda x: np.zeros_like(x))
     with pytest.raises(ValueError):
-        choose_dt(zero, grid64, SchemeConfig())
+        choose_dt(zero, grid64, SchemeConfig(), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +290,7 @@ def test_cayley_map_reverses():
     assert err / np.linalg.norm(u0.coeffs) < 1e-10
     # A single step of -dt undoes a step of +dt.
     w = _cayley_steps(_cayley_steps(u0.coeffs, ops, 0.01, 1), ops, -0.01, 1)
-    assert ops.l2_norm(w - u0.coeffs) <= 1e-12
+    assert mass_norm(w - u0.coeffs, mass_bands(grid)) <= 1e-12
 
 
 def test_soliton_run_iteration_budget():
@@ -318,7 +319,7 @@ def test_l2_drift_compares_successive_states(grid64, ops64):
     traj = run(u0, 0.0, 0.5, ops64, cfg)
     states = _chain(u0, ops64, traj.dt, traj.n_steps)
     assert np.array_equal(states[-1].coeffs, traj.final.coeffs)
-    norms = [ops64.l2_norm(u.coeffs) for u in states]
+    norms = [mass_norm(u.coeffs, mass_bands(grid64)) for u in states]
     drifts = [abs(b - a) for a, b in zip(norms, norms[1:])]
     assert [r.l2_drift for r in traj.reports] == drifts
     assert max(drifts) > 0.0
@@ -392,7 +393,7 @@ def test_step_symbols_and_projection_keep_their_arithmetic(name, n):
     grid = Grid(spec.domain[0], spec.domain[1], n)
     ops = assemble_operators(grid, spec.alpha)
     dt = 0.5 * grid.dx
-    mass = _plain_symbol(ops.mass_blocks)
+    mass = _plain_symbol(mass_offset_blocks(grid))
     half = 0.5 * dt * _plain_symbol(ops.disp_blocks)
     operator = fkdv.stepper._StepOperator(ops, dt)
     assert np.array_equal(operator.a_inv, _plain_inverse(mass - half))
