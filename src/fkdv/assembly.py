@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -47,6 +47,7 @@ __all__ = [
     "assemble_offset_blocks",
     "spectral_offset_blocks",
     "assemble_operators",
+    "gram_symbol",
     "frac_laplacian_pointwise",
     "operator_identity_report",
 ]
@@ -441,36 +442,29 @@ def spectral_offset_blocks(grid: Grid, kind: str, alpha,
 
 
 # ---------------------------------------------------------------------------
-# operator bundle
+# operator record
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class OperatorMatrices:
-    """The dispersion and half-order Gram operators for one (grid, alpha).
-
-    Offset blocks are the storage; matrix-vector products run through the
-    FFT block-diagonal form, so no dense matrix is ever built.  The
-    dispersion blocks are cached on first read; deleting them frees them,
-    and the next read assembles them again, to the same bits.  The Gram
-    symbol is assembled and transformed anew on each call, so the bundle
-    holds nothing of it.
-    """
+    """What a run reads for one (grid, alpha): the grid and the dispersion
+    offset blocks.  A frozen value, so one record serves any number of runs;
+    the Gram operator is not held, gram_symbol forms it on each call."""
 
     grid: Grid
-    alpha: float
-
-    @cached_property
-    def disp_blocks(self) -> np.ndarray:
-        return assemble_offset_blocks(self.grid, self.alpha, "disp")
-
-    def gram_symbol(self) -> np.ndarray:
-        return block_symbol(assemble_offset_blocks(self.grid, self.alpha, "gram_half"))
+    disp_blocks: np.ndarray
 
 
 def assemble_operators(grid: Grid, alpha) -> OperatorMatrices:
-    """Assemble the dispersion blocks now; the Gram symbol waits for a call."""
-    ops = OperatorMatrices(grid, fractional_order(alpha))
-    ops.disp_blocks     # the read assembles and caches them
-    return ops
+    """Assemble the dispersion blocks of one (grid, alpha) into a record;
+    the blocks are read-only, as the record is frozen."""
+    blocks = assemble_offset_blocks(grid, alpha, "disp")
+    blocks.flags.writeable = False
+    return OperatorMatrices(grid, blocks)
+
+
+def gram_symbol(grid: Grid, alpha) -> np.ndarray:
+    """Symbol of the half-order Gram matrix, assembled and transformed anew."""
+    return block_symbol(assemble_offset_blocks(grid, alpha, "gram_half"))
 
 
 # ---------------------------------------------------------------------------

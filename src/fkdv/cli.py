@@ -7,8 +7,8 @@ Subcommands:
 * ``snapshot`` write (x, u) profile files at requested times.
 * ``verify``   run the operator identity suite for one (alpha, N).
 
-Exit codes: 0 success, 2 configuration error, 3 every row diverged,
-4 verification failure.
+Exit codes: 0 success, 2 configuration error, 3 a diverged solve (every row
+of a run, its reference or a snapshot), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -156,12 +156,12 @@ def _parse_reference(text: str) -> tuple:
 
 
 def _solve(scheme: SchemeConfig, spec: ExperimentSpec, n: int, times=()):
-    """Project, assemble and step one N-element run: (u0, ops, trajectory),
-    with the trajectory's profiles at times."""
+    """Project, assemble and step one N-element run: (u0, trajectory), with
+    the trajectory's profiles at times; run frees the inline operators."""
     grid = Grid(spec.domain[0], spec.domain[1], n)
     u0 = l2_project(grid, spec.initial)
-    ops = assemble_operators(grid, spec.alpha)
-    return u0, ops, run(u0, spec.t0, spec.t_final, ops, scheme, times)
+    return u0, run(u0, spec.t0, spec.t_final, assemble_operators(grid, spec.alpha),
+                   scheme, times)
 
 
 def _reference_values(cfg: RunConfig, spec: ExperimentSpec) -> np.ndarray | None:
@@ -201,7 +201,7 @@ def _reference_values(cfg: RunConfig, spec: ExperimentSpec) -> np.ndarray | None
 def _row_worker(scheme: SchemeConfig, spec: ExperimentSpec, n: int,
                 ref_values: np.ndarray | None) -> RowResult:
     try:
-        u0, ops, traj = _solve(scheme, spec, n)
+        u0, traj = _solve(scheme, spec, n)
     except FixedPointDivergence as exc:
         return RowResult(n, None, str(exc))
     u = traj.final
@@ -214,7 +214,7 @@ def _row_worker(scheme: SchemeConfig, spec: ExperimentSpec, n: int,
         E=relative_error(u, ref),
         C1=mass_ratio(u, u0),
         C2=momentum_ratio(u, u0),
-        C3=hamiltonian_ratio(u, u0, ops),
+        C3=hamiltonian_ratio(u, u0, spec.alpha),
     )
     return RowResult(
         n, row, None,
@@ -453,18 +453,19 @@ def _cmd_snapshot(args) -> int:
     times = _parsed(lambda t: [float(v) for v in t.split(",") if v], "--times", args.times)
     if not times:
         raise ConfigError("no output times given")
-    try:
-        times = [snap_time(t, spec.t0, spec.t_final) for t in times]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     elements = _parsed(int, "--elements", args.elements)
     try:
+        times = [snap_time(t, spec.t0, spec.t_final) for t in times]
         Grid(spec.domain[0], spec.domain[1], elements)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     out = _out_dir(args.out)
-    _, _, traj = _solve(scheme, spec, elements, times)
+    try:
+        _, traj = _solve(scheme, spec, elements, times)
+    except FixedPointDivergence as exc:     # before any file is written
+        print(f"snapshot N={elements} failed: {exc}", file=sys.stderr)
+        return EXIT_ALL_DIVERGED
     for t in times:
         ref = None
         if spec.reference is not None and t == spec.t_final:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assembly import gram_symbol
 from .circulant import apply_symbol
 from .fem import GAUSS_WEIGHTS, FemFunction, _element_blocks, blocked_dot, gauss_values
 
@@ -88,13 +89,13 @@ def _cubic_integral(u: FemFunction) -> float:
     return float(u.grid.dx * total)
 
 
-def hamiltonian_ratio(u: FemFunction, u0: FemFunction, ops) -> float:
+def hamiltonian_ratio(u: FemFunction, u0: FemFunction, alpha) -> float:
     """C3: ratio of int((D^{alpha/2}u)^2 - u^3/3) against the initial state.
 
-    ops is the OperatorMatrices bundle of the grid; its Gram symbol, formed
-    once here and let go on return, supplies the quadratic term.
+    The Gram symbol of u's grid, formed once here and let go on return,
+    supplies the quadratic term.
     """
-    gram = ops.gram_symbol()
+    gram = gram_symbol(u.grid, alpha)
     num, denom = (blocked_dot(v.coeffs, apply_symbol(gram, v.coeffs))
                   - _cubic_integral(v) / 3.0 for v in (u, u0))
     if abs(denom) < 1e-12 * max(abs(num) + abs(denom), 1e-300):

@@ -140,30 +140,30 @@ def choose_dt(u0: FemFunction, grid: Grid, cfg: SchemeConfig,
     return span / max(1, math.ceil(span / dt - 1e-9))
 
 
-class _StepOperator:
-    """What a run holds besides its states, for one (grid, alpha, dt).
+def _step_symbols(ops: OperatorMatrices, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(M - dt/2 D)^-1 and M + dt/2 D, read off the record with at most three
+    complex (N, 2, 2) arrays alive: the mass symbol's buffer becomes M + dt/2 D."""
+    mass = block_symbol(mass_offset_blocks(ops.grid))
+    half = block_symbol(ops.disp_blocks)
+    half *= 0.5 * dt
+    minus = np.subtract(mass, half)
+    plus = np.add(mass, half, out=mass)
+    del half    # freed before the inversion makes its temporaries
+    return _invert_symbol_inplace(minus), plus
 
-    That is (M - dt/2 D)^-1, M + dt/2 D, the M-norm's two mass bands and the
+
+class _StepOperator:
+    """What a run holds besides its states, for one (grid, alpha, dt): the
+    step symbols a_inv and b_symbol, the M-norm's two mass bands and the
     arrays a step writes: two complex (N, 2) FFT buffers, the first real
     scratch between applies, the right-hand side M u_n + dt/2 D u_n and two
-    iterates that take turns.  Forming the symbols holds at most three complex
-    (N, 2, 2) arrays; then the bundle's cached dispersion blocks are deleted,
-    as no step reads them (a later read assembles them again), and the
-    buffers are made.
-    """
+    iterates that take turns."""
 
-    def __init__(self, ops: OperatorMatrices, dt: float):
+    def __init__(self, grid: Grid, dt: float, a_inv: np.ndarray, b_symbol: np.ndarray):
         self.dt = dt
-        self.bands = mass_bands(ops.grid)
-        mass = block_symbol(mass_offset_blocks(ops.grid))
-        half = block_symbol(ops.disp_blocks)
-        del ops.disp_blocks
-        half *= 0.5 * dt
-        minus = np.subtract(mass, half)
-        self.b_symbol = np.add(mass, half, out=mass)
-        del half    # freed before the inversion makes its temporaries
-        self.a_inv = _invert_symbol_inplace(minus)
-        n = ops.grid.n_elems
+        self.bands = mass_bands(grid)
+        self.a_inv, self.b_symbol = a_inv, b_symbol
+        n = grid.n_elems
         self.fft = (np.empty((n, 2), dtype=complex), np.empty((n, 2), dtype=complex))
         self.spare = self.fft[0].view(float).reshape(2, 2 * n)
         self.b0 = np.empty(2 * n)
@@ -228,7 +228,8 @@ def run(u0: FemFunction, t0: float, t_final: float, ops: OperatorMatrices,
     first step.  A time outside [t0, t_final] raises ValueError up front.
 
     One step operator, with its buffers, serves every step, so the only new
-    array of size N a step makes is the state it returns.
+    array of size N a step makes is the state it returns.  ops is only read,
+    and a record passed inline is freed once the step symbols exist.
     """
     grid = u0.grid
     if ops.grid != grid:
@@ -240,7 +241,9 @@ def run(u0: FemFunction, t0: float, t_final: float, ops: OperatorMatrices,
     steps = round((t_final - t0) / dt)
     blends = {t: _blend(t0, dt, steps, t) for t in times}
     keep = {n for _, lo, hi in blends.values() for n in (*lo, *hi)}
-    operator = _StepOperator(ops, dt)
+    symbols = _step_symbols(ops, dt)
+    del ops     # a record passed inline goes before the buffers are made
+    operator = _StepOperator(grid, dt, *symbols)
 
     states = {0: u0} if 0 in keep else {}
     reports: list[StepReport] = []

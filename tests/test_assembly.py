@@ -8,6 +8,7 @@ cannot pass unnoticed.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from fkdv.assembly import (
     frac_laplacian_pointwise,
     fractional_order,
     geometric_edges,
+    gram_symbol,
     spectral_offset_blocks,
 )
 from fkdv.assembly import (
@@ -202,7 +204,7 @@ def test_symbol_application_matches_dense(ops64):
     for blocks, symbol in (
         (ops64.disp_blocks, block_symbol(ops64.disp_blocks)),
         (mass, block_symbol(mass)),
-        (gram, ops64.gram_symbol()),
+        (gram, gram_symbol(ops64.grid, 1.5)),
     ):
         want = block_circulant_dense(blocks) @ v
         got = apply_symbol(symbol, v)
@@ -434,7 +436,18 @@ def test_spectral_blocks_validation():
 def test_assemble_accepts_wrapped_order():
     grid = Grid(0.0, 1.0, 8)
     ops = assemble_operators(grid, np.float64(1.25))
-    assert ops.alpha == 1.25 and type(ops.alpha) is float
+    assert np.array_equal(ops.disp_blocks, assemble_offset_blocks(grid, 1.25))
+
+
+def test_operator_record_is_a_frozen_value(ops64):
+    # A run only reads the record, so one record serves every run on it.
+    assert [f.name for f in dataclasses.fields(ops64)] == ["grid", "disp_blocks"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ops64.disp_blocks = None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del ops64.disp_blocks
+    with pytest.raises(ValueError, match="read-only"):
+        ops64.disp_blocks[0] = 0.0
 
 
 def test_identity_report_builds_no_dense_matrix(monkeypatch):

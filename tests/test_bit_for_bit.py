@@ -29,7 +29,7 @@ from fkdv.fem import (GAUSS_POINTS, GAUSS_WEIGHTS, FemFunction, Grid, _element_b
                       blocked_dot, element_shapes, gauss_values, l2_project, load_vector,
                       mass_norm, nonlinear_load)
 from fkdv.solutions import builtin_experiments, get_experiment
-from fkdv.stepper import MAX_PICARD_ITERS, SchemeConfig, _StepOperator, run
+from fkdv.stepper import MAX_PICARD_ITERS, SchemeConfig, _StepOperator, _step_symbols, run
 
 SIZES = [4, 7, 1000, 4097, 4099, 8195]
 
@@ -201,7 +201,7 @@ def test_far_field_matches_vander(n: int, alpha: float):
 
 def _plain_run(u0: FemFunction, ops, dt: float, steps: int, tol_factor: float):
     """The Picard loop with the plain load and apply: (states, iterations)."""
-    operator = _StepOperator(ops, dt)
+    operator = _StepOperator(ops.grid, dt, *_step_symbols(ops, dt))
     u, norm_u = u0.coeffs, mass_norm(u0.coeffs, operator.bands)
     states, iters = [u], []
     for _ in range(steps):

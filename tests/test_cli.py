@@ -213,6 +213,23 @@ def test_run_diverged_self_reference_exits_three(tmp_path):
     assert not out_dir.exists() or not list(out_dir.iterdir())
 
 
+def test_snapshot_diverged_exits_three(tmp_path):
+    # As run's reference does: one stderr line names the failed solve, no
+    # profile is written and the exit code is 3, with warnings as errors.
+    path = tmp_path / "diverge.ini"
+    path.write_text("[experiment]\nbase = kdv-one\ndt_value = 1.0\n")
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = _invoke(["snapshot", "--experiment", str(path), "--elements", "32",
+                                "--times", "0,1", "--out", str(out_dir)])
+    assert rc == EXIT_ALL_DIVERGED
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("snapshot N=32 failed: "), err
+    assert not out_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # run: configuration errors
 
@@ -246,7 +263,9 @@ def test_run_config_errors_exit_two(argv):
     ([], "t_end = 3\n"),
     (["--dt=-0.5"], None),
     ([], "dt_value = -0.5\n"),        # every experiment runs forward
-])
+], ids=["tol-factor-zero", "ini-dt-rule-bogus", "ini-dt-rule-explicit", "jobs-zero",
+        "jobs-negative", "ini-both-step-keys", "ini-flag-spelling", "ini-unknown-key",
+        "negative-dt-flag", "ini-negative-dt-value"])
 def test_bad_step_settings_exit_two_before_any_solve(
         flags, ini, tmp_path, tmp_path_factory, monkeypatch):
     experiment = "frac-sin"      # no closed form: a self reference is solved
@@ -305,7 +324,8 @@ def _step_ini(tmp_path, name: str, lines: str = "") -> str:
     ("dt_value = 0.5\n", ["--dt-rule", "prop:0.25"], ["--dt-rule", "prop:0.25"]),
     ("dt_value = 0.5\n", ["--dt-rule", "courant"], []),
     ("dt_factor = 0.25\n", ["--dt-rule", "courant"], []),
-])
+], ids=["dt-value-as-dt", "dt-factor-as-prop", "dt-flag-over-dt-factor",
+        "prop-flag-over-dt-value", "courant-over-dt-value", "courant-over-dt-factor"])
 def test_ini_step_size_runs_as_its_flag(lines, ini_flags, flags, tmp_path):
     # An INI step size prints the table of the flag that spells it, and a
     # step flag replaces whichever step size the INI file gives.
@@ -368,8 +388,7 @@ def test_snapshot_writes_profiles(tmp_path):
 def test_snapshot_profiles_match_a_run_that_keeps_every_state(n, tmp_path):
     # snapshot keeps only the states its times read; its profiles must be
     # the bytes that blending every state u^0 ... u^M writes.  The states
-    # come from one step operator, as in a run: a run per step would
-    # assemble the dispersion blocks again for each step.
+    # come from one step operator, as in a run.
     times = [0.0, 0.01, 33.3, 60.0, 119.99, 120.0]
     rc, _, _ = _invoke(["snapshot", "--experiment", "bo-one", "--elements", str(n),
                         "--times", ",".join(map(str, times)),
@@ -381,7 +400,8 @@ def test_snapshot_profiles_match_a_run_that_keeps_every_state(n, tmp_path):
     ops = assemble_operators(grid, spec.alpha)
     u0 = l2_project(grid, spec.initial)
     traj = run(u0, 0.0, spec.t_final, ops, SchemeConfig())
-    operator = fkdv.stepper._StepOperator(ops, traj.dt)
+    operator = fkdv.stepper._StepOperator(
+        grid, traj.dt, *fkdv.stepper._step_symbols(ops, traj.dt))
     u, norm, states = u0, mass_norm(u0.coeffs, operator.bands), [u0.coeffs]
     for step in range(1, traj.n_steps + 1):
         u, _, norm = operator.step(u, norm, SchemeConfig(), step)

@@ -7,9 +7,11 @@ that numpy's einsum, FFT and casts make.  They were measured with numpy
 2.4.6 at N=16384: l2_project peaks at 2.62 against 2.75, the Courant
 choose_dt at 2.13 against 2.50 (34.0 when its sup norm took all 17 * N
 samples at once), C3's cubic term at 0.63 against 0.75 (2.00 with the whole
-(E, 8) array), a dispersion assembly at 2.51 against 2.75, _StepOperator at
-3.25 against 3.50 (its two symbols and its buffers), a step at 0.44 against
-0.75 and a three-step run at 3.94 against 4.25.
+(E, 8) array), a dispersion assembly at 2.51 against 2.75, the step
+operator at 3.25 against 3.50 (its two symbols and its buffers), a step at
+0.44 against 0.75 and a three-step run at 3.94 against 4.25.  The operator
+and the run are measured with the record passed inline, as the CLI passes
+it, so its dispersion blocks go once the step symbols exist.
 
 The subprocess tests hold the BLAS thread count fixed: at two threads no
 product or sum of a solve or a diagnostic may wake a BLAS worker, and a table
@@ -31,23 +33,27 @@ import pytest
 
 import fkdv
 import fkdv.assembly
-from fkdv.assembly import assemble_offset_blocks, assemble_operators
+from fkdv.assembly import assemble_offset_blocks, assemble_operators, gram_symbol
 from fkdv.circulant import apply_symbol, block_symbol
 from fkdv.diagnostics import _cubic_integral, hamiltonian_ratio
 from fkdv.fem import Grid, blocked_dot, l2_project, mass_bands, mass_norm, mass_offset_blocks
 from fkdv.solutions import triangle_data
-from fkdv.stepper import SchemeConfig, _StepOperator, choose_dt, run
+from fkdv.stepper import SchemeConfig, _step_symbols, _StepOperator, choose_dt, run
 
 # The frac-triangle grid at the tri-coarse step; a symbol is 1 MiB here.
 N = 16384
 SYMBOL = 64 * N
 # What a step operator owns, in symbols: (M - dt/2 D)^-1 and M + dt/2 D,
 # two complex (N, 2) FFT buffers (1), the right-hand side (1/4) and two
-# iterates (1/2), besides the two 2x2 mass bands.  Forming it frees the
-# bundle's dispersion blocks (1/2).
+# iterates (1/2), besides the two 2x2 mass bands.  The operator record holds
+# the dispersion blocks (1/2); one passed inline is freed once the step
+# symbols exist.
 OPERATOR_SYMBOLS = 2.0 + 1.75
 BANDS_BYTES = 64
 DISP_SYMBOLS = 0.5
+# Before 3.11 the caller's stack holds a call's arguments until it returns,
+# so a record passed inline to run lives through the run.
+INLINE_RECORD = DISP_SYMBOLS if sys.version_info < (3, 11) else 0.0
 
 
 def _owns(coeffs: np.ndarray) -> bool:
@@ -60,8 +66,8 @@ def test_iterates_own_their_coefficients(grid64, ops64):
     coeffs = np.random.default_rng(0).standard_normal(grid64.n_dofs)
     assert _owns(apply_symbol(block_symbol(mass_offset_blocks(grid64)), coeffs))
     u0 = l2_project(grid64, np.sin)
-    op = _StepOperator(ops64, 0.01)
-    assert _owns(apply_symbol(op.a_inv, apply_symbol(op.b_symbol, u0.coeffs)))
+    a_inv, b_symbol = _step_symbols(ops64, 0.01)
+    assert _owns(apply_symbol(a_inv, apply_symbol(b_symbol, u0.coeffs)))
     cfg = SchemeConfig(dt_value=0.01)
     traj = run(u0, 0.0, 0.05, ops64, cfg, times=[0.0, 0.02, 0.05])
     assert len(traj.profiles) == 3
@@ -99,7 +105,7 @@ def grid() -> Grid:
 
 @pytest.fixture
 def tracing():
-    """Trace from the test's start: the bundle's blocks must be traced
+    """Trace from the test's start: the record's blocks must be traced
     when they are made for their release to count."""
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
@@ -110,7 +116,7 @@ def tracing():
 
 
 def test_traced_peaks_per_layer(grid, tracing):
-    ops = assemble_operators(grid, 1.5)
+    records = [assemble_operators(grid, 1.5)]
     cfg = SchemeConfig(dt_value=0.01)
 
     # The mass symbol, made in place into its inverse, the loads, the apply
@@ -125,9 +131,10 @@ def test_traced_peaks_per_layer(grid, tracing):
     # the whole (E, 8) array and its cube held 2 symbols.
     _, peak, _ = _traced(lambda: _cubic_integral(u0))
     assert peak <= 0.75
-    # Forming the two symbols holds at most three at once; the buffers come
-    # after them, and the dispersion blocks go.
-    operator, peak, held = _traced(lambda: _StepOperator(ops, 0.01))
+    # Forming the two symbols holds at most three at once; then the record,
+    # passed inline, goes with its dispersion blocks, and the buffers come.
+    operator, peak, held = _traced(
+        lambda: _StepOperator(grid, 0.01, *_step_symbols(records.pop(), 0.01)))
     assert peak <= 3.5
     assert held == pytest.approx(OPERATOR_SYMBOLS - DISP_SYMBOLS, abs=0.01)
     norm = mass_norm(u0.coeffs, operator.bands)
@@ -173,6 +180,33 @@ def test_a_run_lets_go_of_a_u0_that_no_time_reads(grid64, ops64, monkeypatch, ti
     assert list(traj.profiles) == list(times)
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="arguments outlive the call")
+def test_a_run_frees_an_inline_record_before_its_buffers(grid64, monkeypatch):
+    # run reads the record only for its step symbols and then drops its name
+    # for it, so a record the caller holds no name for goes before the step
+    # operator makes its buffers.
+    alive, refs = [], []
+    init, step = _StepOperator.__init__, _StepOperator.step
+
+    def spy_init(self, *args):
+        alive.append(refs[0]() is not None)
+        init(self, *args)
+
+    def spy_step(self, *args):
+        alive.append(refs[0]() is not None)
+        return step(self, *args)
+
+    def fresh_record():
+        ops = assemble_operators(grid64, 1.5)
+        refs.append(weakref.ref(ops.disp_blocks))
+        return ops
+
+    monkeypatch.setattr(_StepOperator, "__init__", spy_init)
+    monkeypatch.setattr(_StepOperator, "step", spy_step)
+    run(l2_project(grid64, np.sin), 0.0, 0.02, fresh_record(), SchemeConfig(dt_value=0.01))
+    assert alive == [False, False, False]
+
+
 _WORKER_CPU = """
 import os, sys, time
 from fkdv.assembly import assemble_operators
@@ -205,10 +239,11 @@ def prepared(name, n):
         return lambda: project(n)
     if name == "assemble_operators":
         return lambda: assemble_operators(Grid(-10.0, 10.0, n), 1.5)
-    ops, u0 = assemble_operators(Grid(-10.0, 10.0, n), 1.5), project(n)
+    u0 = project(n)
     if name == "run":
+        ops = assemble_operators(Grid(-10.0, 10.0, n), 1.5)
         return lambda: run(u0, 0.0, 0.05, ops, SchemeConfig(dt_value=0.01))
-    return lambda: hamiltonian_ratio(u0, u0, ops)   # assembles the Gram blocks
+    return lambda: hamiltonian_ratio(u0, u0, 1.5)   # assembles the Gram blocks
 
 for name, sizes in [("l2_project", (16384, 65536)), ("assemble_operators", (16384,)),
                     ("run", (16384, 65536)), ("hamiltonian_ratio", (16384, 65536))]:
@@ -270,24 +305,28 @@ def test_a_table_is_the_same_at_any_blas_thread_count():
 
 
 def test_a_run_holds_only_its_step_operator(grid, tracing):
+    u0 = l2_project(grid, triangle_data)
+    cfg = SchemeConfig(dt_value=0.01)
+    # The record goes in inline, as the CLI passes it.
+    records = [assemble_operators(grid, 1.5)]
+    traj, peak, held = _traced(lambda: run(u0, 0.0, 0.03, records.pop(), cfg))
+    assert traj.n_steps == 3
+    assert peak <= 4.25 + INLINE_RECORD
+    # The run returns its final state (1/4); the record is gone with it.
+    assert held == pytest.approx(0.25 - DISP_SYMBOLS, abs=0.01)
+    # A caller that keeps the record keeps its 0.5 symbol, unchanged by the
+    # run, and the run leaves it no more than its final state.
     ops = assemble_operators(grid, 1.5)
     first = ops.disp_blocks.copy()
-    u0 = l2_project(grid, triangle_data)
-    traj, peak, held = _traced(
-        lambda: run(u0, 0.0, 0.03, ops, SchemeConfig(dt_value=0.01)))
-    assert traj.n_steps == 3
-    assert peak <= 4.25
-    # The run returns its final state (1/4) and lets the dispersion go.
-    assert held == pytest.approx(0.25 - DISP_SYMBOLS, abs=0.01)
-    # The bundle keeps nothing of size N.
-    assert _array_bytes(ops) < 1024
+    traj, _, held = _traced(lambda: run(u0, 0.0, 0.03, ops, cfg))
+    assert held == pytest.approx(0.25, abs=0.01)
+    assert _array_bytes(ops) == DISP_SYMBOLS * SYMBOL
+    assert np.array_equal(ops.disp_blocks, first)
     # The step operator owns its two symbols, its buffers and the mass
     # bands, nothing more.
-    operator = _StepOperator(ops, 0.01)
+    operator = _StepOperator(grid, 0.01, *_step_symbols(ops, 0.01))
     assert _array_bytes(operator) == OPERATOR_SYMBOLS * SYMBOL + BANDS_BYTES
     assert operator.a_inv.nbytes == operator.b_symbol.nbytes == SYMBOL
-    # A read after the drop assembles the same blocks again.
-    assert np.array_equal(ops.disp_blocks, first)
 
 
 def _full_array_norm(blocks: np.ndarray, coeffs: np.ndarray) -> float:
@@ -314,10 +353,10 @@ def test_banded_norm_matches_the_full_mass_array(n: int):
 
 
 def test_c3_assembles_the_gram_once_and_the_bundle_keeps_none(grid, monkeypatch):
-    # The bundle caches only the dispersion blocks, which a run frees; C3
-    # assembles the Gram blocks on its call, through the module name that the
-    # benchmark trace wraps, transforms them once for u and u0 and lets the
-    # symbol go on return.
+    # The record holds only the dispersion blocks, and a run assembles
+    # nothing; C3 assembles the Gram blocks on its call, through the module
+    # name that the benchmark trace wraps, transforms them once for u and u0
+    # and lets the symbol go on return.
     kinds = []
     assemble = fkdv.assembly.assemble_offset_blocks
 
@@ -330,11 +369,12 @@ def test_c3_assembles_the_gram_once_and_the_bundle_keeps_none(grid, monkeypatch)
     assert kinds == ["disp"]
     u0 = l2_project(grid, triangle_data)
     u = run(u0, 0.0, 0.01, ops, SchemeConfig(dt_value=0.01)).final
-    first = hamiltonian_ratio(u, u0, ops)
+    assert kinds == ["disp"]
+    first = hamiltonian_ratio(u, u0, 1.5)
     assert kinds == ["disp", "gram_half"]
-    assert _array_bytes(ops) < 1024
-    assert hamiltonian_ratio(u, u0, ops) == first
+    assert _array_bytes(ops) == DISP_SYMBOLS * SYMBOL
+    assert hamiltonian_ratio(u, u0, 1.5) == first
     assert kinds == ["disp", "gram_half", "gram_half"]
     # The symbol is the transform of the blocks, to the bit.
-    assert np.array_equal(ops.gram_symbol(),
+    assert np.array_equal(gram_symbol(grid, 1.5),
                           block_symbol(assemble(grid, 1.5, "gram_half")))

@@ -15,6 +15,7 @@ from fkdv.fem import (GAUSS_POINTS, GAUSS_WEIGHTS, FemFunction, Grid, element_sh
                       hermite_interpolate, l2_project, mass_bands, mass_norm,
                       mass_offset_blocks, nonlinear_load)
 from fkdv.solutions import bo_soliton, get_experiment, kdv_one_soliton
+import fkdv.assembly
 import fkdv.stepper
 from fkdv.stepper import (
     FixedPointDivergence,
@@ -34,9 +35,9 @@ def _m_norm(coeffs: np.ndarray, ops) -> float:
 def _cayley_steps(coeffs: np.ndarray, ops, dt: float, steps: int) -> np.ndarray:
     """steps linear Crank-Nicolson (Cayley) steps: the step's two symbols
     without the quadratic load, c <- (M - dt/2 D)^-1 (M + dt/2 D) c."""
-    operator = fkdv.stepper._StepOperator(ops, dt)
+    a_inv, b_symbol = fkdv.stepper._step_symbols(ops, dt)
     for _ in range(steps):
-        coeffs = apply_symbol(operator.a_inv, apply_symbol(operator.b_symbol, coeffs))
+        coeffs = apply_symbol(a_inv, apply_symbol(b_symbol, coeffs))
     return coeffs
 
 
@@ -270,6 +271,22 @@ def test_run_rejects_foreign_operators(grid64):
         run(u0, 0.0, 1.0, ops32, SchemeConfig())
 
 
+def test_runs_on_one_record_assemble_nothing(grid64, monkeypatch):
+    # A run only reads its record: a second run on it assembles nothing,
+    # repeats the first to the bit and leaves the blocks as they were.
+    ops = assemble_operators(grid64, 1.5)
+    blocks = ops.disp_blocks.copy()
+    calls = []
+    monkeypatch.setattr(fkdv.assembly, "assemble_offset_blocks",
+                        lambda *args, **kwargs: calls.append(args))
+    u0 = l2_project(grid64, np.sin)
+    cfg = SchemeConfig(dt_value=0.01)
+    first, second = (run(u0, 0.0, 0.05, ops, cfg).final.coeffs for _ in range(2))
+    assert calls == []
+    assert np.array_equal(first, second)
+    assert np.array_equal(ops.disp_blocks, blocks)
+
+
 def test_cayley_map_is_isometry():
     grid = Grid(0.0, 2.0 * np.pi, 32)
     ops = assemble_operators(grid, 1.5)
@@ -395,9 +412,9 @@ def test_step_symbols_and_projection_keep_their_arithmetic(name, n):
     dt = 0.5 * grid.dx
     mass = _plain_symbol(mass_offset_blocks(grid))
     half = 0.5 * dt * _plain_symbol(ops.disp_blocks)
-    operator = fkdv.stepper._StepOperator(ops, dt)
-    assert np.array_equal(operator.a_inv, _plain_inverse(mass - half))
-    assert np.array_equal(operator.b_symbol, mass + half)
+    a_inv, b_symbol = fkdv.stepper._step_symbols(ops, dt)
+    assert np.array_equal(a_inv, _plain_inverse(mass - half))
+    assert np.array_equal(b_symbol, mass + half)
     assert np.array_equal(l2_project(grid, spec.initial).coeffs,
                           _plain_projection(grid, spec.initial))
 
