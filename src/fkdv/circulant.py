@@ -42,22 +42,22 @@ def apply_symbol(symbol: np.ndarray, coeffs: np.ndarray,
 
     The result goes into ``out``, a contiguous real array of coeffs' size
     that may be coeffs itself, or into a new one, so it keeps no complex FFT
-    buffer alive.  ``buffers``
-    are two complex (N, 2) arrays for the transforms; without them two are
-    made.  coeffs is cast into the first and transformed in place, the
-    product goes into the second, which is inverted in place.
+    buffer alive.  ``buffers`` are a complex (N, 2) array, into which coeffs
+    is cast and transformed in place, and a complex (K, 2) one, through which
+    the product goes back into the first, K frequencies at a time (each row
+    is einsum's at any K); without them both are made, with K = N.
     """
     n = symbol.shape[0]
-    if buffers is None:
-        buffers = (np.empty((n, 2), dtype=complex), np.empty((n, 2), dtype=complex))
-    if out is None:
-        out = np.empty(2 * n)
-    chat, yhat = buffers
+    out = np.empty(2 * n) if out is None else out
+    chat, block = buffers or (np.empty((n, 2), complex), np.empty((n, 2), complex))
     chat[...] = coeffs.reshape(n, 2)
     np.fft.fft(chat, axis=0, out=chat)
-    np.einsum("rab,rb->ra", symbol, chat, out=yhat)
-    np.fft.ifft(yhat, axis=0, out=yhat)
-    out.reshape(n, 2)[...] = yhat.real
+    for lo in range(0, n, len(block)):
+        part, rows = chat[lo:lo + len(block)], block[:n - lo]
+        np.einsum("rab,rb->ra", symbol[lo:lo + len(block)], part, out=rows)
+        part[...] = rows
+    np.fft.ifft(chat, axis=0, out=chat)
+    out.reshape(n, 2)[...] = chat.real
     return out
 
 

@@ -155,16 +155,17 @@ def _step_symbols(ops: OperatorMatrices, dt: float) -> tuple[np.ndarray, np.ndar
 class _StepOperator:
     """What a run holds besides its states, for one (grid, alpha, dt): the
     step symbols a_inv and b_symbol, the M-norm's two mass bands and the
-    arrays a step writes: two complex (N, 2) FFT buffers, the first real
-    scratch between applies, the right-hand side M u_n + dt/2 D u_n and two
-    iterates that take turns."""
+    arrays a step writes: a complex (N, 2) FFT buffer, which is real scratch
+    between applies, a product block of at most 2048 frequencies (64 KiB),
+    the right-hand side M u_n + dt/2 D u_n and two iterates that take turns."""
 
     def __init__(self, grid: Grid, dt: float, a_inv: np.ndarray, b_symbol: np.ndarray):
         self.dt = dt
         self.bands = mass_bands(grid)
         self.a_inv, self.b_symbol = a_inv, b_symbol
         n = grid.n_elems
-        self.fft = (np.empty((n, 2), dtype=complex), np.empty((n, 2), dtype=complex))
+        self.fft = (np.empty((n, 2), dtype=complex),
+                    np.empty((min(n, 2048), 2), dtype=complex))
         self.spare = self.fft[0].view(float).reshape(2, 2 * n)
         self.b0 = np.empty(2 * n)
         self.iterates = (np.empty(2 * n), np.empty(2 * n))

@@ -183,6 +183,11 @@ def test_apply_matches_allocating_apply(n: int):
     buffers = (np.empty((n, 2), dtype=complex), np.empty((n, 2), dtype=complex))
     assert apply_symbol(symbol, coeffs, out, buffers) is out
     assert np.array_equal(out, want)
+    # The product goes back a block of frequencies at a time, as in a step;
+    # no block size, a ragged last block included, moves a bit.
+    for rows in (1, 3, 2048):
+        buffers = (buffers[0], np.empty((min(n, rows), 2), dtype=complex))
+        assert np.array_equal(apply_symbol(symbol, coeffs, out, buffers), want)
 
 
 # 2 * 2048 + 5 and 16389 offsets fill three and nine batches per shell.

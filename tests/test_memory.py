@@ -7,11 +7,13 @@ that numpy's einsum, FFT and casts make.  They were measured with numpy
 2.4.6 at N=16384: l2_project peaks at 2.62 against 2.75, the Courant
 choose_dt at 2.13 against 2.50 (34.0 when its sup norm took all 17 * N
 samples at once), C3's cubic term at 0.63 against 0.75 (2.00 with the whole
-(E, 8) array), a dispersion assembly at 2.51 against 2.75, the step
-operator at 3.25 against 3.50 (its two symbols and its buffers), a step at
-0.44 against 0.75 and a three-step run at 3.94 against 4.25.  The operator
-and the run are measured with the record passed inline, as the CLI passes
-it, so its dispersion blocks go once the step symbols exist.
+(E, 8) array), a dispersion assembly at 2.50 against 2.75, the step
+operator at 3.00 against 3.50 (forming its two symbols), a step at 0.44
+against 0.75 and a three-step run at 3.51 against 4.25.  The operator and
+the run are measured with the record passed inline, as the CLI passes it,
+so its dispersion blocks go once the step symbols exist; a run whose caller
+keeps the record, as the caller's stack does before Python 3.11, peaks at
+4.01 against the same 4.25.
 
 The subprocess tests hold the BLAS thread count fixed: at two threads no
 product or sum of a solve or a diagnostic may wake a BLAS worker, and a table
@@ -43,17 +45,15 @@ from fkdv.stepper import SchemeConfig, _step_symbols, _StepOperator, choose_dt, 
 # The frac-triangle grid at the tri-coarse step; a symbol is 1 MiB here.
 N = 16384
 SYMBOL = 64 * N
-# What a step operator owns, in symbols: (M - dt/2 D)^-1 and M + dt/2 D,
-# two complex (N, 2) FFT buffers (1), the right-hand side (1/4) and two
-# iterates (1/2), besides the two 2x2 mass bands.  The operator record holds
-# the dispersion blocks (1/2); one passed inline is freed once the step
-# symbols exist.
-OPERATOR_SYMBOLS = 2.0 + 1.75
+# What a step operator owns, in symbols: (M - dt/2 D)^-1 and M + dt/2 D, a
+# complex (N, 2) FFT buffer (1/2) and its product block of 2048 frequencies
+# (1/16 here), the right-hand side (1/4) and two iterates (1/2), besides the
+# two 2x2 mass bands.  The operator record holds the dispersion blocks (1/2);
+# one passed inline is freed once the step symbols exist.
+PRODUCT_BLOCK_BYTES = 2048 * 32
+OPERATOR_SYMBOLS = 2.0 + 1.25 + PRODUCT_BLOCK_BYTES / SYMBOL
 BANDS_BYTES = 64
 DISP_SYMBOLS = 0.5
-# Before 3.11 the caller's stack holds a call's arguments until it returns,
-# so a record passed inline to run lives through the run.
-INLINE_RECORD = DISP_SYMBOLS if sys.version_info < (3, 11) else 0.0
 
 
 def _owns(coeffs: np.ndarray) -> bool:
@@ -180,11 +180,11 @@ def test_a_run_lets_go_of_a_u0_that_no_time_reads(grid64, ops64, monkeypatch, ti
     assert list(traj.profiles) == list(times)
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="arguments outlive the call")
 def test_a_run_frees_an_inline_record_before_its_buffers(grid64, monkeypatch):
     # run reads the record only for its step symbols and then drops its name
     # for it, so a record the caller holds no name for goes before the step
-    # operator makes its buffers.
+    # operator makes its buffers.  Before Python 3.11 the caller's stack
+    # holds a call's arguments until it returns, so there the record lives.
     alive, refs = [], []
     init, step = _StepOperator.__init__, _StepOperator.step
 
@@ -204,7 +204,7 @@ def test_a_run_frees_an_inline_record_before_its_buffers(grid64, monkeypatch):
     monkeypatch.setattr(_StepOperator, "__init__", spy_init)
     monkeypatch.setattr(_StepOperator, "step", spy_step)
     run(l2_project(grid64, np.sin), 0.0, 0.02, fresh_record(), SchemeConfig(dt_value=0.01))
-    assert alive == [False, False, False]
+    assert alive == [sys.version_info < (3, 11)] * 3
 
 
 _WORKER_CPU = """
@@ -307,18 +307,22 @@ def test_a_table_is_the_same_at_any_blas_thread_count():
 def test_a_run_holds_only_its_step_operator(grid, tracing):
     u0 = l2_project(grid, triangle_data)
     cfg = SchemeConfig(dt_value=0.01)
-    # The record goes in inline, as the CLI passes it.
+    # The record goes in inline, as the CLI passes it.  From Python 3.11 its
+    # blocks go once the step symbols exist; before, the caller's stack holds
+    # it until run returns, as a caller that keeps a name for it does.
     records = [assemble_operators(grid, 1.5)]
     traj, peak, held = _traced(lambda: run(u0, 0.0, 0.03, records.pop(), cfg))
     assert traj.n_steps == 3
-    assert peak <= 4.25 + INLINE_RECORD
+    assert peak <= 4.25
     # The run returns its final state (1/4); the record is gone with it.
     assert held == pytest.approx(0.25 - DISP_SYMBOLS, abs=0.01)
-    # A caller that keeps the record keeps its 0.5 symbol, unchanged by the
-    # run, and the run leaves it no more than its final state.
+    # A caller that keeps the record keeps its 0.5 symbol through the run,
+    # under the same bound, unchanged by the run, and the run leaves it no
+    # more than its final state.
     ops = assemble_operators(grid, 1.5)
     first = ops.disp_blocks.copy()
-    traj, _, held = _traced(lambda: run(u0, 0.0, 0.03, ops, cfg))
+    traj, peak, held = _traced(lambda: run(u0, 0.0, 0.03, ops, cfg))
+    assert peak <= 4.25
     assert held == pytest.approx(0.25, abs=0.01)
     assert _array_bytes(ops) == DISP_SYMBOLS * SYMBOL
     assert np.array_equal(ops.disp_blocks, first)
@@ -327,6 +331,7 @@ def test_a_run_holds_only_its_step_operator(grid, tracing):
     operator = _StepOperator(grid, 0.01, *_step_symbols(ops, 0.01))
     assert _array_bytes(operator) == OPERATOR_SYMBOLS * SYMBOL + BANDS_BYTES
     assert operator.a_inv.nbytes == operator.b_symbol.nbytes == SYMBOL
+    assert operator.fft[1].nbytes == PRODUCT_BLOCK_BYTES
 
 
 def _full_array_norm(blocks: np.ndarray, coeffs: np.ndarray) -> float:
