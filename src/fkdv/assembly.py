@@ -73,7 +73,8 @@ _PV_PTS = 7
 # Periodic images summed explicitly by the pointwise evaluation; the
 # mean-value tail correction covers the rest.
 _POINTWISE_IMAGES = 16
-# Fourier modes summed per batch by the spectral backend.
+# Fourier modes summed by the spectral backend per element, and per batch.
+_MODES_PER_ELEMENT = 3000
 _MODE_CHUNK = 1 << 18
 # Euler-Maclaurin coefficients (2k)! / B_2k of the Cephes Hurwitz zeta.
 _ZETA_EM = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
@@ -343,7 +344,7 @@ def _enforce_structure(blocks: np.ndarray, kind: str) -> np.ndarray:
     return sym
 
 
-def assemble_offset_blocks(grid: Grid, alpha, kind: str = "disp") -> np.ndarray:
+def assemble_offset_blocks(grid: Grid, alpha, kind: str) -> np.ndarray:
     """Offset blocks of one operator matrix via the real-space quadrature.
 
     Returns an (N, 2, 2) array; blocks[m] couples test node i to trial node
@@ -400,20 +401,18 @@ def _shape_fourier_g(theta: np.ndarray) -> np.ndarray:
     return -2.0j * np.where(small, series, exact)
 
 
-def spectral_offset_blocks(grid: Grid, kind: str, alpha,
-                           m_modes: int) -> np.ndarray:
-    """Offset blocks from the Fourier series of the shape functions.
+def spectral_offset_blocks(grid: Grid, alpha, kind: str) -> np.ndarray:
+    """The offset blocks of assemble_offset_blocks(grid, alpha, kind) from
+    the Fourier series of the shape functions.
 
     Sums sigma(k) vhat_b(k) conj(vhat_a(k)) over the modes k = 2 pi l / width,
-    0 < |l| <= m_modes (at least the number of elements), folded onto node
-    offsets by the FFT.  Independent of the real-space backend in every
-    ingredient.
+    0 < |l| <= _MODES_PER_ELEMENT * N, folded onto node offsets by the FFT.
+    Independent of the real-space backend in every ingredient.
     """
     if kind not in ("disp", "gram_half"):
         raise ValueError(f"unknown kind {kind!r}")
     n, h, width = grid.n_elems, grid.dx, grid.width
-    if m_modes < n:
-        raise ValueError("m_modes must be at least the number of elements")
+    m_modes = _MODES_PER_ELEMENT * n
     a = fractional_order(alpha)
 
     accum = np.zeros((n, 2, 2), dtype=complex)
@@ -539,14 +538,13 @@ def _pointwise_single(u: FemFunction, x: float, alpha: float) -> float:
 # ---------------------------------------------------------------------------
 # identity suite
 
-def operator_identity_report(alpha, n_elems: int = 64) -> dict:
+def operator_identity_report(alpha, n_elems: int) -> dict:
     """Run the operator cross-checks for one (alpha, N) on [0, 2 pi].
 
     Returns {"checks": [{name, value, tol, passed}, ...], "passed": bool}.
     """
     a = fractional_order(alpha)
     grid = Grid(0.0, 2.0 * np.pi, n_elems)
-    m_modes = 3000 * n_elems
     disp_blocks = assemble_offset_blocks(grid, a, "disp")
     gram_blocks = assemble_offset_blocks(grid, a, "gram_half")
     checks = []
@@ -573,11 +571,11 @@ def operator_identity_report(alpha, n_elems: int = 64) -> dict:
     record("gram_annihilates_constants",
            norm(apply_symbol(gram, const)) / norm(gram), 1e-10)
 
-    disp_spec = spectral_offset_blocks(grid, "disp", a, m_modes)
+    disp_spec = spectral_offset_blocks(grid, a, "disp")
     record("disp_backend_agreement",
            np.linalg.norm(disp_blocks - disp_spec)
            / np.linalg.norm(disp_spec), 1e-6)
-    gram_spec = spectral_offset_blocks(grid, "gram_half", a, m_modes)
+    gram_spec = spectral_offset_blocks(grid, a, "gram_half")
     record("gram_backend_agreement",
            np.linalg.norm(gram_blocks - gram_spec)
            / np.linalg.norm(gram_spec), 1e-6)

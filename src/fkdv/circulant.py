@@ -15,6 +15,7 @@ import numpy as np
 __all__ = [
     "block_symbol",
     "apply_symbol",
+    "PRODUCT_BLOCK",
 ]
 
 
@@ -33,6 +34,9 @@ def block_symbol(blocks: np.ndarray) -> np.ndarray:
             np.fft.ifft(blocks[:, a, b], out=symbol[:, a, b])
     symbol *= n
     return symbol
+
+
+PRODUCT_BLOCK = 2048    # K of the product block a caller keeps for apply_symbol: 64 KiB
 
 
 def apply_symbol(symbol: np.ndarray, coeffs: np.ndarray,

@@ -29,8 +29,7 @@ from .diagnostics import (DiagnosticsRow, convergence_rate, hamiltonian_ratio,
                           mass_ratio, momentum_ratio, relative_error)
 from .fem import FemFunction, Grid, l2_project
 from .solutions import ExperimentSpec, builtin_experiments, get_experiment
-from .spectral import (REFERENCE_DT_FACTOR, SpectralGrid, default_spectral_dt,
-                       spectral_reference_solve)
+from .spectral import SpectralGrid, spectral_reference_solve
 from .stepper import FixedPointDivergence, SchemeConfig, run, snap_time
 
 __all__ = ["main", "run_table", "emit_snapshot", "RunConfig"]
@@ -192,10 +191,8 @@ def _reference_values(cfg: RunConfig, spec: ExperimentSpec) -> np.ndarray | None
                    assemble_operators(grid, spec.alpha), cfg.scheme)
         return traj.final.node_values.copy()
     sg = SpectralGrid(spec.domain[0], spec.domain[1], m)
-    samples = np.asarray(spec.initial(sg.points()), dtype=float)
-    dt = REFERENCE_DT_FACTOR * default_spectral_dt(samples, sg)
-    return spectral_reference_solve(samples, spec.alpha, spec.t0, spec.t_final,
-                                    sg, dt)
+    return spectral_reference_solve(spec.initial(sg.points()), spec.alpha, spec.t0,
+                                    spec.t_final, sg)
 
 
 def _row_worker(scheme: SchemeConfig, spec: ExperimentSpec, n: int,
@@ -459,6 +456,12 @@ def _cmd_snapshot(args) -> int:
         Grid(spec.domain[0], spec.domain[1], elements)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    names: dict[str, float] = {}    # file name -> its time
+    for t in times:
+        name = f"{spec.name}-N{elements}-t{t:g}.txt"
+        if name in names:
+            raise ConfigError(f"--times {names[name]!r} and {t!r} both name {name}")
+        names[name] = t
 
     out = _out_dir(args.out)
     try:
@@ -466,13 +469,12 @@ def _cmd_snapshot(args) -> int:
     except FixedPointDivergence as exc:     # before any file is written
         print(f"snapshot N={elements} failed: {exc}", file=sys.stderr)
         return EXIT_ALL_DIVERGED
-    for t in times:
+    for name, t in names.items():
         ref = None
         if spec.reference is not None and t == spec.t_final:
             ref = spec.reference
-        path = out / f"{spec.name}-N{elements}-t{t:g}.txt"
-        emit_snapshot(traj.profiles[t], path, reference=ref)
-        print(f"wrote {path}", file=sys.stderr)
+        emit_snapshot(traj.profiles[t], out / name, reference=ref)
+        print(f"wrote {out / name}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .assembly import gram_symbol
 from .circulant import apply_symbol
-from .fem import GAUSS_WEIGHTS, FemFunction, _element_blocks, blocked_dot, gauss_values
+from .fem import FemFunction, blocked_dot, cube_integral
 
 __all__ = [
     "DiagnosticsRow",
@@ -78,17 +78,6 @@ def momentum_ratio(u: FemFunction, u0: FemFunction) -> float:
     return _node_l2(u.node_values, u.grid.dx) / denom
 
 
-def _cubic_integral(u: FemFunction) -> float:
-    """int u^3 dx by the element Gauss rule; exact for piecewise cubics.  Each
-    element block is evaluated, cubed and summed in turn, in block order, as
-    fem.blocked_dot sums."""
-    c, total = np.ascontiguousarray(u.coeffs), 0    # a strided vector is copied once
-    for lo, hi in _element_blocks(c.size // 2):
-        v = gauss_values(c, lo, hi)
-        total += np.sum((v * v * v) @ GAUSS_WEIGHTS)   # v ** 3 takes numpy's slow pow
-    return float(u.grid.dx * total)
-
-
 def hamiltonian_ratio(u: FemFunction, u0: FemFunction, alpha) -> float:
     """C3: ratio of int((D^{alpha/2}u)^2 - u^3/3) against the initial state.
 
@@ -97,22 +86,18 @@ def hamiltonian_ratio(u: FemFunction, u0: FemFunction, alpha) -> float:
     """
     gram = gram_symbol(u.grid, alpha)
     num, denom = (blocked_dot(v.coeffs, apply_symbol(gram, v.coeffs))
-                  - _cubic_integral(v) / 3.0 for v in (u, u0))
+                  - cube_integral(v) / 3.0 for v in (u, u0))
     if abs(denom) < 1e-12 * max(abs(num) + abs(denom), 1e-300):
         return math.nan
     return num / denom
 
 
 def relative_error(u: FemFunction, reference) -> float:
-    """E: node-sampled relative L2 distance to the reference profile.
-
-    reference is a callable on x or an array of node values.
-    """
-    nodes = u.grid.nodes()
-    ref = np.asarray(reference(nodes) if callable(reference) else reference,
-                     dtype=float)
-    if ref.shape != nodes.shape:
-        raise ValueError(f"reference has shape {ref.shape}, expected {nodes.shape}")
+    """E: node-sampled relative L2 distance to the reference's node values."""
+    ref = np.asarray(reference, dtype=float)
+    if ref.shape != u.node_values.shape:
+        raise ValueError(f"reference has shape {ref.shape}, "
+                         f"expected {u.node_values.shape}")
     denom = _node_l2(ref, u.grid.dx)
     if denom == 0.0:
         raise ValueError("relative error undefined against a zero reference")

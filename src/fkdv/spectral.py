@@ -15,8 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["SpectralGrid", "spectral_reference_solve", "default_spectral_dt",
-           "REFERENCE_DT_FACTOR", "SpectralBlowup"]
+__all__ = ["SpectralGrid", "spectral_reference_solve", "SpectralBlowup"]
 
 
 class SpectralBlowup(RuntimeError):
@@ -82,24 +81,23 @@ REFERENCE_DT_FACTOR = 0.1
 
 
 def spectral_reference_solve(u0_samples: np.ndarray, alpha, t0: float,
-                             t_final: float, grid: SpectralGrid,
-                             dt: float) -> np.ndarray:
+                             t_final: float, grid: SpectralGrid) -> np.ndarray:
     """March u_t + (u^2/2)_x = D^alpha u_x from t0 to t_final; return samples.
 
     Integrating-factor RK4 on the m/2+1 rfft coefficients of the real field:
     the dispersion symbol i k |k|^alpha is removed exactly by unitary phase
     factors and only the dealiased (2/3-rule) quadratic term is stepped
-    explicitly.  dt is snapped down so the steps hit t_final exactly.
+    explicitly.  The step is REFERENCE_DT_FACTOR times default_spectral_dt
+    of the samples, snapped down so the steps hit t_final exactly.
     """
     a = _check_alpha(alpha)
     if not t_final > t0:
         raise ValueError("t_final must exceed t0")
-    if not dt > 0:
-        raise ValueError("dt must be positive")
     u0_samples = np.asarray(u0_samples, dtype=float)
     if u0_samples.shape != (grid.m,):
         raise ValueError(f"expected {grid.m} samples, got {u0_samples.shape}")
 
+    dt = REFERENCE_DT_FACTOR * default_spectral_dt(u0_samples, grid)
     span = t_final - t0
     steps = max(1, math.ceil(span / dt - 1e-9))
     dt = span / steps

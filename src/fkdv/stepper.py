@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import OperatorMatrices
-from .circulant import _invert_symbol_inplace, apply_symbol, block_symbol
+from .circulant import PRODUCT_BLOCK, _invert_symbol_inplace, apply_symbol, block_symbol
 from .fem import (FemFunction, Grid, mass_bands, mass_norm, mass_offset_blocks,
                   nonlinear_load)
 
@@ -122,18 +122,17 @@ class FixedPointDivergence(RuntimeError):
         self.step = step
 
 
-def choose_dt(u0: FemFunction, grid: Grid, cfg: SchemeConfig,
-              t0: float, t_final: float) -> float:
-    """Step size per the configured rule, snapped down to divide the span."""
+def choose_dt(u0: FemFunction, cfg: SchemeConfig, t0: float, t_final: float) -> float:
+    """Step by the configured rule on u0's grid, snapped down to divide the span."""
     if cfg.dt_value is not None:
         dt = float(cfg.dt_value)
     elif cfg.dt_factor is not None:
-        dt = cfg.dt_factor * grid.dx
+        dt = cfg.dt_factor * u0.grid.dx
     else:
         sup = u0.sup_norm()
         if sup == 0.0:
             raise ValueError("courant dt rule undefined for zero initial data")
-        dt = grid.dx / sup
+        dt = u0.grid.dx / sup
     span = t_final - t0
     if span == 0.0 or (span > 0) != (dt > 0):
         raise ValueError("time span and step size must share a sign")
@@ -156,7 +155,7 @@ class _StepOperator:
     """What a run holds besides its states, for one (grid, alpha, dt): the
     step symbols a_inv and b_symbol, the M-norm's two mass bands and the
     arrays a step writes: a complex (N, 2) FFT buffer, which is real scratch
-    between applies, a product block of at most 2048 frequencies (64 KiB),
+    between applies, a product block of at most PRODUCT_BLOCK frequencies,
     the right-hand side M u_n + dt/2 D u_n and two iterates that take turns."""
 
     def __init__(self, grid: Grid, dt: float, a_inv: np.ndarray, b_symbol: np.ndarray):
@@ -165,7 +164,7 @@ class _StepOperator:
         self.a_inv, self.b_symbol = a_inv, b_symbol
         n = grid.n_elems
         self.fft = (np.empty((n, 2), dtype=complex),
-                    np.empty((min(n, 2048), 2), dtype=complex))
+                    np.empty((min(n, PRODUCT_BLOCK), 2), dtype=complex))
         self.spare = self.fft[0].view(float).reshape(2, 2 * n)
         self.b0 = np.empty(2 * n)
         self.iterates = (np.empty(2 * n), np.empty(2 * n))
@@ -238,7 +237,7 @@ def run(u0: FemFunction, t0: float, t_final: float, ops: OperatorMatrices,
     if t_final == t0:
         # snap_time admits only t0 itself into an empty span.
         return Trajectory(0.0, u0, {snap_time(t, t0, t0): u0 for t in times}, [])
-    dt = choose_dt(u0, grid, cfg, t0, t_final)
+    dt = choose_dt(u0, cfg, t0, t_final)
     steps = round((t_final - t0) / dt)
     blends = {t: _blend(t0, dt, steps, t) for t in times}
     keep = {n for _, lo, hi in blends.values() for n in (*lo, *hi)}

@@ -33,8 +33,7 @@ from fkdv.diagnostics import (convergence_rate, momentum_ratio,
                               relative_error, trapezoid_on_nodes)
 from fkdv.fem import Grid, l2_project, mass_offset_blocks
 from fkdv.solutions import get_experiment
-from fkdv.spectral import (REFERENCE_DT_FACTOR, SpectralGrid,
-                           default_spectral_dt, spectral_reference_solve)
+from fkdv.spectral import SpectralGrid, spectral_reference_solve
 from fkdv.stepper import SchemeConfig, _step_symbols, choose_dt, run
 
 TOL_FACTOR = 0.002
@@ -109,10 +108,8 @@ def sin_battery() -> dict:
               for n in (512, 1024, 2048)}
 
     sg = SpectralGrid(spec.domain[0], spec.domain[1], 4096)
-    samples = np.asarray(spec.initial(sg.points()), dtype=float)
-    dt = REFERENCE_DT_FACTOR * default_spectral_dt(samples, sg)
-    spectral = spectral_reference_solve(samples, spec.alpha, spec.t0,
-                                        spec.t_final, sg, dt)
+    spectral = spectral_reference_solve(spec.initial(sg.points()), spec.alpha,
+                                        spec.t0, spec.t_final, sg)
     cross = relative_error(finals[2048][0], spectral[:: 4096 // 2048])
     return {
         "errors": errors,
@@ -255,7 +252,7 @@ def test_acceptance_5_operator_identity_suite(capsys):
     start = time.perf_counter()
     failures = []
     for alpha in (1.0, 1.5, 1.999):
-        report = operator_identity_report(alpha)
+        report = operator_identity_report(alpha, 64)
         for check in report["checks"]:
             if not check["passed"]:
                 failures.append(f"alpha={alpha}: {check['name']} = "
@@ -310,7 +307,7 @@ def test_acceptance_7_temporal_order(capsys):
     grid = Grid(spec.domain[0], spec.domain[1], 2048)
     u0 = l2_project(grid, spec.initial)
     ops = assemble_operators(grid, spec.alpha)
-    dt0 = choose_dt(u0, grid, SchemeConfig(), spec.t0, spec.t_final)
+    dt0 = choose_dt(u0, SchemeConfig(), spec.t0, spec.t_final)
     finals = []
     for k in range(4):
         cfg = SchemeConfig(dt_value=dt0 / 2 ** k,

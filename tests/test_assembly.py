@@ -34,6 +34,7 @@ from fkdv.assembly import (
 from fkdv.assembly import (
     _DERIV_TABLES,
     _EXPLICIT_IMAGE_SHELLS,
+    _MODES_PER_ELEMENT,
     _MULTIPOLE_ORDER,
     _NEAR_OFFSET,
     _TAIL_TERMS,
@@ -215,7 +216,7 @@ def test_symbol_application_matches_dense(ops64):
 def test_backends_agree_on_dispersion_blocks():
     grid = Grid(0.0, 2.0 * np.pi, 32)
     real = assemble_offset_blocks(grid, 1.5, "disp")
-    spec = spectral_offset_blocks(grid, "disp", 1.5, m_modes=3000 * 32)
+    spec = spectral_offset_blocks(grid, 1.5, "disp")
     rel = np.linalg.norm(real - spec) / np.linalg.norm(spec)
     assert rel < 1e-6
 
@@ -223,7 +224,7 @@ def test_backends_agree_on_dispersion_blocks():
 def test_backends_agree_on_gram_blocks():
     grid = Grid(0.0, 2.0 * np.pi, 32)
     real = assemble_offset_blocks(grid, 1.5, "gram_half")
-    spec = spectral_offset_blocks(grid, "gram_half", 1.5, m_modes=3000 * 32)
+    spec = spectral_offset_blocks(grid, 1.5, "gram_half")
     rel = np.linalg.norm(real - spec) / np.linalg.norm(spec)
     assert rel < 1e-6
 
@@ -335,7 +336,8 @@ def test_gram_symbol_is_square_of_half_order():
     # (|k|^{alpha/2})^2, not |k|^{alpha/2} or |k|^{2 alpha}.  Rebuild the
     # blocks by a direct mode sum with the squared half-order symbol.
     alpha = 1.5
-    n, m_modes = 16, 5000
+    n = 16
+    m_modes = _MODES_PER_ELEMENT * n      # the modes that the backend sums
     grid = Grid(0.0, 2.0 * np.pi, n)
     ell = np.arange(-m_modes, m_modes + 1)
     ell = ell[ell != 0]
@@ -348,7 +350,7 @@ def test_gram_symbol_is_square_of_half_order():
     direct = np.einsum(
         "ml,l,bl,al->mab", phase, pref * sigma, basis, basis.conj()
     ).real
-    packaged = spectral_offset_blocks(grid, "gram_half", alpha, m_modes)
+    packaged = spectral_offset_blocks(grid, alpha, "gram_half")
     rel = np.linalg.norm(direct - packaged) / np.linalg.norm(packaged)
     assert rel < 1e-10
 
@@ -428,15 +430,13 @@ def test_fractional_order_bounds():
 def test_spectral_blocks_validation():
     grid = Grid(0.0, 1.0, 8)
     with pytest.raises(ValueError):
-        spectral_offset_blocks(grid, "disp", 1.5, m_modes=4)
-    with pytest.raises(ValueError):
-        spectral_offset_blocks(grid, "nonsense", 1.5, m_modes=64)
+        spectral_offset_blocks(grid, 1.5, "nonsense")
 
 
 def test_assemble_accepts_wrapped_order():
     grid = Grid(0.0, 1.0, 8)
     ops = assemble_operators(grid, np.float64(1.25))
-    assert np.array_equal(ops.disp_blocks, assemble_offset_blocks(grid, 1.25))
+    assert np.array_equal(ops.disp_blocks, assemble_offset_blocks(grid, 1.25, "disp"))
 
 
 def test_operator_record_is_a_frozen_value(ops64):

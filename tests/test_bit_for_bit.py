@@ -24,10 +24,9 @@ from fkdv.assembly import (_DERIV_TABLES, _EXPLICIT_IMAGE_SHELLS, _MULTIPOLE_ORD
                            _NEAR_OFFSET, _VALUE_TABLES, _add_far_field, _kernel_binom,
                            _pair_moments, assemble_operators, frac_constant)
 from fkdv.circulant import apply_symbol
-from fkdv.diagnostics import _cubic_integral
 from fkdv.fem import (GAUSS_POINTS, GAUSS_WEIGHTS, FemFunction, Grid, _element_blocks,
-                      blocked_dot, element_shapes, gauss_values, l2_project, load_vector,
-                      mass_norm, nonlinear_load)
+                      blocked_dot, cube_integral, element_shapes, gauss_values, l2_project,
+                      load_vector, mass_norm, nonlinear_load)
 from fkdv.solutions import builtin_experiments, get_experiment
 from fkdv.stepper import MAX_PICARD_ITERS, SchemeConfig, _StepOperator, _step_symbols, run
 
@@ -149,7 +148,7 @@ def test_sup_norm_is_the_max_over_all_samples_at_once(n: int):
 @pytest.mark.parametrize("n", [64, 4111, 4113, 8195, 65536])
 def test_cubic_integral_is_the_whole_array_sum(n: int):
     u = FemFunction(Grid(-1.0, 2.0, n), np.random.default_rng(n).standard_normal(2 * n))
-    assert _cubic_integral(u) == _plain_cubic_integral(u)
+    assert cube_integral(u) == _plain_cubic_integral(u)
 
 
 @pytest.mark.parametrize("n", [4, 7, 1000, 4096, 4111])

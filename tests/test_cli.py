@@ -487,6 +487,10 @@ def test_snapshot_bad_ini_exits_two(tmp_path, tmp_path_factory, monkeypatch):
     ["snapshot", "--experiment", "bo-one", "--elements", "16.0", "--times", "0"],
     ["snapshot", "--experiment", "bo-one", "--elements", "16", "--times", "0",
      "--alpha", "abc"],
+    # Two times whose profiles one file name would hold (%g precision).
+    ["snapshot", "--experiment", "bo-one", "--elements", "16",
+     "--times", "60.0000001,60.0000002"],
+    ["snapshot", "--experiment", "bo-one", "--elements", "16", "--times", "30,30"],
 ])
 def test_snapshot_config_errors_exit_two(argv, tmp_path, monkeypatch, no_solve):
     # Without --out the files would land in the working directory; a config

@@ -12,8 +12,7 @@ operator at 3.00 against 3.50 (forming its two symbols), a step at 0.44
 against 0.75 and a three-step run at 3.51 against 4.25.  The operator and
 the run are measured with the record passed inline, as the CLI passes it,
 so its dispersion blocks go once the step symbols exist; a run whose caller
-keeps the record, as the caller's stack does before Python 3.11, peaks at
-4.01 against the same 4.25.
+keeps the record peaks at 4.01 against the same 4.25.
 
 The subprocess tests hold the BLAS thread count fixed: at two threads no
 product or sum of a solve or a diagnostic may wake a BLAS worker, and a table
@@ -36,9 +35,10 @@ import pytest
 import fkdv
 import fkdv.assembly
 from fkdv.assembly import assemble_offset_blocks, assemble_operators, gram_symbol
-from fkdv.circulant import apply_symbol, block_symbol
-from fkdv.diagnostics import _cubic_integral, hamiltonian_ratio
-from fkdv.fem import Grid, blocked_dot, l2_project, mass_bands, mass_norm, mass_offset_blocks
+from fkdv.circulant import PRODUCT_BLOCK, apply_symbol, block_symbol
+from fkdv.diagnostics import hamiltonian_ratio
+from fkdv.fem import (Grid, blocked_dot, cube_integral, l2_project, mass_bands, mass_norm,
+                      mass_offset_blocks)
 from fkdv.solutions import triangle_data
 from fkdv.stepper import SchemeConfig, _step_symbols, _StepOperator, choose_dt, run
 
@@ -46,11 +46,11 @@ from fkdv.stepper import SchemeConfig, _step_symbols, _StepOperator, choose_dt, 
 N = 16384
 SYMBOL = 64 * N
 # What a step operator owns, in symbols: (M - dt/2 D)^-1 and M + dt/2 D, a
-# complex (N, 2) FFT buffer (1/2) and its product block of 2048 frequencies
-# (1/16 here), the right-hand side (1/4) and two iterates (1/2), besides the
-# two 2x2 mass bands.  The operator record holds the dispersion blocks (1/2);
-# one passed inline is freed once the step symbols exist.
-PRODUCT_BLOCK_BYTES = 2048 * 32
+# complex (N, 2) FFT buffer (1/2) and its product block of PRODUCT_BLOCK
+# frequencies (1/16 here), the right-hand side (1/4) and two iterates (1/2),
+# besides the two 2x2 mass bands.  The operator record holds the dispersion
+# blocks (1/2); one passed inline is freed once the step symbols exist.
+PRODUCT_BLOCK_BYTES = PRODUCT_BLOCK * 32
 OPERATOR_SYMBOLS = 2.0 + 1.25 + PRODUCT_BLOCK_BYTES / SYMBOL
 BANDS_BYTES = 64
 DISP_SYMBOLS = 0.5
@@ -125,11 +125,11 @@ def test_traced_peaks_per_layer(grid, tracing):
     assert peak <= 2.75
     # The Courant step's sup norm evaluates one sample column of N points at
     # a time; all 17 columns at once held 34 symbols.
-    _, peak, _ = _traced(lambda: choose_dt(u0, grid, SchemeConfig(), 0.0, 0.1))
+    _, peak, _ = _traced(lambda: choose_dt(u0, SchemeConfig(), 0.0, 0.1))
     assert peak <= 2.5
     # C3's cubic term evaluates, cubes and sums one element block at a time;
     # the whole (E, 8) array and its cube held 2 symbols.
-    _, peak, _ = _traced(lambda: _cubic_integral(u0))
+    _, peak, _ = _traced(lambda: cube_integral(u0))
     assert peak <= 0.75
     # Forming the two symbols holds at most three at once; then the record,
     # passed inline, goes with its dispersion blocks, and the buffers come.
@@ -156,8 +156,6 @@ def test_assembly_peak_is_its_blocks_and_a_symbol(grid, kind):
     assert held == pytest.approx(0.5, abs=0.02)
 
 
-# Before 3.11 the caller's stack holds a call's arguments until it returns.
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="arguments outlive the call")
 @pytest.mark.parametrize("times", [(), (0.0,)])
 def test_a_run_lets_go_of_a_u0_that_no_time_reads(grid64, ops64, monkeypatch, times):
     alive, refs = [], []
@@ -183,8 +181,7 @@ def test_a_run_lets_go_of_a_u0_that_no_time_reads(grid64, ops64, monkeypatch, ti
 def test_a_run_frees_an_inline_record_before_its_buffers(grid64, monkeypatch):
     # run reads the record only for its step symbols and then drops its name
     # for it, so a record the caller holds no name for goes before the step
-    # operator makes its buffers.  Before Python 3.11 the caller's stack
-    # holds a call's arguments until it returns, so there the record lives.
+    # operator makes its buffers.
     alive, refs = [], []
     init, step = _StepOperator.__init__, _StepOperator.step
 
@@ -204,7 +201,7 @@ def test_a_run_frees_an_inline_record_before_its_buffers(grid64, monkeypatch):
     monkeypatch.setattr(_StepOperator, "__init__", spy_init)
     monkeypatch.setattr(_StepOperator, "step", spy_step)
     run(l2_project(grid64, np.sin), 0.0, 0.02, fresh_record(), SchemeConfig(dt_value=0.01))
-    assert alive == [sys.version_info < (3, 11)] * 3
+    assert alive == [False] * 3
 
 
 _WORKER_CPU = """
@@ -307,9 +304,8 @@ def test_a_table_is_the_same_at_any_blas_thread_count():
 def test_a_run_holds_only_its_step_operator(grid, tracing):
     u0 = l2_project(grid, triangle_data)
     cfg = SchemeConfig(dt_value=0.01)
-    # The record goes in inline, as the CLI passes it.  From Python 3.11 its
-    # blocks go once the step symbols exist; before, the caller's stack holds
-    # it until run returns, as a caller that keeps a name for it does.
+    # The record goes in inline, as the CLI passes it, so its blocks go once
+    # the step symbols exist.
     records = [assemble_operators(grid, 1.5)]
     traj, peak, held = _traced(lambda: run(u0, 0.0, 0.03, records.pop(), cfg))
     assert traj.n_steps == 3
@@ -365,7 +361,7 @@ def test_c3_assembles_the_gram_once_and_the_bundle_keeps_none(grid, monkeypatch)
     kinds = []
     assemble = fkdv.assembly.assemble_offset_blocks
 
-    def counted(on, alpha, kind="disp"):
+    def counted(on, alpha, kind):
         kinds.append(kind)
         return assemble(on, alpha, kind)
 

@@ -7,12 +7,12 @@ import math
 import numpy as np
 import pytest
 
+import fkdv.spectral
 from fkdv.assembly import assemble_operators
 from fkdv.diagnostics import relative_error
 from fkdv.fem import Grid, hermite_interpolate
 from fkdv.solutions import kdv_one_soliton, smooth_sin_data, triangle_data
 from fkdv.spectral import (
-    REFERENCE_DT_FACTOR,
     SpectralBlowup,
     SpectralGrid,
     default_spectral_dt,
@@ -39,8 +39,8 @@ def test_solve_alpha_range():
     u = np.zeros(16)
     for bad in (0.0, -1.0, 2.1):
         with pytest.raises(ValueError):
-            spectral_reference_solve(u, bad, 0.0, 0.1, grid, 0.05)
-    spectral_reference_solve(u, 2.0, 0.0, 0.1, grid, 0.05)  # alpha = 2 is allowed here
+            spectral_reference_solve(u, bad, 0.0, 0.1, grid)
+    spectral_reference_solve(u, 2.0, 0.0, 0.1, grid)  # alpha = 2 is allowed here
 
 
 def test_parseval_between_samples_and_modes():
@@ -64,16 +64,14 @@ def test_solve_validations():
     grid = SpectralGrid(0.0, 2.0 * np.pi, 64)
     u0 = np.zeros(64)
     with pytest.raises(ValueError):
-        spectral_reference_solve(u0, 1.5, 1.0, 1.0, grid, 0.1)
+        spectral_reference_solve(u0, 1.5, 1.0, 1.0, grid)
     with pytest.raises(ValueError):
-        spectral_reference_solve(u0, 1.5, 0.0, 1.0, grid, 0.0)
-    with pytest.raises(ValueError):
-        spectral_reference_solve(np.zeros(32), 1.5, 0.0, 1.0, grid, 0.1)
+        spectral_reference_solve(np.zeros(32), 1.5, 0.0, 1.0, grid)
 
 
 def test_zero_data_stays_zero():
     grid = SpectralGrid(0.0, 2.0 * np.pi, 64)
-    out = spectral_reference_solve(np.zeros(64), 1.5, 0.0, 1.0, grid, 0.05)
+    out = spectral_reference_solve(np.zeros(64), 1.5, 0.0, 1.0, grid)
     assert np.max(np.abs(out)) == 0.0
 
 
@@ -118,27 +116,29 @@ def test_half_spectrum_solve_matches_complex_fft_oracle(data, m):
     (left, right), initial = PARITY_DATA[data]
     grid = SpectralGrid(left, right, m)
     u0 = initial(grid.points())
-    dt = REFERENCE_DT_FACTOR * default_spectral_dt(u0, grid)
+    # The solver's own step: 300 of them span the run.
+    dt = fkdv.spectral.REFERENCE_DT_FACTOR * default_spectral_dt(u0, grid)
     for alpha in (1.0, 1.5, 1.999, 2.0):
-        got = spectral_reference_solve(u0, alpha, 0.0, 300 * dt, grid, dt)
+        got = spectral_reference_solve(u0, alpha, 0.0, 300 * dt, grid)
         want = _complex_fft_solve(u0, alpha, 0.0, 300 * dt, grid, dt)
         assert got.dtype == np.float64 and got.shape == (m,)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_blowup_is_reported():
+def test_blowup_is_reported(monkeypatch):
+    # 200 times the reference step is 20 advective limits.
+    monkeypatch.setattr(fkdv.spectral, "REFERENCE_DT_FACTOR", 20.0)
     grid = SpectralGrid(0.0, 2.0 * np.pi, 4096)
     u0 = smooth_sin_data(grid.points())
     with pytest.raises(SpectralBlowup, match="blew up"), \
             np.errstate(over="ignore", invalid="ignore"):
-        spectral_reference_solve(u0, 1.5, 0.0, 200.0, grid, 20.0)
+        spectral_reference_solve(u0, 1.5, 0.0, 200.0, grid)
 
 
 def test_l2_norm_conserved_on_smooth_run():
     grid = SpectralGrid(0.0, 2.0 * np.pi, 4096)
     u0 = smooth_sin_data(grid.points())
-    dt = REFERENCE_DT_FACTOR * default_spectral_dt(u0, grid)
-    uT = spectral_reference_solve(u0, 1.5, 0.0, 1.0, grid, dt)
+    uT = spectral_reference_solve(u0, 1.5, 0.0, 1.0, grid)
     n0 = np.sqrt(np.mean(u0 * u0))
     nT = np.sqrt(np.mean(uT * uT))
     assert abs(nT - n0) / n0 < 1e-8
@@ -150,8 +150,7 @@ def test_advects_kdv_soliton_exactly():
     grid = SpectralGrid(-15.0, 15.0, 4096)
     x = grid.points()
     u0 = kdv_one_soliton(x, 0.0)
-    dt = REFERENCE_DT_FACTOR * default_spectral_dt(u0, grid)
-    u1 = spectral_reference_solve(u0, 2.0, 0.0, 1.0, grid, dt)
+    u1 = spectral_reference_solve(u0, 2.0, 0.0, 1.0, grid)
     want = kdv_one_soliton(x, 1.0)
     rel = np.linalg.norm(u1 - want) / np.linalg.norm(want)
     assert rel < 1e-6
@@ -167,7 +166,6 @@ def test_galerkin_run_matches_spectral_reference():
     traj = run(u0, 0.0, 1.0, ops, SchemeConfig())
     sgrid = SpectralGrid(0.0, 2.0 * np.pi, 4096)
     s0 = smooth_sin_data(sgrid.points())
-    dt = REFERENCE_DT_FACTOR * default_spectral_dt(s0, sgrid)
-    ref = spectral_reference_solve(s0, 1.5, 0.0, 1.0, sgrid, dt)
+    ref = spectral_reference_solve(s0, 1.5, 0.0, 1.0, sgrid)
     rel = relative_error(traj.final, ref[:: 4096 // n])
     assert rel < 5e-3

@@ -117,7 +117,7 @@ def test_courant_dt_from_soliton_peak():
                              lambda x: kdv_one_soliton_dx(x, 0.0))
     # The soliton peaks at exactly 9 on a node, so dt = dx / 9, which
     # divides a span of 100 such steps.
-    dt = choose_dt(u0, grid, SchemeConfig(), 0.0, 100 * grid.dx / 9.0)
+    dt = choose_dt(u0, SchemeConfig(), 0.0, 100 * grid.dx / 9.0)
     assert dt == pytest.approx(grid.dx / 9.0, rel=1e-12)
 
 
@@ -133,14 +133,14 @@ def test_explicit_dt_step_count(grid64, ops64):
 def test_proportional_dt_rule(grid64):
     u0 = l2_project(grid64, np.sin)
     cfg = SchemeConfig(dt_factor=0.5)
-    dt = choose_dt(u0, grid64, cfg, 0.0, 10 * grid64.dx)
+    dt = choose_dt(u0, cfg, 0.0, 10 * grid64.dx)
     assert dt == pytest.approx(0.5 * grid64.dx)
 
 
 def test_choose_dt_snaps_down_to_divide_span(grid64):
     u0 = l2_project(grid64, np.sin)
     cfg = SchemeConfig(dt_value=0.3)
-    dt = choose_dt(u0, grid64, cfg, 0.0, 1.0)
+    dt = choose_dt(u0, cfg, 0.0, 1.0)
     assert dt == pytest.approx(0.25)
 
 
@@ -148,10 +148,10 @@ def test_choose_dt_sign_mismatch_raises(grid64):
     u0 = l2_project(grid64, np.sin)
     cfg = SchemeConfig(dt_value=0.1)
     with pytest.raises(ValueError):
-        choose_dt(u0, grid64, cfg, 0.0, -1.0)
+        choose_dt(u0, cfg, 0.0, -1.0)
     zero = l2_project(grid64, lambda x: np.zeros_like(x))
     with pytest.raises(ValueError):
-        choose_dt(zero, grid64, SchemeConfig(), 0.0, 1.0)
+        choose_dt(zero, SchemeConfig(), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
