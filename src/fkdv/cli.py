@@ -18,6 +18,7 @@ import configparser
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 
@@ -470,9 +471,7 @@ def _cmd_snapshot(args) -> int:
         print(f"snapshot N={elements} failed: {exc}", file=sys.stderr)
         return EXIT_ALL_DIVERGED
     for name, t in names.items():
-        ref = None
-        if spec.reference is not None and t == spec.t_final:
-            ref = spec.reference
+        ref = None if spec.exact is None else partial(spec.exact, t=t)
         emit_snapshot(traj.profiles[t], out / name, reference=ref)
         print(f"wrote {out / name}", file=sys.stderr)
     return EXIT_OK

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -367,8 +368,7 @@ def test_snapshot_writes_profiles(tmp_path):
     crest = float(bo_soliton(np.array([0.0]), 0.0)[0])
     early = np.loadtxt(tmp_path / "bo-one-N64-t0.txt")
     final = np.loadtxt(tmp_path / "bo-one-N64-t120.txt")
-    assert early.shape == (64, 2)
-    assert final.shape == (64, 3)  # closed-form column only at the final time
+    assert early.shape == final.shape == (64, 3)
     np.testing.assert_allclose(early[:, 0], np.linspace(-15.0, 15.0, 65)[:-1],
                                atol=1e-9)
     # the wave returns to its starting position after one period
@@ -382,6 +382,17 @@ def test_snapshot_writes_profiles(tmp_path):
     assert rc == 0
     assert ((tmp_path / "past" / "bo-one-N64-t120.txt").read_bytes()
             == (tmp_path / "bo-one-N64-t120.txt").read_bytes())
+
+
+def test_snapshot_writes_the_closed_form_at_every_time(tmp_path):
+    rc, _, _ = _invoke(["snapshot", "--experiment", "bo-one", "--elements", "16",
+                        "--times", "0,60,120", "--out", str(tmp_path)])
+    assert rc == 0
+    for t in (0.0, 60.0, 120.0):
+        cols = np.loadtxt(tmp_path / f"bo-one-N16-t{t:g}.txt")
+        assert cols.shape == (16, 3)
+        want = [float(f"{v:.12g}") for v in bo_soliton(cols[:, 0], t)]
+        assert cols[:, 2].tolist() == want
 
 
 @pytest.mark.parametrize("n", [32, 64, 256])
@@ -413,7 +424,7 @@ def test_snapshot_profiles_match_a_run_that_keeps_every_state(n, tmp_path):
         name = f"bo-one-N{n}-t{t:g}.txt"
         emit_snapshot(FemFunction(grid, (1.0 - theta) * lo + theta * hi),
                       tmp_path / "full" / name,
-                      reference=spec.reference if t == spec.t_final else None)
+                      reference=partial(spec.exact, t=t))
         lean = (tmp_path / "lean" / name).read_bytes()
         assert lean == (tmp_path / "full" / name).read_bytes()
 
@@ -439,7 +450,7 @@ def test_snapshot_follows_the_files_step_size(tmp_path):
     for t in times:
         name = f"bo-one-N16-t{t:g}.txt"
         emit_snapshot(traj.profiles[t], tmp_path / "run" / name,
-                      reference=spec.reference if t == spec.t_final else None)
+                      reference=partial(spec.exact, t=t))
         assert ((tmp_path / "ini" / name).read_bytes()
                 == (tmp_path / "run" / name).read_bytes())
     assert ((tmp_path / "ini" / "bo-one-N16-t1.3.txt").read_bytes()

@@ -101,6 +101,33 @@ def _complex_fft_solve(u0_samples, a, t0, t_final, grid, dt):
     return np.fft.ifft(v).real
 
 
+def _half_spectrum_solve(u0_samples, a, t0, t_final, grid, dt):
+    """The rfft loop forming every stage over all m/2+1 modes, kept as an oracle."""
+    span = t_final - t0
+    steps = max(1, math.ceil(span / dt - 1e-9))
+    dt = span / steps
+
+    k = grid.wavenumbers
+    band = grid.m // 3 + 1
+    half = np.exp(0.5 * dt * (1j * k * k ** a))
+    full = half * half
+    deriv = -0.5j * k
+    deriv[band:] = 0.0
+
+    def rhs(v: np.ndarray) -> np.ndarray:
+        w = np.fft.irfft(v[:band], grid.m)
+        return deriv * np.fft.rfft(w * w)
+
+    v = np.fft.rfft(u0_samples)
+    for n in range(steps):
+        k1 = dt * rhs(v)
+        k2 = dt * rhs(half * (v + 0.5 * k1))
+        k3 = dt * rhs(half * v + 0.5 * k2)
+        k4 = dt * rhs(full * v + half * k3)
+        v = full * v + (full * k1 + 2.0 * half * (k2 + k3) + k4) / 6.0
+    return np.fft.irfft(v, grid.m)
+
+
 PARITY_DATA = {
     "triangle": ((-10.0, 10.0), triangle_data),
     "kdv-soliton": ((-15.0, 15.0), lambda x: kdv_one_soliton(x, 0.0)),
@@ -125,14 +152,32 @@ def test_half_spectrum_solve_matches_complex_fft_oracle(data, m):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("m", [16, 256, 1024])
+@pytest.mark.parametrize("data", sorted(PARITY_DATA))
+def test_band_stages_match_half_spectrum_oracle_bit_for_bit(data, m):
+    # Above the 2/3-rule band every RK4 increment is zero, so forming the
+    # stages on the band alone must not change a single bit.
+    (left, right), initial = PARITY_DATA[data]
+    grid = SpectralGrid(left, right, m)
+    u0 = initial(grid.points())
+    dt = fkdv.spectral.REFERENCE_DT_FACTOR * default_spectral_dt(u0, grid)
+    for alpha in (1.0, 1.5, 1.999, 2.0):
+        got = spectral_reference_solve(u0, alpha, 0.0, 300 * dt, grid)
+        want = _half_spectrum_solve(u0, alpha, 0.0, 300 * dt, grid, dt)
+        assert np.array_equal(got, want)
+
+
 def test_blowup_is_reported(monkeypatch):
     # 200 times the reference step is 20 advective limits.
     monkeypatch.setattr(fkdv.spectral, "REFERENCE_DT_FACTOR", 20.0)
     grid = SpectralGrid(0.0, 2.0 * np.pi, 4096)
     u0 = smooth_sin_data(grid.points())
-    with pytest.raises(SpectralBlowup, match="blew up"), \
+    with pytest.raises(SpectralBlowup, match="blew up") as info, \
             np.errstate(over="ignore", invalid="ignore"):
         spectral_reference_solve(u0, 1.5, 0.0, 200.0, grid)
+    # Every step is checked, so the first non-finite step is the one named.
+    assert info.value.step == 8
+    assert info.value.time == pytest.approx(0.234432, abs=1e-6)
 
 
 def test_l2_norm_conserved_on_smooth_run():
