@@ -558,12 +558,12 @@ def operator_identity_report(alpha, n_elems: int) -> dict:
     # norms (Parseval) and eigenvalues come from the symbols, at any N.
     norm = np.linalg.norm
     disp, gram = block_symbol(disp_blocks), block_symbol(gram_blocks)
-    disp_t, gram_t = (s.conj().transpose(0, 2, 1) for s in (disp, gram))
+    disp_t, gram_t = (s.conj().transpose(1, 0, 2) for s in (disp, gram))
     record("disp_skew_symmetry", norm(disp + disp_t) / norm(disp), 1e-10)
-    mass_eigs = np.linalg.eigvalsh(block_symbol(mass_offset_blocks(grid)))
+    mass_eigs = np.linalg.eigvalsh(block_symbol(mass_offset_blocks(grid)).transpose(2, 0, 1))
     record("mass_spd_min_eig_negative_part", max(0.0, -mass_eigs.min()), 0.0)
     record("gram_symmetry", norm(gram - gram_t) / norm(gram), 1e-12)
-    gram_eigs = np.linalg.eigvalsh(gram)
+    gram_eigs = np.linalg.eigvalsh(gram.transpose(2, 0, 1))
     scale = np.abs(gram_eigs).max()
     record("gram_psd_negative_part", max(0.0, -gram_eigs.min()) / scale, 1e-10)
     const = np.zeros(grid.n_dofs)

@@ -105,7 +105,8 @@ def spectral_reference_solve(u0_samples: np.ndarray, alpha, t0: float,
 
     # A stage is the band view of a zero-padded buffer, the input irfft builds
     # from v[:band].  Products keep the operand order, and sums the order, of
-    # v' = full v + (full k1 + 2 half (k2 + k3) + k4) / 6 over all modes.
+    # v' = full v + (full k1 + 2 half (k2 + k3) + k4) / 6 over all modes; the
+    # / 6 is a product by fl(1/6), as numpy's complex division by 6 forms it.
     k = grid.wavenumbers
     band = grid.m // 3 + 1
     half = np.exp(0.5 * dt * (1j * k * k ** a))
@@ -135,7 +136,7 @@ def spectral_reference_solve(u0_samples: np.ndarray, alpha, t0: float,
         rhs(k4)
         np.multiply(twice_half_b, np.add(k2, k3, out=k2), out=k2)
         np.add(np.add(np.multiply(full_b, k1, out=k1), k2, out=k1), k4, out=k1)
-        np.add(fv[:band], np.divide(k1, 6.0, out=k1), out=fv[:band])
+        np.add(fv[:band], np.multiply(k1, 1.0 / 6.0, out=k1), out=fv[:band])
         v, fv = fv, v
         if not np.all(np.isfinite(v)):
             raise SpectralBlowup(n + 1, t0 + (n + 1) * dt)

@@ -141,7 +141,7 @@ def choose_dt(u0: FemFunction, cfg: SchemeConfig, t0: float, t_final: float) -> 
 
 def _step_symbols(ops: OperatorMatrices, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """(M - dt/2 D)^-1 and M + dt/2 D, read off the record with at most three
-    complex (N, 2, 2) arrays alive: the mass symbol's buffer becomes M + dt/2 D."""
+    complex (2, 2, N) arrays alive: the mass symbol's buffer becomes M + dt/2 D."""
     mass = block_symbol(mass_offset_blocks(ops.grid))
     half = block_symbol(ops.disp_blocks)
     half *= 0.5 * dt
@@ -154,7 +154,7 @@ def _step_symbols(ops: OperatorMatrices, dt: float) -> tuple[np.ndarray, np.ndar
 class _StepOperator:
     """What a run holds besides its states, for one (grid, alpha, dt): the
     step symbols a_inv and b_symbol, the M-norm's two mass bands and the
-    arrays a step writes: a complex (N, 2) FFT buffer, which is real scratch
+    arrays a step writes: a complex (2, N) FFT buffer, which is real scratch
     between applies, a product block of at most PRODUCT_BLOCK frequencies,
     the right-hand side M u_n + dt/2 D u_n and two iterates that take turns."""
 
@@ -163,9 +163,9 @@ class _StepOperator:
         self.bands = mass_bands(grid)
         self.a_inv, self.b_symbol = a_inv, b_symbol
         n = grid.n_elems
-        self.fft = (np.empty((n, 2), dtype=complex),
-                    np.empty((min(n, PRODUCT_BLOCK), 2), dtype=complex))
-        self.spare = self.fft[0].view(float).reshape(2, 2 * n)
+        self.fft = (np.empty((2, n), dtype=complex),
+                    np.empty((2, min(n, PRODUCT_BLOCK)), dtype=complex))
+        self.spare = self.fft[0].view(float)
         self.b0 = np.empty(2 * n)
         self.iterates = (np.empty(2 * n), np.empty(2 * n))
 

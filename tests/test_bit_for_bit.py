@@ -1,9 +1,10 @@
 """The hot paths against the plain formulas they replaced, bit for bit.
 
-The element gather and scatter, the nonlinear load, the circulant apply and
-the far-field multipoles are written out below as they were first written:
-reshaped float gathers, one (E, 8) array of Gauss values, an FFT that
-allocates its output and np.vander.  The fast forms must round exactly as
+The element gather and scatter, the nonlinear load and the far-field
+multipoles are written out below as they were first written: reshaped float
+gathers, one (E, 8) array of Gauss values and np.vander.  The circulant
+symbol, inverse and apply are dense_circulant's (N, 2, 2) forms, with an
+FFT that allocates its output.  The fast forms must round exactly as
 these do, since a 1-ulp change can move the benchmark tables past their
 gates.  The element counts 4097, 4099 and 8195 leave a 1- or 3-element tail
 after the 4096-element blocks of the element products; a product of one row
@@ -23,12 +24,13 @@ from fkdv import assembly
 from fkdv.assembly import (_DERIV_TABLES, _EXPLICIT_IMAGE_SHELLS, _MULTIPOLE_ORDER,
                            _NEAR_OFFSET, _VALUE_TABLES, _add_far_field, _kernel_binom,
                            _pair_moments, assemble_operators, frac_constant)
-from fkdv.circulant import apply_symbol
+from fkdv.circulant import _invert_symbol_inplace, apply_symbol, block_symbol
 from fkdv.fem import (GAUSS_POINTS, GAUSS_WEIGHTS, FemFunction, Grid, _element_blocks,
                       blocked_dot, cube_integral, element_shapes, gauss_values, l2_project,
                       load_vector, mass_norm, nonlinear_load)
 from fkdv.solutions import builtin_experiments, get_experiment
 from fkdv.stepper import MAX_PICARD_ITERS, SchemeConfig, _StepOperator, _step_symbols, run
+from dense_circulant import plain_apply, plain_inverse, plain_symbol
 
 SIZES = [4, 7, 1000, 4097, 4099, 8195]
 
@@ -74,14 +76,6 @@ def _plain_load_vector(grid: Grid, func) -> np.ndarray:
         fvals[:, k] = np.asarray(func(nodes + xi * grid.dx), dtype=float) * grid.dx
     return _plain_scatter(np.concatenate(
         [fvals[lo:hi] @ _VALUE_TESTS for lo, hi in _plain_blocks(grid.n_elems)]))
-
-
-def _plain_apply(symbol: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    n = symbol.shape[0]
-    chat = np.fft.fft(coeffs.reshape(n, 2), axis=0)
-    yhat = np.einsum("rab,rb->ra", symbol, chat)
-    np.fft.ifft(yhat, axis=0, out=chat)
-    return chat.real.reshape(-1).copy()
 
 
 def _plain_far_field(blocks, beta, h, pair_mom, binom, shells):
@@ -172,20 +166,30 @@ def test_blocked_dot_sums_per_block_dots_in_order(n: int):
 
 
 @pytest.mark.parametrize("n", SIZES)
+def test_symbol_and_inverse_match_per_entry_forms(n: int):
+    blocks = np.random.default_rng(n).standard_normal((n, 2, 2))
+    symbol = block_symbol(blocks)
+    want = plain_symbol(blocks)
+    assert np.array_equal(symbol.transpose(2, 0, 1), want)
+    assert np.array_equal(_invert_symbol_inplace(symbol).transpose(2, 0, 1),
+                          plain_inverse(want))
+
+
+@pytest.mark.parametrize("n", SIZES + [16384, 65536])
 def test_apply_matches_allocating_apply(n: int):
     rng = np.random.default_rng(n)
-    symbol = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+    symbol = rng.standard_normal((2, 2, n)) + 1j * rng.standard_normal((2, 2, n))
     coeffs = rng.standard_normal(2 * n)
-    want = _plain_apply(symbol, coeffs)
+    want = plain_apply(np.ascontiguousarray(symbol.transpose(2, 0, 1)), coeffs)
     assert np.array_equal(apply_symbol(symbol, coeffs), want)
     out = np.empty(2 * n)
-    buffers = (np.empty((n, 2), dtype=complex), np.empty((n, 2), dtype=complex))
+    buffers = (np.empty((2, n), dtype=complex), np.empty((2, n), dtype=complex))
     assert apply_symbol(symbol, coeffs, out, buffers) is out
     assert np.array_equal(out, want)
     # The product goes back a block of frequencies at a time, as in a step;
     # no block size, a ragged last block included, moves a bit.
-    for rows in (1, 3, 2048):
-        buffers = (buffers[0], np.empty((min(n, rows), 2), dtype=complex))
+    for cols in (1, 3, 2048):
+        buffers = (buffers[0], np.empty((2, min(n, cols)), dtype=complex))
         assert np.array_equal(apply_symbol(symbol, coeffs, out, buffers), want)
 
 
@@ -206,17 +210,19 @@ def test_far_field_matches_vander(n: int, alpha: float):
 def _plain_run(u0: FemFunction, ops, dt: float, steps: int, tol_factor: float):
     """The Picard loop with the plain load and apply: (states, iterations)."""
     operator = _StepOperator(ops.grid, dt, *_step_symbols(ops, dt))
+    a_inv, b_symbol = (np.ascontiguousarray(s.transpose(2, 0, 1))
+                       for s in (operator.a_inv, operator.b_symbol))
     u, norm_u = u0.coeffs, mass_norm(u0.coeffs, operator.bands)
     states, iters = [u], []
     for _ in range(steps):
         tol = tol_factor * u0.grid.dx * norm_u
-        b0 = _plain_apply(operator.b_symbol, u)
+        b0 = plain_apply(b_symbol, u)
         w = u
         for k in range(1, MAX_PICARD_ITERS + 1):
             q = _plain_load(w, u)
             q *= 0.5 * dt
             q += b0
-            w_new = _plain_apply(operator.a_inv, q)
+            w_new = plain_apply(a_inv, q)
             res = mass_norm(w_new - w, operator.bands)
             w = w_new
             if res <= tol:
