@@ -40,8 +40,9 @@ __all__ = [
 # Picard iterations allowed per step before FixedPointDivergence.
 MAX_PICARD_ITERS = 100
 
-# A requested time within this fraction of the span of either end of a run
-# is taken as that end; one further outside the span is rejected.
+# A requested time within this fraction of the run's span of a step time
+# reads that step's state, and of an end is taken as that end; a time further
+# outside the span is rejected.
 TIME_WINDOW = 1e-9
 
 
@@ -220,12 +221,12 @@ def run(u0: FemFunction, t0: float, t_final: float, ops: OperatorMatrices,
         cfg: SchemeConfig, times: Iterable[float] = ()) -> Trajectory:
     """March from t0 to t_final; profiles[t] is the state at each t in times.
 
-    u(t) is piecewise linear between the half-step averages
-    u^{n+1/2} = (u^n + u^{n+1})/2, and the first and last half steps blend
-    toward u^0 and the final state.  So a time reads at most three states,
-    u^{n-1}, u^n and u^{n+1}, and the run keeps only those, u^0 too: a u0
-    that no time reads and the caller holds no name for is freed after the
-    first step.  A time outside [t0, t_final] raises ValueError up front.
+    u(t) is piecewise linear between the states: (1 - theta) u^n + theta
+    u^{n+1} between steps n and n+1, and a step time's profile is that state
+    itself, so profiles[t_final] is final.  So a time reads at most two
+    states, and the run keeps only those, u^0 too: a u0 that no time reads
+    and the caller holds no name for is freed after the first step.  A time
+    outside [t0, t_final] raises ValueError up front.
 
     One step operator, with its buffers, serves every step, so the only new
     array of size N a step makes is the state it returns.  ops is only read,
@@ -240,7 +241,7 @@ def run(u0: FemFunction, t0: float, t_final: float, ops: OperatorMatrices,
     dt = choose_dt(u0, cfg, t0, t_final)
     steps = round((t_final - t0) / dt)
     blends = {t: _blend(t0, dt, steps, t) for t in times}
-    keep = {n for _, lo, hi in blends.values() for n in (*lo, *hi)}
+    keep = {n for _, lo, hi in blends.values() for n in (lo, hi)}
     symbols = _step_symbols(ops, dt)
     del ops     # a record passed inline goes before the buffers are made
     operator = _StepOperator(grid, dt, *symbols)
@@ -256,9 +257,8 @@ def run(u0: FemFunction, t0: float, t_final: float, ops: OperatorMatrices,
             states[n] = u
     profiles = {}
     for t, (theta, lo, hi) in blends.items():
-        # (u^n + u^n)/2 is exactly u^n: doubling and halving are exact.
-        lo, hi = (0.5 * (states[a].coeffs + states[b].coeffs) for a, b in (lo, hi))
-        profiles[t] = FemFunction(grid, (1.0 - theta) * lo + theta * hi)
+        profiles[t] = states[lo] if lo == hi else FemFunction(
+            grid, (1.0 - theta) * states[lo].coeffs + theta * states[hi].coeffs)
     return Trajectory(dt, u, profiles, reports)
 
 
@@ -278,13 +278,11 @@ def snap_time(t: float, t0: float, t_final: float) -> float:
 
 
 def _blend(t0: float, dt: float, steps: int, t: float):
-    """(theta, lo, hi): u(t) = (1 - theta) u^lo + theta u^hi, where a pair
-    of steps (n, k) stands for (u^n + u^k)/2."""
+    """(theta, lo, hi): u(t) = (1 - theta) u^lo + theta u^hi between steps,
+    and lo = hi = n within TIME_WINDOW times the span of step n's time."""
     s = (snap_time(t, t0, t0 + steps * dt) - t0) / dt
-    s = min(max(s, 0.0), float(steps))
-    if s <= 0.5:
-        return 2.0 * s, (0, 0), (0, 1)
-    if s >= steps - 0.5:
-        return 2.0 * (s - (steps - 0.5)), (steps - 1, steps), (steps, steps)
-    n = int(math.floor(s + 0.5))
-    return s - (n - 0.5), (n - 1, n), (n, n + 1)
+    n = round(s)
+    if abs(s - n) <= TIME_WINDOW * steps:
+        return 0.0, n, n
+    n = math.floor(s)
+    return s - n, n, n + 1

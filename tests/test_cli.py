@@ -420,13 +420,28 @@ def test_snapshot_profiles_match_a_run_that_keeps_every_state(n, tmp_path):
     assert np.array_equal(states[-1], traj.final.coeffs)
     for t in times:
         theta, lo, hi = _blend(0.0, traj.dt, traj.n_steps, t)
-        lo, hi = (0.5 * (states[a] + states[b]) for a, b in (lo, hi))
+        profile = states[lo] if lo == hi else (
+            (1.0 - theta) * states[lo] + theta * states[hi])
         name = f"bo-one-N{n}-t{t:g}.txt"
-        emit_snapshot(FemFunction(grid, (1.0 - theta) * lo + theta * hi),
-                      tmp_path / "full" / name,
+        emit_snapshot(FemFunction(grid, profile), tmp_path / "full" / name,
                       reference=partial(spec.exact, t=t))
         lean = (tmp_path / "lean" / name).read_bytes()
         assert lean == (tmp_path / "full" / name).read_bytes()
+
+
+@pytest.mark.parametrize("n", [32, 256])
+def test_snapshot_at_a_step_time_is_the_state_a_run_to_it_ends_in(n, tmp_path):
+    # With dt_value = 0.5 a run to 3 and a run to 6 take the same step, so
+    # the profile at t = 3 is one state, whichever run it comes from.
+    for t_final in (3, 6):
+        ini = tmp_path / f"to{t_final}.ini"
+        ini.write_text(f"[experiment]\nbase = bo-one\nt_final = {t_final}\n"
+                       "dt_value = 0.5\n")
+        rc, _, _ = _invoke(["snapshot", "--experiment", str(ini), "--elements", str(n),
+                            "--times", "3", "--out", str(tmp_path / f"to{t_final}")])
+        assert rc == 0
+    name = f"bo-one-N{n}-t3.txt"
+    assert (tmp_path / "to3" / name).read_bytes() == (tmp_path / "to6" / name).read_bytes()
 
 
 def test_snapshot_follows_the_files_step_size(tmp_path):

@@ -173,9 +173,10 @@ def test_a_run_lets_go_of_a_u0_that_no_time_reads(grid64, ops64, monkeypatch, ti
 
     monkeypatch.setattr(_StepOperator, "step", spy)
     traj = run(fresh_u0(), 0.0, 0.03, ops64, SchemeConfig(dt_value=0.01), times)
-    # u^0 goes once the first step returns, unless u(t0) reads it.
+    # u^0 goes once the first step returns, unless u(t0) reads it; then it
+    # is that profile, and lives as long as the trajectory.
     assert alive == [True, bool(times), bool(times)]
-    assert refs[0]() is None
+    assert refs[0]() is (traj.profiles[0.0] if times else None)
     assert list(traj.profiles) == list(times)
 
 
