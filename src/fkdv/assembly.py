@@ -324,20 +324,30 @@ def _image_tail_blocks(n: int, beta: float, h: float,
                     2.0 * (-1.0) ** k * binom[:, None] * (n * h) ** -p
                     * (num / np.cumprod(np.maximum(r, 1.0))) * zetas[k + r], 0.0)
     table = np.einsum("kr,kab->rab", coef, pair_mom).reshape(-1, 4)
-    out = polyval(np.arange(n) / n - 0.5, table).T     # Horner in y, (n, 4)
-    return -frac_constant(beta) * out.reshape(n, 2, 2)
+    # Horner in y in one (n, 4) array, each step as polyval takes it:
+    # table[-1] + 0 y, then table[i] + (previous) y.
+    y = (np.arange(n) / n - 0.5)[:, None]
+    out = np.multiply(y, 0.0, out=np.empty((n, 4)))
+    out += table[-1]
+    for row in table[-2::-1]:
+        out *= y
+        out += row
+    out *= -frac_constant(beta)
+    return out.reshape(n, 2, 2)
 
 
 def _enforce_structure(blocks: np.ndarray, kind: str) -> np.ndarray:
-    """Project onto exact (skew-)symmetry; the raw defect is quadrature noise."""
+    """Project onto exact (skew-)symmetry; the raw defect is quadrature noise.
+
+    The mirrored blocks are the one copy made besides the result, and they
+    hold the |blocks| and the defect once the result is formed.
+    """
     n = blocks.shape[0]
-    mirror = np.transpose(blocks[(-np.arange(n)) % n], (0, 2, 1))
-    if kind == "disp":
-        sym = 0.5 * (blocks - mirror)
-    else:
-        sym = 0.5 * (blocks + mirror)
-    scale = np.max(np.abs(blocks)) or 1.0
-    defect = np.max(np.abs(blocks - sym)) / scale
+    mirror = blocks[(-np.arange(n)) % n]
+    sym = (np.subtract if kind == "disp" else np.add)(blocks, mirror.transpose(0, 2, 1))
+    sym *= 0.5
+    scale = np.max(np.abs(blocks, out=mirror)) or 1.0
+    defect = np.max(np.abs(np.subtract(blocks, sym, out=mirror), out=mirror)) / scale
     if defect > 1e-6:
         raise RuntimeError(
             f"{kind} assembly lost its algebraic structure (defect {defect:.2e})")

@@ -38,6 +38,7 @@ __all__ = [
     "gauss_values",
     "blocked_dot",
     "cube_integral",
+    "load_buffers",
     "nonlinear_load",
     "hermite_interpolate",
     "l2_project",
@@ -114,10 +115,12 @@ _BLOCK = 4096
 _MIN_BLOCK = 16
 
 
-def _element_blocks(n: int) -> list[tuple[int, int]]:
-    """(lo, hi) element ranges of the block rule, in order, covering 0..n."""
+@lru_cache(maxsize=None)
+def _element_blocks(n: int) -> tuple[tuple[int, int], ...]:
+    """(lo, hi) element ranges of the block rule, in order, covering 0..n;
+    worked out once per n."""
     cuts = [0, *range(_BLOCK, n - _MIN_BLOCK + 1, _BLOCK), n]
-    return list(zip(cuts, cuts[1:]))
+    return tuple(zip(cuts, cuts[1:]))
 
 
 def gauss_values(coeffs: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -150,42 +153,46 @@ def cube_integral(u: FemFunction) -> float:
     return float(u.grid.dx * total)
 
 
-def _scatter_blocks(n: int, block_loads, out: np.ndarray) -> np.ndarray:
-    """Sum into out the element loads that block_loads(lo, hi) gives for each
-    element block, as (hi - lo, 2) complex node pairs (left node, right node)
-    in a reusable buffer: a complex add is a node's two float adds."""
-    nodal = out.view(complex)
-    for lo, hi in _element_blocks(n):
-        p = block_loads(lo, hi)
-        np.add(p[1:, 0], p[:-1, 1], out=nodal[lo + 1:hi])
-        if lo:
-            nodal[lo] = p[0, 0] + right
-        else:
-            first = p[0, 0]
-        right = p[-1, 1]
-    nodal[0] = first + right
-    return out
+def _scatter_block(nodal: np.ndarray, lo: int, hi: int, loads: np.ndarray, right):
+    """Sum into nodal the element loads of block lo..hi, (hi - lo, 2) complex
+    node pairs (left node, right node): a complex add is a node's two float
+    adds.  right is the last right-node load of the block before, or None for
+    the first block, whose first left-node load waits in nodal[0] for the
+    last block's; returns this block's last right-node load."""
+    np.add(loads[1:, 0], loads[:-1, 1], out=nodal[lo + 1:hi])
+    nodal[lo] = loads[0, 0] if right is None else loads[0, 0] + right
+    return loads[-1, 1]
 
 
-def nonlinear_load(a: np.ndarray, b: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
+def load_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """nonlinear_load's buffers for n elements, sized for its largest element
+    block of m <= 4111 elements: the half-sums at its m + 1 nodes, its
+    element dofs and loads as (m, 2) complex node pairs and its (m, 8) Gauss
+    values; 112 bytes an element, 450 KiB at most."""
+    rows = max(hi - lo for lo, hi in _element_blocks(n))
+    return (np.empty(rows + 1, dtype=complex), np.empty((rows, 2), dtype=complex),
+            np.empty((rows, GAUSS_POINTS.size)))
+
+
+def nonlinear_load(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
+                   buffers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+                   ) -> np.ndarray:
     """q_i = <((a + b)/2)^2, d/dx v_i> for coefficient vectors a and b.
 
     Exact for the degree-6 integrand; the 1/dx of the test derivative cancels
     the element jacobian.  Gather, Gauss values, square, loads and scatter
-    run per element block in small buffers, so no (E, 8) array is formed.
+    run one element block at a time in ``buffers``, load_buffers(n) for a
+    and b of n elements, made if not given; so no (E, 8) array is formed.
     The result goes into ``out`` (a contiguous float array) if given.
     """
     if a.shape != b.shape:
         raise ValueError(f"coefficient vectors differ in shape: {a.shape}, {b.shape}")
     a_pairs, b_pairs = _node_pairs(a), _node_pairs(b)
     n = a_pairs.shape[0]
-    rows = max(hi - lo for lo, hi in _element_blocks(n))
-    half = np.empty(rows + 1, dtype=complex)
-    pairs = np.empty((rows, 2), dtype=complex)
-    values = np.empty((rows, GAUSS_POINTS.size))
-
-    def block_loads(lo, hi):
+    half, pairs, values = buffers or load_buffers(n)
+    out = np.empty(2 * n) if out is None else out
+    nodal, right = out.view(complex), None
+    for lo, hi in _element_blocks(n):
         m = hi - lo
         h, p, v = half[:m + 1], pairs[:m], values[:m]
         # Half-sums at nodes lo..hi, where node n is node 0.
@@ -197,9 +204,9 @@ def nonlinear_load(a: np.ndarray, b: np.ndarray,
         np.matmul(p.view(float), _GAUSS_SHAPES, out=v)
         np.square(v, out=v)
         np.matmul(v, _GAUSS_TESTS[1], out=p.view(float))
-        return p
-
-    return _scatter_blocks(n, block_loads, np.empty(2 * n) if out is None else out)
+        right = _scatter_block(nodal, lo, hi, p, right)
+    nodal[0] += right
+    return out
 
 
 @dataclass(frozen=True)
@@ -331,12 +338,14 @@ def load_vector(grid: Grid, func: Callable) -> np.ndarray:
     """Loads <func, v_i> by the element Gauss rule, with func sampled at one
     element block's Gauss points at a time, so no (E, 8) array is made."""
     nodes, offsets = grid.nodes(), GAUSS_POINTS * grid.dx
-
-    def block_loads(lo, hi):
-        samples = np.asarray(func(nodes[lo:hi, None] + offsets), dtype=float)
-        return _node_pairs((samples * grid.dx) @ _GAUSS_TESTS[0])
-
-    return _scatter_blocks(grid.n_elems, block_loads, np.empty(grid.n_dofs))
+    out = np.empty(grid.n_dofs)
+    nodal, right = out.view(complex), None
+    for lo, hi in _element_blocks(grid.n_elems):
+        loads = (np.asarray(func(nodes[lo:hi, None] + offsets), dtype=float)
+                 * grid.dx) @ _GAUSS_TESTS[0]
+        right = _scatter_block(nodal, lo, hi, _node_pairs(loads), right)
+    nodal[0] += right
+    return out
 
 
 def l2_project(grid: Grid, func: Callable) -> FemFunction:

@@ -24,8 +24,8 @@ import numpy as np
 
 from .assembly import OperatorMatrices
 from .circulant import PRODUCT_BLOCK, _invert_symbol_inplace, apply_symbol, block_symbol
-from .fem import (FemFunction, Grid, mass_bands, mass_norm, mass_offset_blocks,
-                  nonlinear_load)
+from .fem import (FemFunction, Grid, load_buffers, mass_bands, mass_norm,
+                  mass_offset_blocks, nonlinear_load)
 
 __all__ = [
     "SchemeConfig",
@@ -157,7 +157,8 @@ class _StepOperator:
     step symbols a_inv and b_symbol, the M-norm's two mass bands and the
     arrays a step writes: a complex (2, N) FFT buffer, which is real scratch
     between applies, a product block of at most PRODUCT_BLOCK frequencies,
-    the right-hand side M u_n + dt/2 D u_n and two iterates that take turns."""
+    the load's buffers for one element block, the right-hand side
+    M u_n + dt/2 D u_n and a spare iterate."""
 
     def __init__(self, grid: Grid, dt: float, a_inv: np.ndarray, b_symbol: np.ndarray):
         self.dt = dt
@@ -167,31 +168,38 @@ class _StepOperator:
         self.fft = (np.empty((2, n), dtype=complex),
                     np.empty((2, min(n, PRODUCT_BLOCK)), dtype=complex))
         self.spare = self.fft[0].view(float)
+        self.load = load_buffers(n)
         self.b0 = np.empty(2 * n)
-        self.iterates = (np.empty(2 * n), np.empty(2 * n))
+        self.iterate = np.empty(2 * n)
 
     def step(self, un: FemFunction, norm_un: float, cfg: SchemeConfig,
              step_index: int) -> tuple[FemFunction, StepReport, float]:
         """Step from un of M-norm norm_un; returns the state, report and M-norm.
 
-        It writes only the operator's buffers, the load's blocks and the state.
+        The iterates take turns in the spare iterate and one new array; the
+        one that holds the last iterate becomes the state, and the other is
+        the spare of the next step.  So the new array is all a step makes of
+        size N, and it writes only that and the operator's buffers.
         """
-        grid = un.grid
-        tol = cfg.tol_factor * grid.dx * norm_un
-        b0 = apply_symbol(self.b_symbol, un.coeffs, self.b0, self.fft)
+        grid, u = un.grid, un.coeffs
+        a_inv, bands, fft, load = self.a_inv, self.bands, self.fft, self.load
+        iterates = (self.iterate, np.empty_like(self.iterate))
+        dx, half_dt = grid.dx, 0.5 * self.dt
+        tol = cfg.tol_factor * dx * norm_un
+        b0 = apply_symbol(self.b_symbol, u, self.b0, fft)
         correction, scratch = self.spare
 
-        w = un.coeffs
+        w = u
         res = contraction = 0.0
         # Overflow only leads to a non-finite residual, which ends the step.
         with np.errstate(over="ignore", invalid="ignore"):
             for iters in range(1, MAX_PICARD_ITERS + 1):
-                w_new = nonlinear_load(w, un.coeffs, self.iterates[iters % 2])
-                w_new *= 0.5 * self.dt
+                w_new = nonlinear_load(w, u, iterates[iters % 2], load)
+                w_new *= half_dt
                 w_new += b0
-                apply_symbol(self.a_inv, w_new, w_new, self.fft)
+                apply_symbol(a_inv, w_new, w_new, fft)
                 prev, res = res, mass_norm(
-                    np.subtract(w_new, w, out=correction), self.bands, scratch)
+                    np.subtract(w_new, w, out=correction), bands, scratch)
                 # A non-finite correction can never recover; stop at once.
                 if not math.isfinite(res):
                     raise FixedPointDivergence(iters, res, tol, contraction,
@@ -205,16 +213,17 @@ class _StepOperator:
                 raise FixedPointDivergence(MAX_PICARD_ITERS, res, tol,
                                            contraction, step_index)
 
-        norm_w = mass_norm(w, self.bands, scratch)
-        moved = np.subtract(w[0::2], un.coeffs[0::2], out=correction[:grid.n_elems])
+        self.iterate = iterates[(iters + 1) % 2]
+        norm_w = mass_norm(w, bands, scratch)
+        moved = np.subtract(w[0::2], u[0::2], out=correction[:grid.n_elems])
         report = StepReport(
             iters=iters,
             final_residual=res,
             l2_drift=abs(norm_w - norm_un),
-            mass_drift=abs(grid.dx * float(np.sum(moved))),
+            mass_drift=abs(dx * float(moved.sum())),
             contraction=contraction,
         )
-        return FemFunction(grid, w.copy()), report, norm_w
+        return FemFunction(grid, w), report, norm_w
 
 
 def run(u0: FemFunction, t0: float, t_final: float, ops: OperatorMatrices,
@@ -248,7 +257,7 @@ def run(u0: FemFunction, t0: float, t_final: float, ops: OperatorMatrices,
 
     states = {0: u0} if 0 in keep else {}
     reports: list[StepReport] = []
-    u, norm_u = u0, mass_norm(u0.coeffs, operator.bands)
+    u, norm_u = u0, mass_norm(u0.coeffs, operator.bands, operator.spare[1])
     del u0      # the first step's state replaces run's last name for u^0
     for n in range(1, steps + 1):
         u, report, norm_u = operator.step(u, norm_u, cfg, n)

@@ -99,9 +99,32 @@ def test_gather_scatter_and_load_match_plain_formulas(n: int):
     assert np.array_equal(nonlinear_load(w, un), _plain_load(w, un))
 
 
+@pytest.mark.parametrize("n", [4111, 4112, 8207, 8208])
+def test_load_in_the_step_operators_buffers_matches_plain_formula(n: int):
+    # The operator's buffers hold its largest element block: all 4111
+    # elements, or 4096 beside a 16-element tail, or 4111 after 4096, or two
+    # of 4096 and a tail.  One set serves call after call, so each call must
+    # leave nothing behind that the next one reads, for contiguous, strided
+    # and odd-offset inputs alike.
+    grid = Grid(-1.0, 2.0, n)
+    buffers = _StepOperator(grid, 0.01, *_step_symbols(assemble_operators(grid, 1.5),
+                                                       0.01)).load
+    c, d, e = np.random.default_rng(n).standard_normal((3, grid.n_dofs))
+    strided = np.zeros(2 * grid.n_dofs)
+    strided[::2] = c
+    offset = np.zeros(grid.n_dofs + 2)
+    offset[1:-1] = c
+    out = np.empty(grid.n_dofs)
+    for a, b in [(c, d), (e, c), (strided[::2], d), (d, offset[1:-1]), (d, d)]:
+        want = _plain_load(np.asarray(a), b)
+        assert np.array_equal(nonlinear_load(a, b, None, buffers), want)
+        assert nonlinear_load(a, b, out, buffers) is out
+        assert np.array_equal(out, want)
+
+
 @pytest.mark.parametrize("n", [4, 15, 16, 4095, 4096, 4097, 4111, 4112, 8207, 8208, 65536])
 def test_element_blocks_keep_the_first_cut(n: int):
-    assert _element_blocks(n) == _plain_blocks(n)
+    assert list(_element_blocks(n)) == _plain_blocks(n)
 
 
 @pytest.mark.parametrize("n", SIZES)

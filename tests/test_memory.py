@@ -8,9 +8,11 @@ that numpy's einsum, FFT and casts make.  They were measured with numpy
 apply without buffers made a product block of all N frequencies), the Courant
 choose_dt at 2.13 against 2.50 (34.0 when its sup norm took all 17 * N
 samples at once), C3's cubic term at 0.63 against 0.75 (2.00 with the whole
-(E, 8) array), a dispersion assembly at 2.50 against 2.75, the step
-operator at 3.00 against 3.50 (forming its two symbols), a step at 0.44
-against 0.75 and a three-step run at 3.51 against 4.25.  The operator and
+(E, 8) array), a dispersion assembly at 1.58 against 1.6 (2.50 when the
+image tail and the structure projection made three and four (N, 2, 2)
+arrays), the step operator at 3.00 against 3.50 (forming its two symbols), a
+step at 0.25 against 0.3 (0.44 when each load made its own buffers) and a
+three-step run at 3.51 against 4.25.  The operator and
 the run are measured with the record passed inline, as the CLI passes it,
 so its dispersion blocks go once the step symbols exist; a run whose caller
 keeps the record peaks at 4.01 against the same 4.25.
@@ -48,11 +50,15 @@ N = 16384
 SYMBOL = 64 * N
 # What a step operator owns, in symbols: (M - dt/2 D)^-1 and M + dt/2 D, a
 # complex (2, N) FFT buffer (1/2) and its product block of PRODUCT_BLOCK
-# frequencies (1/16 here), the right-hand side (1/4) and two iterates (1/2),
-# besides the two 2x2 mass bands.  The operator record holds the dispersion
-# blocks (1/2); one passed inline is freed once the step symbols exist.
+# frequencies (1/16 here), the load's buffers for one element block of 4096
+# elements (7/16: 4097 complex half-sums, 4096 complex node pairs and 4096
+# rows of 8 Gauss values), the right-hand side (1/4) and a spare iterate
+# (1/4), besides the two 2x2 mass bands.  The operator record holds the
+# dispersion blocks (1/2); one passed inline is freed once the step symbols
+# exist.
 PRODUCT_BLOCK_BYTES = PRODUCT_BLOCK * 32
-OPERATOR_SYMBOLS = 2.0 + 1.25 + PRODUCT_BLOCK_BYTES / SYMBOL
+LOAD_BYTES = 4097 * 16 + 4096 * 32 + 4096 * 64
+OPERATOR_SYMBOLS = 2.0 + 1.0 + (PRODUCT_BLOCK_BYTES + LOAD_BYTES) / SYMBOL
 BANDS_BYTES = 64
 DISP_SYMBOLS = 0.5
 
@@ -141,19 +147,36 @@ def test_traced_peaks_per_layer(grid, tracing):
     norm = mass_norm(u0.coeffs, operator.bands)
     (u1, report, _), peak, held = _traced(lambda: operator.step(u0, norm, cfg, 1))
     assert report.iters > 1
-    assert peak <= 0.75
+    assert peak <= 0.3
     # The new state holds its own 16 * N bytes, a quarter symbol.
     assert held < 0.3
     assert _owns(u1.coeffs)
 
 
+def test_a_step_allocates_only_its_new_state(grid, tracing):
+    # The load, the applies and the M-norms run in the operator's buffers, so
+    # past the first step, whose transforms may plan, a step's traced peak is
+    # its new state (16 * N bytes) and no array of N floats besides.
+    u0 = l2_project(grid, triangle_data)
+    cfg = SchemeConfig(dt_value=0.01)
+    operator = _StepOperator(grid, 0.01, *_step_symbols(assemble_operators(grid, 1.5), 0.01))
+    u, _, norm = operator.step(u0, mass_norm(u0.coeffs, operator.bands), cfg, 1)
+    for index in (2, 3):
+        (u, report, norm), peak, held = _traced(
+            lambda: operator.step(u, norm, cfg, index))
+        assert report.iters > 1
+        assert 16 * N <= peak * SYMBOL < 16 * N + 8 * N
+        assert held == pytest.approx(0.25, abs=0.001)
+        assert _owns(u.coeffs)
+
+
 @pytest.mark.parametrize("kind", ["disp", "gram_half"])
 def test_assembly_peak_is_its_blocks_and_a_symbol(grid, kind):
-    # The blocks (1/2), the image tail's three (N, 2, 2) arrays and the
-    # structure projection's mirror; the far field adds only its batches of
+    # The blocks (1/2), the image tail's one (N, 4) array and the structure
+    # projection's mirror and result; the far field adds only its batches of
     # 2048 offsets, which held 4 symbols here in batches of 16384.
     blocks, peak, held = _traced(lambda: assemble_offset_blocks(grid, 1.5, kind))
-    assert peak <= 2.75
+    assert peak <= 1.6
     assert held == pytest.approx(0.5, abs=0.02)
 
 
@@ -330,6 +353,7 @@ def test_a_run_holds_only_its_step_operator(grid, tracing):
     assert _array_bytes(operator) == OPERATOR_SYMBOLS * SYMBOL + BANDS_BYTES
     assert operator.a_inv.nbytes == operator.b_symbol.nbytes == SYMBOL
     assert operator.fft[1].nbytes == PRODUCT_BLOCK_BYTES
+    assert sum(b.nbytes for b in operator.load) == LOAD_BYTES
 
 
 def _full_array_norm(blocks: np.ndarray, coeffs: np.ndarray) -> float:
