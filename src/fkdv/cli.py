@@ -45,13 +45,6 @@ class ConfigError(Exception):
     """Invalid command line or experiment configuration."""
 
 
-# INI keys that go to SchemeConfig under the same names.
-_STEP_SETTINGS = ("dt_value", "dt_factor", "tol_factor")
-# Every key an [experiment] section may hold; any other is a config error.
-_INI_KEYS = ("base", "alpha", "t0", "t_final", "domain", "sweep", "reference",
-             *_STEP_SETTINGS)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved settings for one table run."""
@@ -86,45 +79,6 @@ def _resolve_spec(base_name: str, overrides: dict) -> ExperimentSpec:
     return spec
 
 
-def _load_ini(path: Path) -> tuple[str, dict, dict]:
-    """Parse an experiment INI file into (base name, spec overrides, settings)."""
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        with open(path) as fh:
-            parser.read_file(fh)
-    except (OSError, configparser.Error) as exc:
-        raise ConfigError(f"cannot read experiment file {path}: {exc}") from exc
-    if not parser.has_section("experiment"):
-        raise ConfigError(f"{path}: missing [experiment] section")
-    section = parser["experiment"]
-    unknown = [key for key in section if key not in _INI_KEYS]
-    if unknown:
-        raise ConfigError(f"{path}: unknown [experiment] key(s) {', '.join(unknown)}; "
-                          f"known keys: {', '.join(_INI_KEYS)}")
-    if "base" not in section:
-        raise ConfigError(f"{path}: 'base' (a built-in experiment name) is required")
-    base = section["base"]
-    overrides: dict = {}
-    settings: dict = {}
-    try:
-        for key in ("alpha", "t0", "t_final"):
-            if key in section:
-                overrides[key] = section.getfloat(key)
-        if "domain" in section:
-            lo, hi = (float(v) for v in section["domain"].split(","))
-            overrides["domain"] = (lo, hi)
-        if "sweep" in section:
-            settings["sweep"] = _parse_sweep(section["sweep"])
-        for key in _STEP_SETTINGS:
-            if key in section:
-                settings[key] = section.getfloat(key)
-        if "reference" in section:
-            settings["reference"] = _parse_reference(section["reference"])
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return base, overrides, settings
-
-
 def _parsed(convert, what: str, text):
     """convert(text); a ValueError there is a config error naming what."""
     try:
@@ -153,6 +107,48 @@ def _parse_reference(text: str) -> tuple:
             return (prefix, m)
     raise ConfigError(
         f"bad reference {text!r}; expected closed, self:<M> or spectral:<M>")
+
+
+def _parse_domain(text: str) -> tuple[float, float]:
+    lo, hi = (float(v) for v in text.split(","))
+    return lo, hi
+
+
+# The reader of each [experiment] key but base.  The flag that sets a key has
+# the key as its argparse dest and is read by the same reader.
+_READ = {"alpha": float, "t0": float, "t_final": float, "domain": _parse_domain,
+         "sweep": _parse_sweep, "reference": _parse_reference,
+         "dt_value": float, "dt_factor": float, "tol_factor": float}
+# Every key an [experiment] section may hold; any other is a config error.
+_INI_KEYS = ("base", *_READ)
+# The keys that rebase the experiment, and those that go to SchemeConfig.
+_SPEC_KEYS = ("alpha", "t0", "t_final", "domain")
+_STEP_KEYS = ("dt_value", "dt_factor", "tol_factor")
+
+
+def _load_ini(path: Path) -> tuple[str, dict]:
+    """Parse an experiment INI file into (base name, settings)."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        with open(path) as fh:
+            parser.read_file(fh)
+    except (OSError, configparser.Error) as exc:
+        raise ConfigError(f"cannot read experiment file {path}: {exc}") from exc
+    if not parser.has_section("experiment"):
+        raise ConfigError(f"{path}: missing [experiment] section")
+    section = parser["experiment"]
+    unknown = [key for key in section if key not in _INI_KEYS]
+    if unknown:
+        raise ConfigError(f"{path}: unknown [experiment] key(s) {', '.join(unknown)}; "
+                          f"known keys: {', '.join(_INI_KEYS)}")
+    if "base" not in section:
+        raise ConfigError(f"{path}: 'base' (a built-in experiment name) is required")
+    try:
+        settings = {key: _parsed(_READ[key], key, text)
+                    for key, text in section.items() if key != "base"}
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    return section["base"], settings
 
 
 def _solve(scheme: SchemeConfig, spec: ExperimentSpec, n: int, times=()):
@@ -249,10 +245,6 @@ def run_table(cfg: RunConfig) -> list[RowResult]:
     return finished
 
 
-def _format_cell(value: float) -> str:
-    return "nan" if value != value else f"{value:.10g}"
-
-
 def table_csv(results: list[RowResult]) -> str:
     lines = ["N,E,C1,C2,C3,rate"]
     for res in results:
@@ -261,9 +253,7 @@ def table_csv(results: list[RowResult]) -> str:
             continue
         r = res.row
         rate = "" if r.rate is None else f"{r.rate:.10g}"
-        lines.append(",".join([str(r.n_elems), _format_cell(r.E),
-                               _format_cell(r.C1), _format_cell(r.C2),
-                               _format_cell(r.C3), rate]))
+        lines.append(f"{r.n_elems},{r.E:.10g},{r.C1:.10g},{r.C2:.10g},{r.C3:.10g},{rate}")
     return "\n".join(lines) + "\n"
 
 
@@ -309,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--alpha")
     p_run.add_argument("--sweep", help="comma-separated element counts")
     dt_group = p_run.add_mutually_exclusive_group()
-    dt_group.add_argument("--dt", help="explicit time step")
+    dt_group.add_argument("--dt", dest="dt_value", help="explicit time step")
     dt_group.add_argument("--dt-rule",
                           help="'courant' or 'prop:<c>' (dt = c*dx)")
     p_run.add_argument("--tol-factor")
@@ -344,67 +334,54 @@ def _out_dir(text: str) -> Path:
     return Path(text)
 
 
-def _resolve_experiment(args) -> tuple[str, dict, dict]:
-    """(base name, spec overrides, INI settings) from --experiment and --alpha.
+def _resolve_experiment(args) -> tuple[ExperimentSpec, dict, SchemeConfig]:
+    """(spec, settings, step settings) from --experiment and the flags given.
 
-    --experiment names a built-in experiment or an INI file; --alpha
-    overrides the order either way.
+    --experiment names a built-in experiment or an INI file.  A flag beats
+    the file's value of its key, and --dt or --dt-rule replaces both of the
+    file's step keys.  Bad settings raise ConfigError, so they stop a command
+    before any solve.
     """
     path = Path(args.experiment)
     if path.suffix == ".ini" or path.is_file():
-        base, overrides, settings = _load_ini(path)
+        base, settings = _load_ini(path)
     else:
-        base, overrides, settings = args.experiment, {}, {}
-    if args.alpha is not None:
-        overrides["alpha"] = _parsed(float, "--alpha", args.alpha)
-    return base, overrides, settings
-
-
-def _scheme(settings: dict, dt: str | None = None, dt_rule: str | None = None,
-            tol_factor: str | None = None) -> SchemeConfig:
-    """The step settings of an experiment file, then of the flags given.
-
-    --dt and --dt-rule each replace any step size the file gives.  Bad
-    settings raise ConfigError, so they stop a command before any solve.
-    """
-    step = {key: settings[key] for key in _STEP_SETTINGS if key in settings}
-    if dt is not None or dt_rule is not None:
-        step = {key: value for key, value in step.items() if key == "tol_factor"}
-    if dt is not None:
-        step["dt_value"] = _parsed(float, "--dt", dt)
-    elif dt_rule is not None and dt_rule != "courant":
+        base, settings = args.experiment, {}
+    dt_rule = getattr(args, "dt_rule", None)
+    if dt_rule is not None or getattr(args, "dt_value", None) is not None:
+        settings.pop("dt_value", None)
+        settings.pop("dt_factor", None)
+    if dt_rule is not None and dt_rule != "courant":
         if not dt_rule.startswith("prop:"):
             raise ConfigError(f"bad --dt-rule {dt_rule!r}")
-        step["dt_factor"] = _parsed(lambda t: float(t[5:]), "--dt-rule", dt_rule)
-    if tol_factor is not None:
-        step["tol_factor"] = _parsed(float, "--tol-factor", tol_factor)
+        settings["dt_factor"] = _parsed(lambda t: _READ["dt_factor"](t[5:]), "--dt-rule",
+                                        dt_rule)
+    for key, read in _READ.items():
+        text = getattr(args, key, None)
+        if text is not None:
+            flag = "--dt" if key == "dt_value" else "--" + key.replace("_", "-")
+            settings[key] = _parsed(read, flag, text)
+
+    spec = _resolve_spec(base, {key: settings[key] for key in _SPEC_KEYS if key in settings})
     try:
-        scheme = SchemeConfig(**step)
+        scheme = SchemeConfig(**{key: settings[key] for key in _STEP_KEYS if key in settings})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     # SchemeConfig admits a negative step, but every experiment runs forward.
     if scheme.dt_value is not None and scheme.dt_value < 0:
         raise ConfigError(f"dt_value must be positive, got {scheme.dt_value}")
-    return scheme
+    return spec, settings, scheme
 
 
 def _resolve_run_config(args) -> RunConfig:
-    base, overrides, settings = _resolve_experiment(args)
-    spec = _resolve_spec(base, overrides)
-
+    spec, settings, scheme = _resolve_experiment(args)
     sweep = settings.get("sweep", spec.sweep)
-    if args.sweep is not None:
-        sweep = _parse_sweep(args.sweep)
-
-    # Check the step settings and --jobs now, before any solve or output.
-    scheme = _scheme(settings, args.dt, args.dt_rule, args.tol_factor)
+    # Check --jobs now, before any solve or output.
     jobs = _parsed(int, "--jobs", args.jobs)
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
 
-    if args.reference is not None:
-        reference = _parse_reference(args.reference)
-    elif "reference" in settings:
+    if "reference" in settings:
         reference = settings["reference"]
     elif spec.reference is not None:
         reference = ("closed",)
@@ -412,8 +389,8 @@ def _resolve_run_config(args) -> RunConfig:
         reference = ("self", 4 * max(sweep, default=4))
 
     return RunConfig(
-        base_name=base,
-        overrides=overrides,
+        base_name=spec.name,
+        overrides={key: settings[key] for key in _SPEC_KEYS if key in settings},
         sweep=sweep,
         scheme=scheme,
         reference=reference,
@@ -445,9 +422,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_snapshot(args) -> int:
-    base, overrides, settings = _resolve_experiment(args)
-    spec = _resolve_spec(base, overrides)
-    scheme = _scheme(settings)
+    spec, _, scheme = _resolve_experiment(args)
     times = _parsed(lambda t: [float(v) for v in t.split(",") if v], "--times", args.times)
     if not times:
         raise ConfigError("no output times given")

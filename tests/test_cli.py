@@ -314,7 +314,8 @@ def test_an_out_that_cannot_be_a_directory_exits_two(command, out, tmp_path,
 
 def _step_ini(tmp_path, name: str, lines: str = "") -> str:
     path = tmp_path / f"{name}.ini"
-    path.write_text(f"[experiment]\nbase = bo-one\nt_final = 6\nsweep = 16, 32\n{lines}")
+    sweep = "" if "sweep" in lines else "sweep = 16, 32\n"
+    path.write_text(f"[experiment]\nbase = bo-one\nt_final = 6\n{sweep}{lines}")
     return str(path)
 
 
@@ -325,20 +326,35 @@ def _step_ini(tmp_path, name: str, lines: str = "") -> str:
     ("dt_value = 0.5\n", ["--dt-rule", "prop:0.25"], ["--dt-rule", "prop:0.25"]),
     ("dt_value = 0.5\n", ["--dt-rule", "courant"], []),
     ("dt_factor = 0.25\n", ["--dt-rule", "courant"], []),
+    ("alpha = 1.2\n", [], ["--alpha", "1.2"]),
+    ("sweep = 16\n", [], ["--sweep", "16"]),
+    ("reference = self:64\n", [], ["--reference", "self:64"]),
+    ("tol_factor = 1e-6\n", [], ["--tol-factor", "1e-6"]),
+    ("alpha = 1.2\n", ["--alpha", "1.1"], ["--alpha", "1.1"]),
+    ("sweep = 16\n", ["--sweep", "32"], ["--sweep", "32"]),
+    ("reference = self:64\n", ["--reference", "self:128"], ["--reference", "self:128"]),
+    ("tol_factor = 1e-6\n", ["--tol-factor", "1e-3"], ["--tol-factor", "1e-3"]),
 ], ids=["dt-value-as-dt", "dt-factor-as-prop", "dt-flag-over-dt-factor",
-        "prop-flag-over-dt-value", "courant-over-dt-value", "courant-over-dt-factor"])
-def test_ini_step_size_runs_as_its_flag(lines, ini_flags, flags, tmp_path):
-    # An INI step size prints the table of the flag that spells it, and a
-    # step flag replaces whichever step size the INI file gives.
-    rc, from_ini, _ = _invoke(["run", "--experiment", _step_ini(tmp_path, "steps", lines),
-                               *ini_flags])
+        "prop-flag-over-dt-value", "courant-over-dt-value", "courant-over-dt-factor",
+        "alpha-as-flag", "sweep-as-flag", "reference-as-flag", "tol-factor-as-flag",
+        "alpha-flag-over-key", "sweep-flag-over-key", "reference-flag-over-key",
+        "tol-factor-flag-over-key"])
+def test_ini_key_runs_as_its_flag(lines, ini_flags, flags, tmp_path):
+    # An INI key prints the table of the flag that spells it, a flag beats
+    # the same key in the file, and a step flag replaces whichever step size
+    # the file gives.
+    ini = _step_ini(tmp_path, "keys", lines)
+    rc, from_ini, _ = _invoke(["run", "--experiment", ini, *ini_flags])
     plain = _step_ini(tmp_path, "plain")
     _, from_flags, _ = _invoke(["run", "--experiment", plain, *flags])
     assert rc == 0
     assert from_ini == from_flags
-    if flags:       # not vacuous: the step size changes the table
-        _, courant, _ = _invoke(["run", "--experiment", plain])
-        assert from_ini != courant
+    if flags:       # not vacuous: the value changes the table
+        _, default, _ = _invoke(["run", "--experiment", plain])
+        assert from_ini != default
+    if ini_flags and flags:     # nor is the flag's win: the key alone differs
+        _, key_alone, _ = _invoke(["run", "--experiment", ini])
+        assert from_ini != key_alone
 
 
 def test_run_ini_without_experiment_section(tmp_path):
@@ -748,13 +764,15 @@ def no_solve(monkeypatch):
         monkeypatch.setattr(fkdv.cli, name, refuse)
 
 
-def _assert_config_error(argv: list[str], tmp_path) -> None:
+def _assert_config_error(argv: list[str], tmp_path) -> str:
+    """The one config error line of argv, which must write nothing."""
     rc, out, err = _invoke(argv + ["--out", str(tmp_path / "out")])
     assert rc == EXIT_CONFIG
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: "), err
     assert out == ""
     assert list(tmp_path.iterdir()) == []
+    return lines[0]
 
 
 @pytest.mark.parametrize("flag", sorted(_BAD_RUN_FLAGS))
@@ -784,9 +802,14 @@ def test_generated_bad_ini_keys_exit_two(key, data, ini_path, tmp_path, no_solve
     lines = data.draw(_BAD_INI[key], label=key)
     base = "" if key == "base" else "base = bo-one\n"
     ini_path.write_text(f"[experiment]\n{base}{lines}\n")
-    _assert_config_error(["run", "--experiment", str(ini_path)], tmp_path)
+    # The line names the bad key, outside the file's path; a bad base names
+    # the experiment instead.
+    name = "" if key == "base" else lines.partition(" = ")[0]
+    line = _assert_config_error(["run", "--experiment", str(ini_path)], tmp_path)
+    assert name in line.replace(str(ini_path), ""), line
     # A reference that bo-one's sweep cannot use is no error for snapshot,
     # which reads no reference.
     if key != "reference":
-        _assert_config_error(["snapshot", "--experiment", str(ini_path),
-                              "--elements", "16", "--times", "0"], tmp_path)
+        line = _assert_config_error(["snapshot", "--experiment", str(ini_path),
+                                     "--elements", "16", "--times", "0"], tmp_path)
+        assert name in line.replace(str(ini_path), ""), line
